@@ -30,7 +30,7 @@ COMMANDS:
   run              simulate one app across paradigms
                    --app <name> [--gpus N] [--pcie 4|5|6]
                    [--iterations K] [--scale-down S] [--windows W]
-                   [--flow-control open|credited] [--intra-jobs N]
+                   [--flow-control open|credited]
                    [--ber RATE] [--fault-profile clean|noisy|outage|degraded|stuck]
                    [--json FILE (write per-paradigm reports as
                    versioned canonical JSON)]
@@ -39,7 +39,6 @@ COMMANDS:
                    budgets, chaos injection)
                    [--gpus N] [--pcie 4|5|6] [--scale-down S]
                    [--flow-control open|credited] [--jobs N]
-                   [--intra-jobs N]
                    [--retries N] [--chaos RATE] [--run-budget SPEC]
   collectives      AI-training collectives study: per-collective
                    message-size crossover tables (FinePack vs bulk DMA
@@ -50,7 +49,7 @@ COMMANDS:
                    [--gpus N] [--max-gpus N] [--pcie 4|5|6]
                    [--iterations K] [--scale-down S] [--seed S]
                    [--flow-control open|credited] [--jobs N]
-                   [--intra-jobs N] [--bench-out FILE]
+                   [--bench-out FILE]
                    [--min-events-per-sec F]
   goodput          goodput-vs-size curve (Fig 2)
                    [--framing pcie|cxl|nvlink]
@@ -60,16 +59,15 @@ COMMANDS:
                    faulty data link layer
                    [--app <name>] [--gpus N] [--paradigm <name>]
                    [--scale-down S] [--iterations K] [--jobs N]
-                   [--flow-control open|credited] [--intra-jobs N]
+                   [--flow-control open|credited]
                    [--fault-profile clean|noisy|outage|degraded|stuck]
   bench            harness self-benchmark: serial vs parallel suite wall
-                   clock plus intra-run sharding throughput, written as
-                   JSON; workload prep is untimed, then each variant
+                   clock, written as JSON; workload prep is untimed, then each variant
                    runs warmup passes followed by measured reps
                    reported as mean and sigma
                    [--gpus N] [--pcie 4|5|6] [--scale-down S]
                    [--iterations K] [--seed S] [--jobs N]
-                   [--intra-jobs N] [--flow-control open|credited]
+                   [--flow-control open|credited]
                    [--warmup N (default 1)] [--reps N (default 3)]
                    [--min-events-per-sec F (fail below this serial
                    throughput; 0 disables the gate)]
@@ -78,7 +76,7 @@ COMMANDS:
                    a Chrome trace_event JSON (chrome://tracing /
                    Perfetto) or a CSV time series
                    [--app <name>] [--paradigm <name>] [--gpus N]
-                   [--iterations K] [--scale-down S] [--intra-jobs N]
+                   [--iterations K] [--scale-down S]
                    [--format chrome|csv] [--out FILE]
                    [--sample-interval NS (default 100; 0 disables)]
                    [--capacity EVENTS (ring size, default 1048576)]
@@ -88,7 +86,6 @@ COMMANDS:
                    configuration matrix; non-zero exit on any violation
                    [--app <name>] [--paradigm <name>] [--gpus N]
                    [--iterations K] [--scale-down S] [--seed S]
-                   [--intra-jobs N]
   area             FinePack SRAM footprint (§VI-B) [--gpus N]
   record           synthesize traces to disk
                    --app <name> --out <dir> [--gpus N] [--iterations K]
@@ -100,10 +97,10 @@ COMMANDS:
                    --trace <file> [--gpus N] [--window-bytes B]
   serve            run the sweep-farm daemon: accept jobs over a unix
                    socket and answer repeats from a content-addressed
-                   result cache (see DESIGN.md §14)
+                   result cache (see DESIGN.md §13)
                    [--socket PATH (default finepack-farm.sock)]
                    [--cache-entries N (default 64; oldest evicted)]
-                   [--jobs N] [--intra-jobs N]
+                   [--jobs N]
                    [--trace-out FILE (Chrome trace of serving events,
                    written on shutdown)]
   submit           submit one job to a running daemon and print the
@@ -135,14 +132,6 @@ machine's available parallelism; `--jobs 1` forces the serial path).
 Output is byte-identical for every N — parallelism never changes
 results, only wall-clock time.
 
-INTRA-JOBS: `--intra-jobs N` shards the event core of each single run
-across N worker threads (per-GPU/link-domain shards under a
-conservative lookahead window; default 1 = serial event loop). Reports,
-traces, and audits are bit-identical for every N. Prefer `--jobs` when
-a sweep has many points to fan out; prefer `--intra-jobs` for one big
-run (many GPUs, few sweep points). The two compose multiplicatively —
-keep jobs x intra-jobs near the machine's core count.
-
 SUPERVISION (suite): `--retries N` re-runs a failed sweep point up to N
 extra times with the same derived seed (only the attempt index changes);
 `--chaos RATE` injects deterministic failures (forced panics, slowdowns,
@@ -158,7 +147,7 @@ and a `failed points` section lists the rest.
 FARM: `serve` keeps a daemon resident with workloads warm and a
 content-addressed result cache keyed on a canonical fingerprint of
 (system config, seed, workload identity, build). Because reports are
-byte-identical at every --jobs/--intra-jobs, a repeated `submit` of the
+byte-identical at every --jobs, a repeated `submit` of the
 same sweep point is answered from cache without executing a single
 simulation event; the build fingerprint is part of the key, so a
 recompiled binary never serves stale entries.
@@ -243,44 +232,7 @@ fn system_from(args: &Args, spec: &RunSpec) -> Result<SystemConfig, ArgError> {
     if let Some(budget) = run_budget_from(args)? {
         cfg = cfg.with_run_budget(budget);
     }
-    Ok(cfg.with_intra_jobs(intra_jobs_from(args, 1)?))
-}
-
-/// Parses `--intra-jobs N`: worker threads sharding the event core of
-/// each single run (see DESIGN.md §12). Results are bit-identical for
-/// every value; `default` is 1 (serial event loop) everywhere except
-/// `bench`, which defaults to the machine's available parallelism.
-fn intra_jobs_from(args: &Args, default: usize) -> Result<usize, ArgError> {
-    let jobs: usize = args.get_parsed("intra-jobs", default, "positive shard-worker count")?;
-    if jobs == 0 {
-        return Err(ArgError::Invalid {
-            key: "intra-jobs".into(),
-            value: "0".into(),
-            expected: "positive shard-worker count",
-        });
-    }
-    Ok(jobs)
-}
-
-/// The machine's available parallelism (1 when undetectable).
-fn available_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
-/// The single-core caveat `suite` and `bench` print when thread knobs
-/// cannot buy wall-clock time on this machine. Independent of the
-/// `--jobs`/`--intra-jobs` values so output stays byte-identical across
-/// them.
-fn single_core_warning(out: &mut String) {
-    if available_parallelism() == 1 {
-        let _ = writeln!(
-            out,
-            "warning: this machine reports a single available core; \
-             --jobs/--intra-jobs cannot reduce wall-clock time here"
-        );
-    }
+    Ok(cfg)
 }
 
 /// Parses `--run-budget SPEC`: a plain integer (event ceiling) or a
@@ -540,15 +492,13 @@ pub(crate) fn run_app(args: &Args) -> Result<String, CliError> {
         "seed",
         "windows",
         "flow-control",
-        "intra-jobs",
         "ber",
         "fault-profile",
         "run-budget",
         "json",
     ])?;
     let req = job_request_from(args, farm::JobKind::Run)?;
-    let intra_jobs = intra_jobs_from(args, 1)?;
-    let out = farm::execute_job(&req, &WorkerPool::serial(), intra_jobs)?;
+    let out = farm::execute_job(&req, &WorkerPool::serial())?;
     if let Some(path) = args.get("json") {
         let mut doc = String::from("{\n  \"schema_version\": 1,\n  \"reports\": [\n");
         for (i, report) in out.reports_json.iter().enumerate() {
@@ -597,16 +547,13 @@ pub(crate) fn faults(args: &Args) -> Result<String, CliError> {
         "seed",
         "jobs",
         "flow-control",
-        "intra-jobs",
         "fault-profile",
     ])?;
     let app = find_app(args, args.get_or("app", "pagerank"))?;
     let spec = spec_from(args)?;
     let pool = pool_from(args)?;
     let paradigm = find_paradigm(args.get_or("paradigm", "finepack"))?;
-    let mut cfg = SystemConfig::paper(spec.num_gpus)
-        .with_flow_control(flow_control_from(args)?)
-        .with_intra_jobs(intra_jobs_from(args, 1)?);
+    let mut cfg = SystemConfig::paper(spec.num_gpus).with_flow_control(flow_control_from(args)?);
     if let Some(profile) = fault_profile_from(args)? {
         cfg = cfg.with_faults(profile);
     }
@@ -680,15 +627,13 @@ pub(crate) fn suite_table(args: &Args) -> Result<CmdOut, CliError> {
         "seed",
         "jobs",
         "flow-control",
-        "intra-jobs",
         "retries",
         "chaos",
         "run-budget",
     ])?;
     let req = job_request_from(args, farm::JobKind::Suite)?;
     let pool = pool_from(args)?;
-    let intra_jobs = intra_jobs_from(args, 1)?;
-    let out = farm::execute_job(&req, &pool, intra_jobs)?;
+    let out = farm::execute_job(&req, &pool)?;
     Ok(CmdOut {
         text: out.text,
         partial: out.partial,
@@ -698,8 +643,8 @@ pub(crate) fn suite_table(args: &Args) -> Result<CmdOut, CliError> {
 /// `collectives ...`: the AI-training collectives study — a fine-vs-bulk
 /// message-size crossover table per collective, then a weak-scaling
 /// curve over growing GPU counts. The report text never includes
-/// wall-clock numbers, so it stays byte-identical across
-/// `--jobs`/`--intra-jobs`; throughput goes to `--bench-out` JSON.
+/// wall-clock numbers, so it stays byte-identical across `--jobs`;
+/// throughput goes to `--bench-out` JSON.
 pub(crate) fn collectives(args: &Args) -> Result<String, CliError> {
     args.expect_only(&[
         "collective",
@@ -714,7 +659,6 @@ pub(crate) fn collectives(args: &Args) -> Result<String, CliError> {
         "windows",
         "flow-control",
         "jobs",
-        "intra-jobs",
         "bench-out",
         "min-events-per-sec",
     ])?;
@@ -910,19 +854,18 @@ const DEFAULT_SOCKET: &str = "finepack-farm.sock";
 /// `serve [--socket PATH] ...`: run the sweep-farm daemon until a
 /// `shutdown` command arrives on the socket.
 pub(crate) fn serve(args: &Args) -> Result<String, CliError> {
-    args.expect_only(&["socket", "cache-entries", "jobs", "intra-jobs", "trace-out"])?;
+    args.expect_only(&["socket", "cache-entries", "jobs", "trace-out"])?;
     let socket = args.get_or("socket", DEFAULT_SOCKET).to_string();
     let config = farm::ServeConfig {
         socket: socket.clone(),
         cache_entries: args.get_parsed("cache-entries", 64usize, "cache entry capacity")?,
         jobs: match args.get("jobs") {
-            None => available_parallelism(),
+            None => farm::available_parallelism(),
             Some(_) => {
                 let pool = pool_from(args)?;
                 pool.jobs()
             }
         },
-        intra_jobs: intra_jobs_from(args, 1)?,
         trace_out: args.get("trace-out").map(str::to_string),
     };
     let cache_entries = config.cache_entries;
@@ -1124,7 +1067,6 @@ pub(crate) fn trace(args: &Args) -> Result<String, CliError> {
         "seed",
         "windows",
         "flow-control",
-        "intra-jobs",
         "ber",
         "fault-profile",
         "run-budget",
@@ -1256,11 +1198,9 @@ pub(crate) fn audit(args: &Args) -> Result<String, CliError> {
         "iterations",
         "scale-down",
         "seed",
-        "intra-jobs",
     ])?;
     let app = find_app(args, args.get_or("app", "jacobi"))?;
     let spec = spec_from(args)?;
-    let intra_jobs = intra_jobs_from(args, 1)?;
     let paradigms: Vec<Paradigm> = match args.get("paradigm") {
         Some(name) => vec![find_paradigm(name)?],
         None => vec![
@@ -1303,9 +1243,7 @@ pub(crate) fn audit(args: &Args) -> Result<String, CliError> {
             for (fault_name, profile) in &faults {
                 for &paradigm in &paradigms {
                     for (alloc_name, alloc) in allocations_for(paradigm) {
-                        let mut cfg = SystemConfig::paper(spec.num_gpus)
-                            .with_pcie_gen(gen)
-                            .with_intra_jobs(intra_jobs);
+                        let mut cfg = SystemConfig::paper(spec.num_gpus).with_pcie_gen(gen);
                         if open {
                             cfg = cfg.with_flow_control(FlowControlMode::Open);
                         }
@@ -1434,7 +1372,6 @@ pub(crate) fn bench(args: &Args) -> Result<String, CliError> {
         "seed",
         "jobs",
         "flow-control",
-        "intra-jobs",
         "run-budget",
         "out",
         "warmup",
@@ -1442,12 +1379,8 @@ pub(crate) fn bench(args: &Args) -> Result<String, CliError> {
         "min-events-per-sec",
     ])?;
     let spec = spec_from(args)?;
-    // The sweep comparison keeps runs serial inside so the jobs axis is
-    // the only variable; the intra-run section below owns the
-    // `--intra-jobs` axis (default: the machine's parallelism).
-    let cfg = system_from(args, &spec)?.with_intra_jobs(1);
+    let cfg = system_from(args, &spec)?;
     let pool = pool_from(args)?;
-    let intra_jobs = intra_jobs_from(args, available_parallelism())?;
     let out_path = args.get_or("out", "BENCH_harness.json");
     let warmup: u32 = args.get_parsed("warmup", 1u32, "warm-up pass count")?;
     let reps: u32 = args.get_parsed("reps", 3u32, "positive measured-rep count")?;
@@ -1483,37 +1416,10 @@ pub(crate) fn bench(args: &Args) -> Result<String, CliError> {
         mean_sigma(&parallel_reps.iter().map(wall).collect::<Vec<_>>());
     let speedup = serial_wall / parallel_wall.max(f64::MIN_POSITIVE);
 
-    // Intra-run sharding throughput: one serial-pool suite pass over an
-    // 8-GPU system, event core serial vs sharded across `intra_jobs`
-    // workers. Big single runs are exactly where intra-run sharding is
-    // meant to pay off, independent of sweep fan-out.
-    const INTRA_GPUS: u8 = 8;
-    let mut spec8 = RunSpec::paper(INTRA_GPUS);
-    spec8.iterations = spec.iterations;
-    spec8.scale_down = spec.scale_down;
-    spec8.seed = spec.seed;
-    spec8.validate();
-    let cfg8 = SystemConfig::paper(INTRA_GPUS)
-        .with_pcie_gen(cfg.pcie_gen)
-        .with_flow_control(cfg.flow_control);
-    let prep8_clock = WallClock::start();
-    let prepared8 = system::prepare_apps(&apps, &cfg8, &spec8, &WorkerPool::serial());
-    let prep8_seconds = prep8_clock.elapsed().as_secs_f64();
-    let _ = run_suite_prepared(&prepared8, &cfg8, &Paradigm::FIG9, &WorkerPool::serial());
-    let (intra_serial, intra_serial_rows) =
-        timed_prepared(&prepared8, &cfg8.with_intra_jobs(1), &WorkerPool::serial());
-    let (intra_sharded, intra_sharded_rows) = timed_prepared(
-        &prepared8,
-        &cfg8.with_intra_jobs(intra_jobs),
-        &WorkerPool::serial(),
-    );
-    let intra_deterministic = intra_serial_rows == intra_sharded_rows;
-    let intra_speedup = intra_sharded.speedup_over(&intra_serial);
-
     // A sub-1.0 "speedup" on a box with one usable core is thread
     // overhead, not a harness regression: record the machine's
     // parallelism alongside the numbers so consumers can tell.
-    let available = available_parallelism();
+    let available = farm::available_parallelism();
     let single_core = available == 1 || pool.jobs() == 1;
 
     let queue_backend = sim_engine::EventQueue::<u8>::new().backend_name();
@@ -1522,7 +1428,7 @@ pub(crate) fn bench(args: &Args) -> Result<String, CliError> {
          \"queue_backend\": \"{}\",\n  \"gpus\": {},\n  \
          \"pcie\": \"{}\",\n  \
          \"iterations\": {},\n  \"scale_down\": {},\n  \"seed\": {},\n  \"apps\": {},\n  \
-         \"jobs\": {},\n  \"intra_jobs\": {},\n  \"available_parallelism\": {},\n  \
+         \"jobs\": {},\n  \"available_parallelism\": {},\n  \
          \"single_core\": {},\n  \"warmup_reps\": {},\n  \"measured_reps\": {},\n  \
          \"prep_seconds\": {:.6},\n  \
          \"sim_events\": {},\n  \"sim_time_ps\": {},\n  \
@@ -1532,11 +1438,7 @@ pub(crate) fn bench(args: &Args) -> Result<String, CliError> {
          \"parallel\": {{ \"wall_seconds\": {:.6}, \"wall_seconds_sigma\": {:.6}, \
          \"events_per_sec\": {:.1}, \"events_per_sec_sigma\": {:.1}, \
          \"sim_ps_per_wall_sec\": {:.1} }},\n  \"speedup\": {:.3},\n  \
-         \"parallel_efficiency\": {:.3},\n  \"deterministic\": {},\n  \
-         \"intra_run\": {{ \"gpus\": {}, \"intra_jobs\": {}, \"prep_seconds\": {:.6}, \
-         \"serial\": {{ \"wall_seconds\": {:.6}, \"events_per_sec\": {:.1} }}, \
-         \"sharded\": {{ \"wall_seconds\": {:.6}, \"events_per_sec\": {:.1} }}, \
-         \"speedup\": {:.3}, \"deterministic\": {} }}\n}}\n",
+         \"parallel_efficiency\": {:.3},\n  \"deterministic\": {}\n}}\n",
         queue_backend,
         spec.num_gpus,
         cfg.pcie_gen,
@@ -1545,7 +1447,6 @@ pub(crate) fn bench(args: &Args) -> Result<String, CliError> {
         spec.seed,
         apps.len(),
         pool.jobs(),
-        intra_jobs,
         available,
         single_core,
         warmup,
@@ -1566,15 +1467,6 @@ pub(crate) fn bench(args: &Args) -> Result<String, CliError> {
         speedup,
         speedup / pool.jobs() as f64,
         deterministic,
-        INTRA_GPUS,
-        intra_jobs,
-        prep8_seconds,
-        intra_serial.wall.as_secs_f64(),
-        intra_serial.events_per_sec(),
-        intra_sharded.wall.as_secs_f64(),
-        intra_sharded.events_per_sec(),
-        intra_speedup,
-        intra_deterministic,
     );
     std::fs::write(out_path, &json).map_err(|e| CliError::io(out_path, e))?;
 
@@ -1610,13 +1502,6 @@ pub(crate) fn bench(args: &Args) -> Result<String, CliError> {
         out,
         "  speedup: {speedup:.2}x  deterministic: {deterministic}  -> {out_path}"
     );
-    let _ = writeln!(
-        out,
-        "  intra-run ({INTRA_GPUS} GPUs): serial {:.2} ms, {intra_jobs} shard workers {:.2} ms, \
-         speedup {intra_speedup:.2}x  deterministic: {intra_deterministic}",
-        1e3 * intra_serial.wall.as_secs_f64(),
-        1e3 * intra_sharded.wall.as_secs_f64(),
-    );
     if single_core {
         let _ = writeln!(
             out,
@@ -1625,16 +1510,11 @@ pub(crate) fn bench(args: &Args) -> Result<String, CliError> {
             pool.jobs()
         );
     }
-    single_core_warning(&mut out);
+    farm::single_core_warning(&mut out);
     if !deterministic {
         return Err(CliError::Failed(format!(
             "parallel suite output diverged from serial (jobs = {})",
             pool.jobs()
-        )));
-    }
-    if !intra_deterministic {
-        return Err(CliError::Failed(format!(
-            "sharded suite output diverged from serial (intra-jobs = {intra_jobs})"
         )));
     }
     // The CI regression gate: fail when mean serial throughput drops

@@ -149,6 +149,10 @@ mod tests {
     #[test]
     fn unknown_command_errors() {
         assert!(run(["frobnicate"]).is_err());
+        // A removed option is rejected as unknown, with the usage exit.
+        let e = execute(["run", "--app", "jacobi", "--intra-jobs", "2"]).unwrap_err();
+        assert_eq!(e.to_string(), "unknown option --intra-jobs");
+        assert_eq!(e.exit_code(), EXIT_ERROR);
     }
 
     #[test]

@@ -23,7 +23,7 @@ use crate::egress::{
 use crate::rwq::FlushedEntry;
 
 /// Per-destination cacheline combining buffer with FIFO eviction.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 struct LineBuffer {
     lines: BTreeMap<u64, (u128, Vec<u8>, u64)>, // line -> (mask, data, stores_merged)
     fifo: VecDeque<u64>,
@@ -125,7 +125,7 @@ fn validate(store: &RemoteStore) -> Result<(u64, u32), FinePackError> {
 
 /// Write combining at cacheline granularity, emitting plain memory-write
 /// TLPs (one per contiguous valid-byte run).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct WriteCombiningEgress {
     src: GpuId,
     framing: FramingModel,
@@ -253,10 +253,6 @@ impl EgressPath for WriteCombiningEgress {
     fn set_payload_mode(&mut self, mode: PayloadMode) {
         self.payload_mode = mode;
     }
-
-    fn boxed_clone(&self) -> Box<dyn EgressPath> {
-        Box::new(self.clone())
-    }
 }
 
 /// GPS-like egress: cacheline write combining plus publish–subscribe
@@ -265,7 +261,7 @@ impl EgressPath for WriteCombiningEgress {
 /// within a cacheline"), and a configurable fraction of stores targets
 /// unsubscribed replicas and is dropped entirely (GPS's dynamic
 /// unsubscription benefit).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct GpsEgress {
     src: GpuId,
     framing: FramingModel,
@@ -410,10 +406,6 @@ impl EgressPath for GpsEgress {
 
     fn set_payload_mode(&mut self, mode: PayloadMode) {
         self.payload_mode = mode;
-    }
-
-    fn boxed_clone(&self) -> Box<dyn EgressPath> {
-        Box::new(self.clone())
     }
 }
 

@@ -394,16 +394,10 @@ pub trait EgressPath: std::fmt::Debug + Send {
     fn queue_depth(&self) -> usize {
         0
     }
-
-    /// Clones the path — state, metrics, and buffers — behind a fresh
-    /// box. This is the snapshot primitive intra-run sharding relies
-    /// on: a shard elaborates on a copy while the original stays
-    /// untouched for a possible serial fallback.
-    fn boxed_clone(&self) -> Box<dyn EgressPath>;
 }
 
 /// The FinePack egress path: remote write queue + packetizer.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct FinePackEgress {
     src: GpuId,
     config: FinePackConfig,
@@ -653,14 +647,10 @@ impl EgressPath for FinePackEgress {
     fn queue_depth(&self) -> usize {
         self.rwq.buffered_entries()
     }
-
-    fn boxed_clone(&self) -> Box<dyn EgressPath> {
-        Box::new(self.clone())
-    }
 }
 
 /// Today's hardware: every store leaves immediately as its own TLP.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct RawP2pEgress {
     framing: FramingModel,
     metrics: EgressMetrics,
@@ -770,10 +760,6 @@ impl EgressPath for RawP2pEgress {
 
     fn set_payload_mode(&mut self, mode: PayloadMode) {
         self.payload_mode = mode;
-    }
-
-    fn boxed_clone(&self) -> Box<dyn EgressPath> {
-        Box::new(self.clone())
     }
 }
 

@@ -71,14 +71,13 @@ pub fn available_parallelism() -> usize {
 
 /// The single-core caveat `suite` and `bench` print when thread knobs
 /// cannot buy wall-clock time on this machine. Independent of the
-/// `--jobs`/`--intra-jobs` values so output stays byte-identical across
-/// them.
+/// `--jobs` value so output stays byte-identical across it.
 pub fn single_core_warning(out: &mut String) {
     if available_parallelism() == 1 {
         let _ = writeln!(
             out,
             "warning: this machine reports a single available core; \
-             --jobs/--intra-jobs cannot reduce wall-clock time here"
+             --jobs cannot reduce wall-clock time here"
         );
     }
 }
@@ -86,21 +85,12 @@ pub fn single_core_warning(out: &mut String) {
 /// Executes a job against the supervised worker pool, producing the
 /// same bytes the one-shot CLI would.
 ///
-/// `intra_jobs` shards each run's event core (a harness knob: results
-/// are bit-identical for every value, so it is not part of the cache
-/// fingerprint).
-///
 /// # Errors
 ///
 /// [`FarmError::Invalid`] for bad requests (including unknown apps).
-pub fn execute_job(
-    req: &JobRequest,
-    pool: &WorkerPool,
-    intra_jobs: usize,
-) -> Result<JobOutput, FarmError> {
+pub fn execute_job(req: &JobRequest, pool: &WorkerPool) -> Result<JobOutput, FarmError> {
     req.validate()?;
     let (spec, cfg) = req.build();
-    let cfg = cfg.with_intra_jobs(intra_jobs);
     match req.kind {
         JobKind::Run => {
             let tuning = req.collective_tuning().map_err(FarmError::Invalid)?;
@@ -303,7 +293,7 @@ mod tests {
     #[test]
     fn run_jobs_render_a_table_and_collect_reports() {
         let pool = WorkerPool::new(1);
-        let out = execute_job(&small_run(), &pool, 1).unwrap();
+        let out = execute_job(&small_run(), &pool).unwrap();
         assert!(out.text.contains("jacobi on 2 GPUs"));
         assert!(out.text.contains("finepack"));
         assert!(!out.partial);
@@ -318,8 +308,8 @@ mod tests {
         req.gpus = 2;
         req.iterations = 1;
         req.scale_down = 16;
-        let serial = execute_job(&req, &WorkerPool::new(1), 1).unwrap();
-        let parallel = execute_job(&req, &WorkerPool::new(4), 2).unwrap();
+        let serial = execute_job(&req, &WorkerPool::new(1)).unwrap();
+        let parallel = execute_job(&req, &WorkerPool::new(4)).unwrap();
         assert_eq!(serial.text, parallel.text);
         assert_eq!(serial.sim_events, parallel.sim_events);
         assert!(serial.text.contains("suite speedups on 2 GPUs"));
@@ -330,7 +320,7 @@ mod tests {
         let mut req = small_run();
         req.app = Some("does-not-exist".into());
         assert!(matches!(
-            execute_job(&req, &WorkerPool::new(1), 1),
+            execute_job(&req, &WorkerPool::new(1)),
             Err(FarmError::Invalid(_))
         ));
     }

@@ -314,14 +314,14 @@ impl JobRequest {
 
     /// The canonical cache fingerprint of this request.
     ///
-    /// Covers the full simulated system (via the normalized
-    /// [`SystemConfig`]), the workload identity, the paradigm set, the
-    /// supervision knobs that shape the rendered report, the wire
-    /// schema, and the build fingerprint — so a recompiled binary or a
-    /// changed protocol can never serve a stale entry. Excluded:
-    /// harness parallelism (`jobs` / `intra_jobs`; results are proven
-    /// bit-identical across them) and the `audit` flag (auditing stamps
-    /// an entry, it does not change the simulated result).
+    /// Covers the full simulated system (its [`SystemConfig`]), the
+    /// workload identity, the paradigm set, the supervision knobs that
+    /// shape the rendered report, the wire schema, and the build
+    /// fingerprint — so a recompiled binary or a changed protocol can
+    /// never serve a stale entry. Excluded: harness parallelism (`jobs`;
+    /// results are proven bit-identical across it) and the `audit` flag
+    /// (auditing stamps an entry, it does not change the simulated
+    /// result).
     pub fn fingerprint(&self) -> system::ConfigFingerprint {
         let (spec, cfg) = self.build();
         let app = match self.kind {

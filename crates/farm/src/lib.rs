@@ -2,7 +2,7 @@
 //! jobs over a unix socket from a content-addressed result cache.
 //!
 //! The simulator's determinism contract (byte-identical reports at any
-//! `--jobs` / `--intra-jobs`) is what makes results cacheable at all:
+//! `--jobs`) is what makes results cacheable at all:
 //! a sweep point's output is a pure function of its
 //! ([`system::SystemConfig`], seed, workload identity) fingerprint plus
 //! the binary that produced it. The farm exploits that:
@@ -23,7 +23,7 @@
 //! - The [`client`] functions ([`submit`], [`status`], [`shutdown`])
 //!   back the `finepack-sim submit` / `status` / `shutdown` commands.
 //!
-//! See DESIGN.md §14 for the wire protocol and fingerprint definition.
+//! See DESIGN.md §13 for the wire protocol and fingerprint definition.
 
 #![warn(missing_docs)]
 

@@ -3,7 +3,7 @@
 //! [`ResultCache`].
 //!
 //! Wire protocol (line-delimited JSON, one request line per command,
-//! one or more response lines back; see DESIGN.md §14):
+//! one or more response lines back; see DESIGN.md §13):
 //!
 //! ```text
 //! -> {"schema_version":1,"cmd":"submit","job":{"kind":"run",...}}
@@ -40,8 +40,6 @@ pub struct ServeConfig {
     pub cache_entries: usize,
     /// Worker threads for suite sweeps.
     pub jobs: usize,
-    /// Intra-run shard workers per simulation.
-    pub intra_jobs: usize,
     /// Optional path: on shutdown, write the farm lifecycle events as a
     /// Chrome trace (`job-submitted` / `job-start` / `job-cache-hit` /
     /// `job-done` on the "farm (serving)" track).
@@ -54,7 +52,6 @@ impl Default for ServeConfig {
             socket: "finepack-farm.sock".into(),
             cache_entries: 64,
             jobs: 1,
-            intra_jobs: 1,
             trace_out: None,
         }
     }
@@ -266,7 +263,7 @@ impl Server {
             writer,
             &response("start", vec![("job".into(), Json::num(seq))]),
         )?;
-        let out = execute_job(job, &self.pool, self.config.intra_jobs)?;
+        let out = execute_job(job, &self.pool)?;
         self.stats.sim_events_total += out.sim_events;
         let audit_clean = if job.audit {
             Some(crate::exec::audit_job(job)?)

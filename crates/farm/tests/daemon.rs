@@ -21,7 +21,6 @@ fn spawn_daemon(socket: &str, cache_entries: usize) -> std::thread::JoinHandle<(
         socket: socket.to_string(),
         cache_entries,
         jobs: 1,
-        intra_jobs: 1,
         trace_out: None,
     })
     .expect("bind");

@@ -46,7 +46,6 @@ mod par;
 mod perf;
 mod report;
 mod rng;
-mod shard;
 mod stats;
 mod supervise;
 mod time;
@@ -58,7 +57,6 @@ pub use par::{derive_task_seed, par_map_deterministic, TaskCtx, WorkerPool};
 pub use perf::{ThroughputReport, WallClock};
 pub use report::{geomean, Table};
 pub use rng::DetRng;
-pub use shard::{ShardHand, ShardMailbox, ShardPlan, ShardScheduler};
 pub use stats::{Counter, Histogram, Running};
 pub use supervise::{
     map_supervised, ChaosConfig, QuietPanicGuard, RetryPolicy, TaskFailure, TaskReport,

@@ -2,7 +2,7 @@
 //! driven by the engine's own deterministic RNG so the suite needs no
 //! external property-testing crate and every failure replays exactly.
 
-use sim_engine::{geomean, Bandwidth, DetRng, EventQueue, Histogram, ShardScheduler, SimTime};
+use sim_engine::{geomean, Bandwidth, DetRng, EventQueue, Histogram, SimTime};
 
 /// Events pop in non-decreasing time order regardless of insertion
 /// order, and ties preserve insertion order.
@@ -129,31 +129,6 @@ fn shrinking_rebuild_drops_no_events() {
         }
         assert!(heap.is_empty(), "round {round}: calendar dropped events");
         assert_eq!(popped, dense + tail + 1, "round {round}: lost events");
-    }
-}
-
-/// `window_end_after` returns the smallest quantum multiple strictly
-/// after `t`: it always advances, lands on the grid, and jumping from
-/// just before a boundary versus exactly on it yields adjacent windows.
-#[test]
-fn shard_window_boundaries_advance_on_the_quantum_grid() {
-    let mut rng = DetRng::new(0x51_0008, "shard-window");
-    assert!(ShardScheduler::new(SimTime::ZERO).is_none());
-    for _ in 0..300 {
-        let q = rng.next_in_range(1, 1 << 30);
-        let s = ShardScheduler::new(SimTime::from_ps(q)).expect("non-zero quantum");
-        let t = rng.next_u64_below(1 << 40);
-        let end = s.window_end_after(SimTime::from_ps(t)).as_ps();
-        assert!(end > t, "window end must be strictly after t");
-        assert_eq!(end % q, 0, "window end must lie on the quantum grid");
-        assert!(end - t <= q, "window end must be the nearest boundary");
-        // A boundary jump: the end of the window starting exactly at
-        // `end` is one full quantum later.
-        assert_eq!(
-            s.window_end_after(SimTime::from_ps(end)).as_ps(),
-            end + q,
-            "jumping from a boundary must advance exactly one window"
-        );
     }
 }
 

@@ -138,14 +138,6 @@ pub struct SystemConfig {
     /// watchdog); `None` runs unbounded. A run that never trips its
     /// budget is byte-identical to the same run without one.
     pub run_budget: Option<RunBudget>,
-    /// Worker threads *inside* a single run (intra-run sharding; see
-    /// DESIGN.md §12). This is a harness knob, not a property of the
-    /// simulated system: results are bit-identical for every value.
-    /// `1` (the default) runs the classic serial event loop; higher
-    /// values shard the per-GPU elaboration across threads under the
-    /// conservative lookahead of [`SystemConfig::shard_lookahead`],
-    /// degrading back to serial whenever no safe horizon exists.
-    pub intra_jobs: usize,
 }
 
 impl SystemConfig {
@@ -172,7 +164,6 @@ impl SystemConfig {
             fault: None,
             flow_control: FlowControlMode::Credited(CreditConfig::paper()),
             run_budget: None,
-            intra_jobs: 1,
         }
     }
 
@@ -227,35 +218,6 @@ impl SystemConfig {
         self.with_flow_control(FlowControlMode::Open)
     }
 
-    /// Sets the intra-run worker count (see the `intra_jobs` field).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `jobs` is zero.
-    pub fn with_intra_jobs(mut self, jobs: usize) -> Self {
-        assert!(jobs >= 1, "intra-run sharding needs at least one worker");
-        self.intra_jobs = jobs;
-        self
-    }
-
-    /// The conservative lookahead for intra-run sharding: the minimum
-    /// simulated latency by which one GPU's actions can affect another.
-    ///
-    /// Under open-loop flow control every cross-GPU interaction rides a
-    /// link, so the horizon is the hop latency. Under credited flow
-    /// control the sender additionally reacts to the receiver through
-    /// the `UpdateFC` return path, so the horizon shrinks to the
-    /// smaller of hop latency and credit-return latency. A zero horizon
-    /// (`None`) means no safe parallel window exists and the runner
-    /// must degrade to its serial loop.
-    pub fn shard_lookahead(&self) -> Option<SimTime> {
-        let horizon = match self.flow_control.credits() {
-            None => self.hop_latency,
-            Some(credits) => self.hop_latency.min(credits.return_latency),
-        };
-        (horizon.as_ps() > 0).then_some(horizon)
-    }
-
     /// Validates internal consistency.
     ///
     /// # Panics
@@ -263,7 +225,6 @@ impl SystemConfig {
     /// Panics if any sub-configuration is invalid.
     pub fn validate(&self) {
         assert!(self.num_gpus >= 2, "a node needs at least 2 GPUs");
-        assert!(self.intra_jobs >= 1, "intra_jobs must be at least 1");
         self.gpu.validate();
         self.finepack.validate();
         assert!(self.combining_entries > 0);

@@ -13,10 +13,8 @@
 //! - Every absorbed value is framed as `tag ':' value ';'` with a
 //!   length prefix, so adjacent fields can never alias (`"ab","c"` vs
 //!   `"a","bc"` digest differently).
-//! - Harness knobs that provably do not affect results are *excluded*:
-//!   [`SystemConfig::intra_jobs`] is normalized to 1 before hashing
-//!   (DESIGN.md §12 pins bit-identity across intra-run worker counts),
-//!   and sweep-level `--jobs` never reaches the config at all.
+//! - Harness parallelism is *excluded*: sweep-level `--jobs` never
+//!   reaches the config at all.
 //! - The [`SystemConfig`] is absorbed through its `Debug` rendering.
 //!   Every field of the config tree is `Copy` data rendered by derived
 //!   `Debug` impls (no maps, no addresses), and Rust renders `f64` with
@@ -140,11 +138,9 @@ impl std::fmt::Display for ConfigFingerprint {
 ///     .workload("pagerank", &spec)
 ///     .paradigms(&Paradigm::FIG9)
 ///     .finish();
-/// // Harness parallelism is excluded: the same system sharded across
-/// // four intra-run workers produces bit-identical results, so it
-/// // fingerprints identically.
+/// // Equal inputs fingerprint identically.
 /// let b = FingerprintBuilder::new()
-///     .system(&cfg.with_intra_jobs(4))
+///     .system(&cfg)
 ///     .workload("pagerank", &spec)
 ///     .paradigms(&Paradigm::FIG9)
 ///     .finish();
@@ -184,15 +180,11 @@ impl FingerprintBuilder {
 
     /// Absorbs the complete simulated-system configuration.
     ///
-    /// The config is first normalized — `intra_jobs` forced to 1, the
-    /// one field that is a harness knob rather than a property of the
-    /// simulated machine — then rendered via `Debug` (see the module
-    /// docs for why that rendering is canonical) and absorbed.
+    /// The config is rendered via `Debug` (see the module docs for why
+    /// that rendering is canonical) and absorbed.
     pub fn system(mut self, cfg: &SystemConfig) -> Self {
-        let mut normalized = *cfg;
-        normalized.intra_jobs = 1;
         let mut rendered = String::new();
-        let _ = write!(rendered, "{normalized:?}");
+        let _ = write!(rendered, "{cfg:?}");
         self.bytes.push("system", &rendered);
         self
     }
@@ -329,13 +321,6 @@ mod tests {
             variants.len(),
             "two distinct configs collided on one fingerprint"
         );
-    }
-
-    #[test]
-    fn harness_knobs_are_excluded() {
-        let base = SystemConfig::paper(4);
-        assert_eq!(fp(&base), fp(&base.with_intra_jobs(4)));
-        assert_eq!(fp(&base), fp(&base.with_intra_jobs(16)));
     }
 
     #[test]

@@ -39,7 +39,7 @@ type LineMap = HashMap<u64, u128, std::hash::BuildHasherDefault<LineHasher>>;
 
 /// Tracks unique bytes written per iteration (128B-line byte masks), to
 /// separate "useful" from "redundant" transfers in Fig 10's sense.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub struct UniqueTracker {
     lines: LineMap,
     unique_total: u64,

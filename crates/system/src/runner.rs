@@ -2,16 +2,12 @@
 //! streams through a paradigm's egress paths and the switched fabric,
 //! producing execution times and wire-traffic accounting.
 
-use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
-
 use finepack::{
-    EgressMetrics, EgressPath, FlushReason, OutputBuffer, PayloadMode, ReplayAmplification,
-    WirePacket,
+    EgressMetrics, EgressPath, FlushReason, PayloadMode, ReplayAmplification, WirePacket,
 };
 use gpu_model::{GpuId, KernelRun, MemoryImage};
-use sim_engine::{Bandwidth, EventQueue, ShardHand, ShardPlan, ShardScheduler, SimTime};
-use telemetry::{CaptureCollector, EventKind, Sample, TraceEvent, TraceHandle};
+use sim_engine::{Bandwidth, EventQueue, SimTime};
+use telemetry::{EventKind, Sample, TraceEvent, TraceHandle};
 
 use crate::budget::{BudgetKind, BudgetTrip, RunnerDiag};
 use crate::config::SystemConfig;
@@ -60,29 +56,10 @@ struct PumpOutcome {
     blocked_until: Option<SimTime>,
 }
 
-/// What one elaborated path event hands from a shard worker to the
-/// commit thread: the wire packets the operation emitted, the path-side
-/// trace events it recorded (iteration-local times), and the remote
-/// write queue depth after the operation (sample reconstruction).
-struct ElabRecord {
-    gpu: usize,
-    packets: Vec<WirePacket>,
-    captured: Vec<TraceEvent>,
-    queue_depth: usize,
-}
-
-/// Per-GPU probe of path state at iteration start, from which the
-/// commit thread reconstructs time-series samples without touching the
-/// (cloned-away) paths.
-struct GpuProbe {
-    queue_depth: usize,
-    stall_ps: u64,
-}
-
 /// Builds the iteration's pre-scheduled event queue. The schedule order
 /// — per GPU: egress stores, atomics, probes, fences, kernel end — is
-/// load-bearing: it fixes the tie-break sequence numbers, so serial and
-/// sharded commit replays pop identical global orders.
+/// load-bearing: it fixes the tie-break sequence numbers, and so the
+/// order in which same-time events pop.
 fn fill_queue(queue: &mut EventQueue<Ev>, runs: &[KernelRun]) {
     // Pre-size for the whole trace (plus a Retry slot per GPU) so
     // schedule/pop never reallocate in the hot loop.
@@ -98,27 +75,20 @@ fn fill_queue(queue: &mut EventQueue<Ev>, runs: &[KernelRun]) {
         .unwrap_or(SimTime::ZERO);
     queue.reserve_for_span(trace_events + runs.len(), span);
     for (g, run) in runs.iter().enumerate() {
-        schedule_gpu_events(queue, g, run);
+        for (idx, t) in run.egress.iter().enumerate() {
+            queue.schedule(t.time, Ev::Store { gpu: g, idx });
+        }
+        for (idx, t) in run.atomics.iter().enumerate() {
+            queue.schedule(t.time, Ev::Atomic { gpu: g, idx });
+        }
+        for (idx, p) in run.probes.iter().enumerate() {
+            queue.schedule(p.time, Ev::Probe { gpu: g, idx });
+        }
+        for f in &run.fences {
+            queue.schedule(*f, Ev::Fence { gpu: g });
+        }
+        queue.schedule(run.kernel_time, Ev::KernelEnd { gpu: g });
     }
-}
-
-/// Schedules one GPU's pre-known events. Shard workers build per-GPU
-/// queues through the same function, so a GPU's events pop in the same
-/// relative order locally as they do in the global queue.
-fn schedule_gpu_events(queue: &mut EventQueue<Ev>, g: usize, run: &KernelRun) {
-    for (idx, t) in run.egress.iter().enumerate() {
-        queue.schedule(t.time, Ev::Store { gpu: g, idx });
-    }
-    for (idx, t) in run.atomics.iter().enumerate() {
-        queue.schedule(t.time, Ev::Atomic { gpu: g, idx });
-    }
-    for (idx, p) in run.probes.iter().enumerate() {
-        queue.schedule(p.time, Ev::Probe { gpu: g, idx });
-    }
-    for f in &run.fences {
-        queue.schedule(*f, Ev::Fence { gpu: g });
-    }
-    queue.schedule(run.kernel_time, Ev::KernelEnd { gpu: g });
 }
 
 /// The lifecycle trace event an operation records as it issues.
@@ -145,140 +115,6 @@ fn issue_kind(payload: Ev, runs: &[KernelRun]) -> EventKind {
         Ev::KernelEnd { .. } => EventKind::KernelEnd,
         Ev::Retry { .. } => unreachable!("retries have no issue event"),
     }
-}
-
-/// Emits one `Flush` event per increment between two snapshots of a
-/// path's per-reason flush counters. Counting from the aggregates keeps
-/// trace flush counts equal to `flushes_by_reason` by construction.
-fn record_flush_events(
-    trace: &TraceHandle,
-    gpu: usize,
-    at: SimTime,
-    before: [u64; FlushReason::ALL.len()],
-    after: [u64; FlushReason::ALL.len()],
-) {
-    for (i, reason) in FlushReason::ALL.iter().enumerate() {
-        for _ in before[i]..after[i] {
-            trace.record(TraceEvent {
-                time: at,
-                gpu: gpu as u8,
-                kind: EventKind::Flush {
-                    reason: reason.label(),
-                },
-            });
-        }
-    }
-}
-
-/// Elaborates one pre-scheduled event against its (cloned) path at
-/// `eff = now`: valid precisely on stall-free timelines, which is the
-/// only kind the sharded commit accepts (any would-be stall aborts the
-/// parallel attempt).
-fn elaborate_event(
-    now: SimTime,
-    payload: Ev,
-    runs: &[KernelRun],
-    path: &mut Box<dyn EgressPath>,
-    capture: Option<&(TraceHandle, Arc<Mutex<CaptureCollector>>)>,
-) -> ElabRecord {
-    let gpu = match payload {
-        Ev::Store { gpu, .. }
-        | Ev::Atomic { gpu, .. }
-        | Ev::Probe { gpu, .. }
-        | Ev::Fence { gpu }
-        | Ev::KernelEnd { gpu } => gpu,
-        Ev::Retry { .. } => unreachable!("retries are commit-side only"),
-    };
-    let eff = now;
-    let flushes_before = capture.map(|_| path.metrics().flushes_by_reason);
-    if let Some((trace, _)) = capture {
-        trace.record(TraceEvent {
-            time: eff,
-            gpu: gpu as u8,
-            kind: issue_kind(payload, runs),
-        });
-    }
-    let mut packets = match payload {
-        Ev::Store { gpu, idx } => path
-            .push(&runs[gpu].egress[idx].store, eff)
-            .expect("valid L1-coalesced store"),
-        Ev::Atomic { gpu, idx } => path
-            .push_atomic(&runs[gpu].atomics[idx].store, eff)
-            .expect("valid atomic"),
-        Ev::Probe { gpu, idx } => {
-            let p = runs[gpu].probes[idx];
-            path.load_probe(p.dst, p.addr, p.len, eff)
-        }
-        Ev::Fence { .. } | Ev::KernelEnd { .. } => path.release(),
-        Ev::Retry { .. } => unreachable!("retries are commit-side only"),
-    };
-    packets.extend(path.advance(eff));
-    if let Some((trace, _)) = capture {
-        let before = flushes_before.expect("snapshotted above");
-        record_flush_events(trace, gpu, eff, before, path.metrics().flushes_by_reason);
-    }
-    let captured = capture
-        .map(|(_, c)| c.lock().expect("capture collector lock").take_events())
-        .unwrap_or_default();
-    ElabRecord {
-        gpu,
-        packets,
-        captured,
-        queue_depth: path.queue_depth(),
-    }
-}
-
-/// One shard worker: replays its GPUs' pre-scheduled events against
-/// cloned paths, window by window under the conservative lookahead, and
-/// streams [`ElabRecord`]s to the commit thread. Returns the elaborated
-/// paths so a committed run can adopt them without re-execution.
-fn elaborate_shard(
-    gpus: std::ops::Range<usize>,
-    mut paths: Vec<Box<dyn EgressPath>>,
-    captures: Vec<Option<(TraceHandle, Arc<Mutex<CaptureCollector>>)>>,
-    runs: &[KernelRun],
-    scheduler: ShardScheduler,
-    mut hand: ShardHand<ElabRecord>,
-) -> Vec<Box<dyn EgressPath>> {
-    let mut queues: Vec<EventQueue<Ev>> = gpus
-        .map(|g| {
-            let run = &runs[g];
-            let n = run.egress.len() + run.atomics.len() + run.probes.len() + run.fences.len() + 1;
-            let mut q = EventQueue::with_capacity(n);
-            q.reserve_for_span(n, run.kernel_time);
-            schedule_gpu_events(&mut q, g, run);
-            q
-        })
-        .collect();
-    let mut remaining: usize = queues.iter().map(EventQueue::len).sum();
-    let mut window_end = scheduler.quantum();
-    while remaining > 0 {
-        let tmin = queues
-            .iter()
-            .filter_map(EventQueue::peek_time)
-            .min()
-            .expect("events remain");
-        if tmin >= window_end {
-            // Jump over empty windows instead of spinning through them.
-            window_end = scheduler.window_end_after(tmin);
-        }
-        for (i, q) in queues.iter_mut().enumerate() {
-            while q.peek_time().is_some_and(|t| t < window_end) {
-                let ev = q.pop().expect("peeked above");
-                let rec = elaborate_event(
-                    ev.time,
-                    ev.payload,
-                    runs,
-                    &mut paths[i],
-                    captures[i].as_ref(),
-                );
-                remaining -= 1;
-                hand.send(rec);
-            }
-        }
-    }
-    hand.flush();
-    paths
 }
 
 /// Simulates a (workload, paradigm) combination iteration by iteration.
@@ -402,22 +238,6 @@ impl Runner {
         }
     }
 
-    /// Takes the recycled iteration queue, refilled with `runs`'
-    /// pre-scheduled events. Hand it back with [`Runner::recycle_queue`]
-    /// once the iteration drains so its allocations carry forward.
-    fn take_queue(&mut self, runs: &[KernelRun]) -> EventQueue<Ev> {
-        let mut queue = std::mem::take(&mut self.queue_scratch);
-        fill_queue(&mut queue, runs);
-        queue
-    }
-
-    /// Returns a drained iteration queue to the recycle slot. Skipped on
-    /// error paths (the scratch is then rebuilt from empty — errored
-    /// runs are abandoned anyway).
-    fn recycle_queue(&mut self, queue: EventQueue<Ev>) {
-        self.queue_scratch = queue;
-    }
-
     /// Checks every configured [`crate::RunBudget`] ceiling at
     /// iteration-local time `now` with `pending` events still queued,
     /// returning a structured trip with a diagnostic snapshot when one
@@ -497,7 +317,17 @@ impl Runner {
             .expect("store paradigm")
             .metrics()
             .flushes_by_reason;
-        record_flush_events(&self.trace, gpu, at, before, after);
+        for (i, reason) in FlushReason::ALL.iter().enumerate() {
+            for _ in before[i]..after[i] {
+                self.trace.record(TraceEvent {
+                    time: at,
+                    gpu: gpu as u8,
+                    kind: EventKind::Flush {
+                        reason: reason.label(),
+                    },
+                });
+            }
+        }
     }
 
     /// The destination memory images, when `track_memory` was requested.
@@ -518,6 +348,19 @@ impl Runner {
         self.fabric.fc_in_flight_total()
     }
 
+    /// Cumulative replayed bytes across every link. The data-link layer
+    /// only exists under fault injection; without it replayed bytes are
+    /// identically zero, so the per-packet all-links sweep is skipped.
+    fn replayed_total(&self) -> u64 {
+        if self.cfg.fault.is_some() {
+            self.fabric.replayed_bytes_total()
+        } else {
+            0
+        }
+    }
+
+    /// Delivers `packets` open-loop: every packet is sent at `at`
+    /// regardless of link occupancy. Returns the latest drain time.
     fn deliver(
         &mut self,
         at: SimTime,
@@ -525,46 +368,61 @@ impl Runner {
         packets: Vec<WirePacket>,
     ) -> Result<SimTime, RunError> {
         let mut last = SimTime::ZERO;
-        let stall_limit = self.cfg.fault.map(|f| f.max_stall);
         for p in packets {
-            let replayed_before = self.fabric.replayed_bytes_total();
+            let replayed_before = self.replayed_total();
             let landed = self
                 .fabric
                 .try_send(at, src, p.dst, p.wire_bytes)
                 .map_err(RunError::LinkDown)?;
-            // A replayed aggregated TLP retransmits whole: attribute
-            // the amplification to the flush that produced the packet.
-            let replayed = self.fabric.replayed_bytes_total() - replayed_before;
-            self.replay_amp.record(p.reason, p.wire_bytes, replayed);
-            // No-forward-progress watchdog: a delivery that stalls past
-            // the bound (crawling degraded link, replay storm) is a
-            // diagnostic failure, not a silently absurd timeline.
-            if let Some(limit) = stall_limit {
-                if landed.saturating_sub(at) > limit {
-                    return Err(RunError::Stalled {
-                        gpu: src.index() as u8,
-                        at,
-                        landed,
-                        limit,
-                    });
-                }
-            }
-            // The de-packetizer / L2 drains disaggregated stores at local
-            // memory bandwidth (§IV-B); this is never the bottleneck but
-            // is modeled for completeness.
-            let drained = landed + self.hbm.transfer_time(p.data_bytes);
-            last = last.max(drained);
-            if self.trace.is_on() {
-                self.record_transfer(at, src, &p, replayed, landed, drained);
-            }
-            if let Some(images) = &mut self.images {
-                let stores = p.stores.full().expect("track_memory runs carry payloads");
-                for s in stores {
-                    images[p.dst.index()].write(s.addr, &s.data);
-                }
-            }
+            last = last.max(self.land(at, src, &p, replayed_before, landed)?);
         }
         Ok(last)
+    }
+
+    /// Accounts one packet sent at `at` that landed at `landed`, whether
+    /// open-loop or credited: replay attribution, the stall bound, the
+    /// destination's local-memory drain, the trace, and the memory
+    /// image. `replayed_before` is [`Runner::replayed_total`] read just
+    /// before the send. Returns the time the packet's stores drained.
+    fn land(
+        &mut self,
+        at: SimTime,
+        src: GpuId,
+        p: &WirePacket,
+        replayed_before: u64,
+        landed: SimTime,
+    ) -> Result<SimTime, RunError> {
+        // A replayed aggregated TLP retransmits whole: attribute the
+        // amplification to the flush that produced the packet.
+        let replayed = self.replayed_total() - replayed_before;
+        self.replay_amp.record(p.reason, p.wire_bytes, replayed);
+        // No-forward-progress watchdog: a delivery that stalls past the
+        // bound (crawling degraded link, replay storm) is a diagnostic
+        // failure, not a silently absurd timeline.
+        if let Some(limit) = self.cfg.fault.map(|f| f.max_stall) {
+            if landed.saturating_sub(at) > limit {
+                return Err(RunError::Stalled {
+                    gpu: src.index() as u8,
+                    at,
+                    landed,
+                    limit,
+                });
+            }
+        }
+        // The de-packetizer / L2 drains disaggregated stores at local
+        // memory bandwidth (§IV-B); this is never the bottleneck but is
+        // modeled for completeness.
+        let drained = landed + self.hbm.transfer_time(p.data_bytes);
+        if self.trace.is_on() {
+            self.record_transfer(at, src, p, replayed, landed, drained);
+        }
+        if let Some(images) = &mut self.images {
+            let stores = p.stores.full().expect("track_memory runs carry payloads");
+            for s in stores {
+                images[p.dst.index()].write(s.addr, &s.data);
+            }
+        }
+        Ok(drained)
     }
 
     /// Records the wire/replay/commit events for one delivered packet.
@@ -607,55 +465,19 @@ impl Runner {
     }
 
     /// Drains `gpu`'s output buffer head-first through the credited
-    /// fabric, stopping at the first packet blocked on link credits.
+    /// fabric: the head packet is admitted against link credits, popped
+    /// on delivery, and left in place when blocked.
     fn pump(&mut self, gpu: usize, at: SimTime) -> Result<PumpOutcome, RunError> {
-        if self.paths[gpu]
-            .as_ref()
-            .expect("store paradigm")
-            .output_ref()
-            .is_empty()
-        {
-            // Nothing buffered: an empty drain touches no state, so
-            // skip the detach/reattach — most events merge into the
-            // RWQ and emit no packets at all.
-            return Ok(PumpOutcome {
-                last_drained: SimTime::ZERO,
-                blocked_until: None,
-            });
-        }
-        // Detach the buffer so the drain can borrow the fabric mutably;
-        // the sharded commit drains shadow buffers through the same
-        // body, which is what keeps the two modes call-identical.
-        let mut out = std::mem::take(self.paths[gpu].as_mut().expect("store paradigm").output());
-        let result = self.pump_buffer(gpu, at, &mut out);
-        *self.paths[gpu].as_mut().expect("store paradigm").output() = out;
-        result
-    }
-
-    /// [`Runner::pump`] against an explicit buffer: the head packet is
-    /// admitted against link credits, popped on delivery, and left in
-    /// place when blocked.
-    fn pump_buffer(
-        &mut self,
-        gpu: usize,
-        at: SimTime,
-        out: &mut OutputBuffer,
-    ) -> Result<PumpOutcome, RunError> {
         let src = GpuId::new(gpu as u8);
-        let stall_limit = self.cfg.fault.map(|f| f.max_stall);
-        // The data-link layer only exists under fault injection; without
-        // it, replayed bytes are identically zero — skip the per-packet
-        // all-links sweep.
-        let track_replay = self.cfg.fault.is_some();
         let mut last = SimTime::ZERO;
-        let mut blocked_until = None;
-        while let Some(head) = out.front() {
+        loop {
+            let out = self.paths[gpu]
+                .as_ref()
+                .expect("store paradigm")
+                .output_ref();
+            let Some(head) = out.front() else { break };
             let (dst, wire_bytes, payload_bytes) = (head.dst, head.wire_bytes, head.payload_bytes);
-            let replayed_before = if track_replay {
-                self.fabric.replayed_bytes_total()
-            } else {
-                0
-            };
+            let replayed_before = self.replayed_total();
             let outcome = self
                 .fabric
                 .try_send_credited(at, src, dst, wire_bytes, payload_bytes)
@@ -669,42 +491,23 @@ impl Runner {
                         gpu: gpu as u8,
                         kind: EventKind::CreditBlocked { until },
                     });
-                    blocked_until = Some(until);
-                    break;
-                }
-            };
-            let p = out.pop_front().expect("head just observed");
-            let replayed = if track_replay {
-                self.fabric.replayed_bytes_total() - replayed_before
-            } else {
-                0
-            };
-            self.replay_amp.record(p.reason, p.wire_bytes, replayed);
-            if let Some(limit) = stall_limit {
-                if landed.saturating_sub(at) > limit {
-                    return Err(RunError::Stalled {
-                        gpu: src.index() as u8,
-                        at,
-                        landed,
-                        limit,
+                    return Ok(PumpOutcome {
+                        last_drained: last,
+                        blocked_until: Some(until),
                     });
                 }
-            }
-            let drained = landed + self.hbm.transfer_time(p.data_bytes);
-            last = last.max(drained);
-            if self.trace.is_on() {
-                self.record_transfer(at, src, &p, replayed, landed, drained);
-            }
-            if let Some(images) = &mut self.images {
-                let stores = p.stores.full().expect("track_memory runs carry payloads");
-                for s in stores {
-                    images[p.dst.index()].write(s.addr, &s.data);
-                }
-            }
+            };
+            let p = self.paths[gpu]
+                .as_mut()
+                .expect("store paradigm")
+                .output()
+                .pop_front()
+                .expect("head just observed");
+            last = last.max(self.land(at, src, &p, replayed_before, landed)?);
         }
         Ok(PumpOutcome {
             last_drained: last,
-            blocked_until,
+            blocked_until: None,
         })
     }
 
@@ -848,20 +651,8 @@ impl Runner {
                 }
             }
             _ => {
-                // Store-transport paradigms: event-driven replay,
-                // sharded across worker threads when the config admits a
-                // conservative lookahead (identical results either way —
-                // see DESIGN.md §12), serial otherwise.
-                match Self::shard_plan_for(&self.cfg, self.paradigm) {
-                    Some((plan, quantum)) => self.run_stores_sharded(
-                        runs,
-                        &plan,
-                        quantum,
-                        &mut kernel_end,
-                        &mut last_delivery,
-                    )?,
-                    None => self.run_stores_serial(runs, &mut kernel_end, &mut last_delivery)?,
-                }
+                // Store-transport paradigms: event-driven replay.
+                self.run_stores(runs, &mut kernel_end, &mut last_delivery)?;
             }
         }
 
@@ -876,35 +667,9 @@ impl Runner {
         Ok(())
     }
 
-    /// The intra-run shard count a `(config, paradigm)` pair will
-    /// actually execute with: 1 means the serial event loop (requested
-    /// serially, non-store paradigm, zero conservative lookahead, or
-    /// too few link domains to split).
-    pub fn planned_shards(cfg: &SystemConfig, paradigm: Paradigm) -> usize {
-        Self::shard_plan_for(cfg, paradigm).map_or(1, |(plan, _)| plan.shards())
-    }
-
-    /// The shard partition and lookahead quantum for this run, or
-    /// `None` when the run must execute serially.
-    fn shard_plan_for(cfg: &SystemConfig, paradigm: Paradigm) -> Option<(ShardPlan, SimTime)> {
-        if cfg.intra_jobs < 2 || !paradigm.uses_stores() {
-            return None;
-        }
-        let quantum = cfg.shard_lookahead()?;
-        let plan = ShardPlan::aligned(
-            usize::from(cfg.num_gpus),
-            cfg.topology.shard_group(),
-            cfg.intra_jobs,
-        );
-        (plan.shards() >= 2).then_some((plan, quantum))
-    }
-
-    /// The serial store-paradigm event loop: one global queue, every
-    /// path operation and fabric interaction inline. This is the
-    /// reference semantics the sharded path must reproduce bit for bit
-    /// — and its fallback when a stall invalidates the parallel
-    /// elaboration.
-    fn run_stores_serial(
+    /// The store-paradigm event loop: one global queue, every path
+    /// operation and fabric interaction inline.
+    fn run_stores(
         &mut self,
         runs: &[KernelRun],
         kernel_end: &mut SimTime,
@@ -918,7 +683,10 @@ impl Runner {
         // fabric call sequence — is identical to open loop.
         let mut stall = vec![SimTime::ZERO; runs.len()];
         let mut retry_at: Vec<Option<SimTime>> = vec![None; runs.len()];
-        let mut queue = self.take_queue(runs);
+        // The queue is recycled run to run; an errored iteration leaves
+        // an empty one behind (errored runs are abandoned anyway).
+        let mut queue = std::mem::take(&mut self.queue_scratch);
+        fill_queue(&mut queue, runs);
         let sample_step = self.sample_every.filter(|_| self.trace.is_on());
         let mut next_sample = sample_step.unwrap_or(SimTime::ZERO);
         while let Some(ev) = queue.pop() {
@@ -1100,346 +868,8 @@ impl Runner {
                 .all(|p| p.output_ref().is_empty()),
             "event queue drained with packets stranded in an output buffer"
         );
-        self.recycle_queue(queue);
+        self.queue_scratch = queue;
         Ok(())
-    }
-
-    /// The sharded store-paradigm loop: per-GPU path elaboration runs
-    /// on worker threads (cloned paths, conservative time windows)
-    /// while this thread replays the identical global event order,
-    /// committing each elaborated record against the fabric, credit
-    /// ledgers, memory images, and trace — so every shared-state
-    /// mutation happens in exactly the serial sequence.
-    ///
-    /// Elaborating ahead of commit is only sound on stall-free
-    /// timelines (an SM stall shifts every later event of that GPU). If
-    /// commit detects a would-be stall it abandons the attempt, rolls
-    /// shared state back to the iteration snapshot, and re-runs
-    /// serially — conservative, and bit-identical by construction.
-    fn run_stores_sharded(
-        &mut self,
-        runs: &[KernelRun],
-        plan: &ShardPlan,
-        quantum: SimTime,
-        kernel_end: &mut SimTime,
-        last_delivery: &mut SimTime,
-    ) -> Result<(), RunError> {
-        let scheduler =
-            ShardScheduler::new(quantum).expect("shard_plan_for implies a nonzero lookahead");
-        let trace_on = self.trace.is_on();
-        let n = runs.len();
-
-        // Iteration-start probes: sample reconstruction baselines.
-        let init: Vec<GpuProbe> = (0..n)
-            .map(|g| {
-                let p = self.paths[g].as_ref().expect("store paradigm");
-                GpuProbe {
-                    queue_depth: p.queue_depth(),
-                    stall_ps: p.metrics().stall_time.as_ps(),
-                }
-            })
-            .collect();
-        // Shadow output buffers mirror the originals (empty at
-        // iteration start, same admission capacity): commit drains
-        // these so the real paths stay pristine for a serial fallback.
-        let shadow: Vec<OutputBuffer> = (0..n)
-            .map(|g| {
-                self.paths[g]
-                    .as_ref()
-                    .expect("store paradigm")
-                    .output_ref()
-                    .clone()
-            })
-            .collect();
-
-        // Shard workers get cloned paths recording into private
-        // captures; the originals (and the run's shared state) are
-        // mutated only by this thread.
-        type Worker<'a> =
-            Box<dyn FnOnce(ShardHand<ElabRecord>) -> Vec<Box<dyn EgressPath>> + Send + 'a>;
-        let mut workers: Vec<Worker<'_>> = Vec::with_capacity(plan.shards());
-        for s in 0..plan.shards() {
-            let range = plan.range(s);
-            let mut paths = Vec::with_capacity(range.len());
-            let mut captures = Vec::with_capacity(range.len());
-            for g in range.clone() {
-                let mut clone = self.paths[g]
-                    .as_ref()
-                    .expect("store paradigm")
-                    .boxed_clone();
-                if trace_on {
-                    let cap = Arc::new(Mutex::new(CaptureCollector::new()));
-                    // The clone inherited the original's live handle:
-                    // repoint it at the capture (same zero base — the
-                    // commit thread applies the run-global shift).
-                    clone.set_trace(TraceHandle::new(cap.clone()));
-                    captures.push(Some((TraceHandle::new(cap.clone()), cap)));
-                } else {
-                    clone.set_trace(TraceHandle::off());
-                    captures.push(None);
-                }
-                paths.push(clone);
-            }
-            workers.push(Box::new(move |hand| {
-                elaborate_shard(range, paths, captures, runs, scheduler, hand)
-            }));
-        }
-
-        // Snapshot everything commit mutates, for the serial fallback.
-        let fabric_snap = self.fabric.clone();
-        let images_snap = self.images.clone();
-        let replay_snap = self.replay_amp.clone();
-        let sim_events_snap = self.sim_events;
-        let progress_snap = self.events_since_progress;
-        let kernel_end_snap = *kernel_end;
-        let delivery_snap = *last_delivery;
-
-        // Commit records into a capture of its own, swapped in for the
-        // real trace handle: a committed attempt forwards the streams
-        // wholesale, an abandoned one discards them without the real
-        // collector ever observing the attempt.
-        let commit_cap = trace_on.then(|| Arc::new(Mutex::new(CaptureCollector::new())));
-        let real_trace = commit_cap.as_ref().map(|cap| {
-            let mut handle = TraceHandle::new(cap.clone());
-            handle.rebase(self.total_time);
-            std::mem::replace(&mut self.trace, handle)
-        });
-
-        let (outcome, shard_paths) = scheduler.run(workers, |mailboxes| {
-            self.commit_sharded(
-                runs,
-                plan,
-                mailboxes,
-                shadow,
-                &init,
-                kernel_end,
-                last_delivery,
-            )
-        });
-
-        if let Some(real) = real_trace {
-            self.trace = real;
-        }
-        match outcome {
-            Ok(true) => {
-                self.forward_capture(commit_cap);
-                // Adopt the elaborated paths: they hold exactly the
-                // state serial execution would have left (RWQ contents,
-                // metrics, RNG draws), so the run continues seamlessly.
-                for (s, paths) in shard_paths.into_iter().enumerate() {
-                    for (g, mut path) in plan.range(s).zip(paths) {
-                        path.set_trace(self.trace.clone());
-                        self.paths[g] = Some(path);
-                    }
-                }
-                Ok(())
-            }
-            Err(e) => {
-                // Hard simulation error (link death, stall bound,
-                // budget trip): identical to where serial would fail.
-                // Forward the trace recorded up to the trip point.
-                self.forward_capture(commit_cap);
-                Err(e)
-            }
-            Ok(false) => {
-                // A would-be SM stall: the stall-free elaboration is
-                // invalid. Roll back and re-run the iteration serially.
-                self.fabric = fabric_snap;
-                self.images = images_snap;
-                self.replay_amp = replay_snap;
-                self.sim_events = sim_events_snap;
-                self.events_since_progress = progress_snap;
-                *kernel_end = kernel_end_snap;
-                *last_delivery = delivery_snap;
-                self.run_stores_serial(runs, kernel_end, last_delivery)
-            }
-        }
-    }
-
-    /// The commit half of the sharded loop: replays the identical
-    /// global event order, applying each GPU's next elaborated record
-    /// to the fabric/credit/image/trace state. Returns `Ok(false)` to
-    /// request serial fallback when the stall-free premise breaks.
-    #[allow(clippy::too_many_arguments)]
-    fn commit_sharded(
-        &mut self,
-        runs: &[KernelRun],
-        plan: &ShardPlan,
-        mailboxes: &mut [sim_engine::ShardMailbox<ElabRecord>],
-        mut shadow: Vec<OutputBuffer>,
-        init: &[GpuProbe],
-        kernel_end: &mut SimTime,
-        last_delivery: &mut SimTime,
-    ) -> Result<bool, RunError> {
-        let credited = self.cfg.flow_control.credits().is_some();
-        let n = runs.len();
-        let mut queue = self.take_queue(runs);
-        // Stall clocks stay zero in any committed sharded run: the
-        // vector exists because budget diagnostics carry it.
-        let stall = vec![SimTime::ZERO; n];
-        let mut retry_at: Vec<Option<SimTime>> = vec![None; n];
-        let mut latest_depth: Vec<usize> = init.iter().map(|p| p.queue_depth).collect();
-        let mut pending: Vec<VecDeque<ElabRecord>> = (0..n).map(|_| VecDeque::new()).collect();
-        let sample_step = self.sample_every.filter(|_| self.trace.is_on());
-        let mut next_sample = sample_step.unwrap_or(SimTime::ZERO);
-        while let Some(ev) = queue.pop() {
-            self.sim_events += 1;
-            self.events_since_progress += 1;
-            let now = ev.time;
-            self.check_budget(now, queue.len(), &stall)?;
-            if let Some(step) = sample_step {
-                while next_sample <= now {
-                    self.take_samples_sharded(next_sample, &latest_depth, init, &shadow);
-                    next_sample += step;
-                }
-            }
-            if let Ev::Retry { gpu } = ev.payload {
-                retry_at[gpu] = None;
-                let out = self.pump_buffer(gpu, now, &mut shadow[gpu])?;
-                if out.last_drained > SimTime::ZERO {
-                    self.events_since_progress = 0;
-                }
-                *last_delivery = (*last_delivery).max(out.last_drained);
-                if let Some(until) = out.blocked_until {
-                    if retry_at[gpu].is_none_or(|r| until < r) {
-                        retry_at[gpu] = Some(until);
-                        queue.schedule(until, Ev::Retry { gpu });
-                    }
-                }
-                continue;
-            }
-            let gpu = match ev.payload {
-                Ev::Store { gpu, .. }
-                | Ev::Atomic { gpu, .. }
-                | Ev::Probe { gpu, .. }
-                | Ev::Fence { gpu }
-                | Ev::KernelEnd { gpu } => gpu,
-                Ev::Retry { .. } => unreachable!("handled above"),
-            };
-            // Pull this GPU's next elaborated record, buffering other
-            // GPUs' records that arrive first on the shard's stream.
-            let rec = loop {
-                if let Some(r) = pending[gpu].pop_front() {
-                    break r;
-                }
-                match mailboxes[plan.shard_of(gpu)].recv() {
-                    Some(r) => {
-                        let g = r.gpu;
-                        pending[g].push_back(r);
-                    }
-                    None => {
-                        // The worker wound down without producing the
-                        // record the global order demands — elaboration
-                        // and commit disagree. Never commit on a
-                        // mismatch; the serial path is always sound.
-                        debug_assert!(false, "shard stream ended before its global event");
-                        return Ok(false);
-                    }
-                }
-            };
-            debug_assert_eq!(rec.gpu, gpu);
-            let eff = now;
-            let is_mem_op = matches!(
-                ev.payload,
-                Ev::Store { .. } | Ev::Atomic { .. } | Ev::Probe { .. }
-            );
-            if credited && is_mem_op && !shadow[gpu].has_room() {
-                // Serial's stall loop pumps before it waits: mirror the
-                // pump; if the buffer is still at its admission
-                // threshold the SM genuinely stalls, which invalidates
-                // every already-elaborated later event of this GPU.
-                let out = self.pump_buffer(gpu, eff, &mut shadow[gpu])?;
-                if out.last_drained > SimTime::ZERO {
-                    self.events_since_progress = 0;
-                }
-                *last_delivery = (*last_delivery).max(out.last_drained);
-                if !shadow[gpu].has_room() {
-                    return Ok(false);
-                }
-            }
-            // Replay the path-side trace slice (issue, RWQ inserts,
-            // flushes) in its recorded order.
-            for e in rec.captured {
-                self.trace.record(e);
-            }
-            if matches!(ev.payload, Ev::KernelEnd { .. }) {
-                *kernel_end = (*kernel_end).max(eff);
-            }
-            if !rec.packets.is_empty() {
-                self.events_since_progress = 0;
-            }
-            latest_depth[gpu] = rec.queue_depth;
-            if credited {
-                if !rec.packets.is_empty() {
-                    shadow[gpu].extend(rec.packets);
-                }
-                let out = self.pump_buffer(gpu, eff, &mut shadow[gpu])?;
-                if out.last_drained > SimTime::ZERO {
-                    self.events_since_progress = 0;
-                }
-                *last_delivery = (*last_delivery).max(out.last_drained);
-                if let Some(until) = out.blocked_until {
-                    if retry_at[gpu].is_none_or(|r| until < r) {
-                        retry_at[gpu] = Some(until);
-                        queue.schedule(until, Ev::Retry { gpu });
-                    }
-                }
-            } else if !rec.packets.is_empty() {
-                let done = self.deliver(eff, GpuId::new(gpu as u8), rec.packets)?;
-                *last_delivery = (*last_delivery).max(done);
-            }
-        }
-        debug_assert!(
-            shadow.iter().all(OutputBuffer::is_empty),
-            "event queue drained with packets stranded in a shadow buffer"
-        );
-        self.recycle_queue(queue);
-        Ok(true)
-    }
-
-    /// [`Runner::take_samples`] for the sharded commit, which cannot
-    /// read the (cloned-away) paths: RWQ depth comes from the last
-    /// committed record, egress occupancy from the shadow buffer, and
-    /// stall time is the iteration-start constant (a committed sharded
-    /// run is stall-free by construction). Fabric-side columns read the
-    /// live fabric exactly as the serial sampler does.
-    fn take_samples_sharded(
-        &self,
-        at: SimTime,
-        latest_depth: &[usize],
-        init: &[GpuProbe],
-        shadow: &[OutputBuffer],
-    ) {
-        for g in 0..latest_depth.len() {
-            let gid = GpuId::new(g as u8);
-            let (hdrs, data) = self.fabric.egress_fc_in_flight(gid);
-            self.trace.sample(Sample {
-                time: at,
-                gpu: g as u8,
-                rwq_entries: latest_depth[g] as u64,
-                egress_queue: shadow[g].len() as u64,
-                egress_wire_bytes: self.fabric.egress_bytes(gid),
-                credit_hdrs_in_flight: hdrs,
-                credit_data_in_flight: data,
-                stall_ps: init[g].stall_ps,
-            });
-        }
-    }
-
-    /// Forwards a commit capture's streams into the real collector.
-    /// Captured entries already carry run-global times, so they pass
-    /// through a temporarily zeroed base.
-    fn forward_capture(&mut self, cap: Option<Arc<Mutex<CaptureCollector>>>) {
-        let Some(cap) = cap else { return };
-        let (events, samples) = cap.lock().expect("capture collector lock").take();
-        self.trace.rebase(SimTime::ZERO);
-        for e in events {
-            self.trace.record(e);
-        }
-        for s in samples {
-            self.trace.sample(s);
-        }
-        self.trace.rebase(self.total_time);
     }
 
     /// Finalizes the run into a [`RunReport`]. `read_fraction` is the
@@ -1609,64 +1039,5 @@ mod tests {
         let cfg = SystemConfig::paper(4);
         let mut r = Runner::new(cfg, Paradigm::InfiniteBw, 0.0, false);
         r.run_iteration(&[], &[]);
-    }
-
-    #[test]
-    fn sharded_run_matches_serial_bit_for_bit() {
-        use crate::config::FlowControlMode;
-        let spec = RunSpec::tiny();
-        let app = Pagerank::default();
-        for open in [false, true] {
-            for paradigm in [Paradigm::FinePack, Paradigm::P2pStores, Paradigm::Gps] {
-                let mut reports = Vec::new();
-                for jobs in [1usize, 2, 4] {
-                    let mut cfg = SystemConfig::paper(4).with_intra_jobs(jobs);
-                    if open {
-                        cfg = cfg.with_flow_control(FlowControlMode::Open);
-                    }
-                    let runs = runs_for(&app, &cfg, &spec);
-                    let mut r = Runner::new(cfg, paradigm, 0.25, true);
-                    for _ in 0..2 {
-                        r.run_iteration(&runs, &[]);
-                    }
-                    let images: Vec<_> = r.images().unwrap().to_vec();
-                    reports.push((format!("{:?}", r.finish("pagerank", 0.8)), images));
-                }
-                for (jobs, (report, images)) in [2usize, 4].iter().zip(&reports[1..]) {
-                    assert_eq!(
-                        &reports[0].0, report,
-                        "intra_jobs={jobs} diverged ({paradigm:?}, open={open})"
-                    );
-                    for (g, (a, b)) in reports[0].1.iter().zip(images).enumerate() {
-                        assert!(
-                            a.same_contents(b),
-                            "intra_jobs={jobs} memory image differs on GPU{g}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn shard_planning_degrades_to_serial_when_unsafe() {
-        // Serial request, non-store paradigm, or a single shard-able
-        // domain: all must plan exactly one shard.
-        let cfg = SystemConfig::paper(4);
-        assert_eq!(Runner::planned_shards(&cfg, Paradigm::FinePack), 1);
-        let par = cfg.with_intra_jobs(4);
-        assert_eq!(Runner::planned_shards(&par, Paradigm::FinePack), 4);
-        assert_eq!(Runner::planned_shards(&par, Paradigm::BulkDma), 1);
-        assert_eq!(Runner::planned_shards(&par, Paradigm::InfiniteBw), 1);
-        let two = SystemConfig::paper(2).with_intra_jobs(8);
-        assert_eq!(Runner::planned_shards(&two, Paradigm::FinePack), 2);
-        let mut zero = SystemConfig::paper(4).with_intra_jobs(4);
-        zero.hop_latency = SimTime::ZERO;
-        zero = zero.open_loop();
-        assert_eq!(
-            Runner::planned_shards(&zero, Paradigm::FinePack),
-            1,
-            "zero lookahead must fall back to serial"
-        );
     }
 }

@@ -54,16 +54,6 @@ pub enum Topology {
 }
 
 impl Topology {
-    /// The GPU group an intra-run shard boundary must not split: leaf
-    /// switch domains stay whole so a shard owns complete link domains.
-    /// Single-switch fabrics place no constraint (group of one).
-    pub fn shard_group(&self) -> usize {
-        match self {
-            Topology::SingleSwitch => 1,
-            Topology::TwoLevel { gpus_per_leaf } => usize::from(*gpus_per_leaf),
-        }
-    }
-
     /// Number of switch hops between two GPUs.
     pub fn hops(&self, a: GpuId, b: GpuId) -> u32 {
         match self {

@@ -121,57 +121,6 @@ impl TraceCollector for RingCollector {
     }
 }
 
-/// An unbounded collector that buffers everything, in arrival order,
-/// for deferred replay into another collector.
-///
-/// This is the staging area intra-run sharding records through: shard
-/// workers and the commit loop write into captures first, and the
-/// buffered streams are forwarded to the run's real collector only once
-/// the parallel attempt commits (or discarded wholesale when it falls
-/// back to serial re-execution). Events and samples are kept as two
-/// separate ordered streams — exactly the shape every downstream
-/// consumer (ring, auditor, Chrome export) works from.
-#[derive(Debug, Default)]
-pub struct CaptureCollector {
-    events: Vec<TraceEvent>,
-    samples: Vec<Sample>,
-}
-
-impl CaptureCollector {
-    /// Creates an empty capture.
-    pub fn new() -> Self {
-        CaptureCollector::default()
-    }
-
-    /// Buffered event count.
-    pub fn event_count(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Removes and returns every buffered event, oldest first.
-    pub fn take_events(&mut self) -> Vec<TraceEvent> {
-        std::mem::take(&mut self.events)
-    }
-
-    /// Removes and returns both buffered streams, oldest first.
-    pub fn take(&mut self) -> (Vec<TraceEvent>, Vec<Sample>) {
-        (
-            std::mem::take(&mut self.events),
-            std::mem::take(&mut self.samples),
-        )
-    }
-}
-
-impl TraceCollector for CaptureCollector {
-    fn record(&mut self, event: TraceEvent) {
-        self.events.push(event);
-    }
-
-    fn sample(&mut self, sample: Sample) {
-        self.samples.push(sample);
-    }
-}
-
 /// The cloneable handle instrumentation points record through.
 ///
 /// Off by default ([`TraceHandle::off`] / [`Default`]): recording is a

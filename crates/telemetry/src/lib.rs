@@ -46,6 +46,6 @@ mod event;
 mod export;
 
 pub use audit::{AuditCollector, AuditConfig, CreditLedger, Law, RunTotals, Violation, WireMath};
-pub use collect::{CaptureCollector, NullCollector, RingCollector, TraceCollector, TraceHandle};
+pub use collect::{NullCollector, RingCollector, TraceCollector, TraceHandle};
 pub use event::{EventKind, Sample, TraceEvent};
 pub use export::{chrome_trace, time_series_csv, CHROME_TRACE_SCHEMA_VERSION};

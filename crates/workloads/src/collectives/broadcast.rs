@@ -6,7 +6,7 @@ use gpu_model::{GpuId, KernelTrace};
 use super::{collective_trace, dma_bytes_for, tree_children, CollectiveTuning, Phase};
 use crate::spec::{CommPattern, RunSpec, Workload};
 
-/// Binomial-tree broadcast of a parameter shard from GPU 0.
+/// Binomial-tree broadcast of a block of parameters from GPU 0.
 ///
 /// Each GPU forwards the full payload to every one of its tree
 /// children in a single phase. Roughly half the GPUs are leaves and

@@ -236,7 +236,7 @@ fn dma_padded(bytes: u64) -> u64 {
 }
 
 /// Shared knobs of every collective: the per-GPU payload (gradient
-/// buffer, expert activations, halo plane, parameter shard) and how it
+/// buffer, expert activations, halo plane, parameter block) and how it
 /// is cut into messages.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CollectiveTuning {

@@ -1,5 +1,5 @@
-//! The collectives workload family end-to-end: per-collective
-//! determinism across every parallelism knob, conservation-audit
+//! The collectives workload family end-to-end: sweep determinism across
+//! `--jobs`, conservation-audit
 //! cleanliness (including degenerate bulk-dominated points), and the
 //! fine-vs-bulk message-size crossover the family exists to show.
 
@@ -15,54 +15,12 @@ fn small_spec(num_gpus: u8) -> RunSpec {
     spec
 }
 
-/// Determinism matrix: for every collective, seeds x flow-control
-/// regimes x `--intra-jobs` values must produce byte-identical reports.
-/// The single-run CLI path exercises trace synthesis, the event core,
-/// and table rendering in one shot.
-#[test]
-fn collective_reports_are_byte_identical_across_parallelism() {
-    for (name, _) in workloads::COLLECTIVE_REGISTRY {
-        for (seed, fc) in [("7", "credited"), ("99", "open")] {
-            let argv = |intra: &str| -> Vec<String> {
-                vec![
-                    "run",
-                    "--app",
-                    name,
-                    "--gpus",
-                    "4",
-                    "--scale-down",
-                    "256",
-                    "--iterations",
-                    "1",
-                    "--seed",
-                    seed,
-                    "--flow-control",
-                    fc,
-                    "--intra-jobs",
-                    intra,
-                ]
-                .into_iter()
-                .map(String::from)
-                .collect()
-            };
-            let base = cli::run(argv("1")).expect("serial run");
-            for intra in ["2", "4"] {
-                let sharded = cli::run(argv(intra)).expect("sharded run");
-                assert_eq!(
-                    base, sharded,
-                    "{name} seed {seed} {fc} diverges at --intra-jobs {intra}"
-                );
-            }
-        }
-    }
-}
-
 /// The full `collectives` sweep must be byte-identical across `--jobs`
-/// and `--intra-jobs` (its report text carries no wall-clock numbers by
-/// design, so identity is exact).
+/// (its report text carries no wall-clock numbers by design, so identity
+/// is exact).
 #[test]
 fn collectives_sweep_is_byte_identical_across_pool_shapes() {
-    let argv = |jobs: &str, intra: &str| -> Vec<String> {
+    let argv = |jobs: &str| -> Vec<String> {
         vec![
             "collectives",
             "--gpus",
@@ -75,19 +33,17 @@ fn collectives_sweep_is_byte_identical_across_pool_shapes() {
             "1",
             "--jobs",
             jobs,
-            "--intra-jobs",
-            intra,
         ]
         .into_iter()
         .map(String::from)
         .collect()
     };
-    let base = cli::run(argv("1", "1")).expect("serial sweep");
+    let base = cli::run(argv("1")).expect("serial sweep");
     assert!(base.contains("message-size crossover"), "{base}");
     assert!(base.contains("weak scaling"), "{base}");
-    for (jobs, intra) in [("2", "1"), ("4", "1"), ("1", "2"), ("1", "4")] {
-        let other = cli::run(argv(jobs, intra)).expect("pooled sweep");
-        assert_eq!(base, other, "sweep diverges at jobs={jobs} intra={intra}");
+    for jobs in ["2", "4"] {
+        let other = cli::run(argv(jobs)).expect("pooled sweep");
+        assert_eq!(base, other, "sweep diverges at jobs={jobs}");
     }
 }
 

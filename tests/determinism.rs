@@ -129,162 +129,6 @@ fn cli_subheader_sweep_is_jobs_invariant() {
     }
 }
 
-/// The sharded event core must be invisible at the CLI boundary: for
-/// any shard-worker count, the rendered output must be byte-identical
-/// to `--intra-jobs 1` (which runs the untouched serial loop).
-fn assert_intra_jobs_invariant(base: &[&str]) {
-    let serial = {
-        let mut argv: Vec<&str> = base.to_vec();
-        argv.extend(["--intra-jobs", "1"]);
-        cli::run(argv).expect("serial run succeeds")
-    };
-    for intra in ["2", "4"] {
-        let mut argv: Vec<&str> = base.to_vec();
-        argv.extend(["--intra-jobs", intra]);
-        let sharded = cli::run(argv).expect("sharded run succeeds");
-        assert_eq!(serial, sharded, "--intra-jobs {intra} diverged on {base:?}");
-    }
-}
-
-#[test]
-fn cli_run_is_intra_jobs_invariant_across_flow_control() {
-    for seed in ["7", "999"] {
-        for fc in ["open", "credited"] {
-            assert_intra_jobs_invariant(&[
-                "run",
-                "--app",
-                "jacobi",
-                "--gpus",
-                "4",
-                "--scale-down",
-                "16",
-                "--iterations",
-                "2",
-                "--seed",
-                seed,
-                "--flow-control",
-                fc,
-            ]);
-        }
-    }
-}
-
-#[test]
-fn cli_suite_is_intra_jobs_invariant() {
-    for seed in ["7", "999"] {
-        assert_intra_jobs_invariant(&[
-            "suite",
-            "--gpus",
-            "4",
-            "--scale-down",
-            "16",
-            "--iterations",
-            "1",
-            "--seed",
-            seed,
-        ]);
-    }
-}
-
-#[test]
-fn cli_fault_sweep_is_intra_jobs_invariant_under_degraded_profile() {
-    assert_intra_jobs_invariant(&[
-        "faults",
-        "--app",
-        "jacobi",
-        "--gpus",
-        "4",
-        "--scale-down",
-        "16",
-        "--iterations",
-        "1",
-        "--fault-profile",
-        "degraded",
-    ]);
-}
-
-/// Chaos-supervised sweeps (panic injection, retries, partial results)
-/// compose with intra-run sharding without perturbing a single byte.
-#[test]
-fn cli_chaos_suite_is_intra_jobs_invariant() {
-    assert_intra_jobs_invariant(&[
-        "suite",
-        "--gpus",
-        "4",
-        "--scale-down",
-        "16",
-        "--iterations",
-        "1",
-        "--seed",
-        "3735928559",
-        "--chaos",
-        "0.4",
-        "--retries",
-        "1",
-    ]);
-}
-
-/// Hand-rolled property test over random topologies, hop latencies and
-/// credit configurations: whenever the runner plans more than one
-/// shard, the configuration must carry a strictly positive lookahead
-/// horizon. A zero horizon (zero hop latency, or a zero credit-return
-/// latency in credited mode) must always degrade to the serial loop.
-#[test]
-fn random_topologies_never_shard_with_zero_lookahead() {
-    use sim_engine::{DetRng, SimTime};
-    use system::{CreditConfig, FlowControlMode, Runner, Topology};
-
-    let mut rng = DetRng::new(0x5AAD, "shard-lookahead-prop");
-    for case in 0..512 {
-        let gpus_per_leaf = [1u8, 2, 4][rng.next_u64_below(3) as usize];
-        // At least two GPUs (a system needs a peer); leaf-aligned count.
-        let num_gpus = (gpus_per_leaf * (1 + rng.next_u64_below(4) as u8)).max(2);
-        let topology = if rng.chance(0.5) {
-            Topology::SingleSwitch
-        } else {
-            Topology::TwoLevel { gpus_per_leaf }
-        };
-        let hop_ps = rng.next_u64_below(3) * rng.next_u64_below(2_000);
-        let return_ps = rng.next_u64_below(3) * rng.next_u64_below(2_000);
-        let mut cfg = SystemConfig::paper(num_gpus)
-            .with_topology(topology)
-            .with_intra_jobs(1 + rng.next_u64_below(8) as usize);
-        cfg.hop_latency = SimTime::from_ps(hop_ps);
-        if rng.chance(0.5) {
-            let mut credits = CreditConfig::paper();
-            credits.return_latency = SimTime::from_ps(return_ps);
-            cfg.flow_control = FlowControlMode::Credited(credits);
-        } else {
-            cfg.flow_control = FlowControlMode::Open;
-        }
-
-        let horizon = cfg.shard_lookahead();
-        let zero_horizon = hop_ps == 0
-            || matches!(cfg.flow_control, FlowControlMode::Credited(_) if return_ps == 0);
-        assert_eq!(
-            horizon.is_none(),
-            zero_horizon,
-            "case {case}: lookahead {horizon:?} disagrees with latencies \
-             (hop {hop_ps} ps, return {return_ps} ps, fc {:?})",
-            cfg.flow_control
-        );
-        for paradigm in [Paradigm::FinePack, Paradigm::P2pStores, Paradigm::Gps] {
-            let shards = Runner::planned_shards(&cfg, paradigm);
-            assert!(
-                shards == 1 || horizon.is_some(),
-                "case {case}: {paradigm} planned {shards} shards with zero lookahead"
-            );
-            assert!(
-                shards <= cfg.intra_jobs,
-                "case {case}: {shards} shards exceeds --intra-jobs {}",
-                cfg.intra_jobs
-            );
-        }
-        // DMA-offload paradigms never shard: they issue no store events.
-        assert_eq!(Runner::planned_shards(&cfg, Paradigm::BulkDma), 1);
-    }
-}
-
 #[test]
 fn cli_fault_sweep_is_jobs_invariant_under_fault_profile() {
     assert_jobs_invariant(&[

@@ -132,91 +132,6 @@ fn flush_event_counts_match_aggregates() {
     }
 }
 
-/// Intra-run sharding must be invisible to every observer: across
-/// `--intra-jobs` 1/2/4 the RunReport, the full ring-collected event
-/// and sample streams, and the conservation-audit outcome are
-/// byte-identical — for open and credited flow control alike.
-#[test]
-fn sharding_never_perturbs_reports_or_telemetry() {
-    let mut spec = RunSpec::tiny();
-    spec.num_gpus = 4;
-    let every = Some(SimTime::from_ns(100));
-    for open in [false, true] {
-        let mut base = SystemConfig::paper(4);
-        if open {
-            base = base.open_loop();
-        }
-        for app in suite() {
-            for p in [Paradigm::FinePack, Paradigm::P2pStores, Paradigm::Gps] {
-                let mut rendered: Vec<(String, String, String)> = Vec::new();
-                for intra in [1usize, 2, 4] {
-                    let cfg = base.with_intra_jobs(intra);
-                    let prep = PreparedWorkload::new(app.as_ref(), &cfg, &spec);
-                    let (handle, ring) = TraceHandle::ring(1 << 22, 1 << 20);
-                    let report = prep
-                        .try_run_traced(&cfg, p, handle, every)
-                        .expect("traced run");
-                    let collector = ring.lock().unwrap();
-                    assert_eq!(collector.dropped_events(), 0, "ring too small");
-                    let events: Vec<String> =
-                        collector.events().map(|e| format!("{e:?}")).collect();
-                    let samples: Vec<String> =
-                        collector.samples().map(|s| format!("{s:?}")).collect();
-                    rendered.push((format!("{report:?}"), events.join("\n"), samples.join("\n")));
-                }
-                let (report1, events1, samples1) = &rendered[0];
-                for (i, (report_n, events_n, samples_n)) in rendered.iter().enumerate().skip(1) {
-                    let intra = [1, 2, 4][i];
-                    assert_eq!(
-                        report1,
-                        report_n,
-                        "{} {p} open={open}: report diverged at intra-jobs {intra}",
-                        app.name()
-                    );
-                    assert_eq!(
-                        events1,
-                        events_n,
-                        "{} {p} open={open}: event stream diverged at intra-jobs {intra}",
-                        app.name()
-                    );
-                    assert_eq!(
-                        samples1,
-                        samples_n,
-                        "{} {p} open={open}: sample stream diverged at intra-jobs {intra}",
-                        app.name()
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// The conservation auditor reaches the same (clean) verdict over a
-/// sharded run's telemetry as over the serial run's.
-#[test]
-fn sharded_audit_outcomes_match_serial() {
-    let mut spec = RunSpec::tiny();
-    spec.num_gpus = 4;
-    let app = workloads::Jacobi::default();
-    for p in [Paradigm::FinePack, Paradigm::P2pStores] {
-        let serial_cfg = SystemConfig::paper(4);
-        let serial_prep = PreparedWorkload::new(&app, &serial_cfg, &spec);
-        let serial = system::audit_run(&serial_prep, &serial_cfg, p).expect("serial audit");
-        serial.assert_clean();
-        for intra in [2usize, 4] {
-            let cfg = SystemConfig::paper(4).with_intra_jobs(intra);
-            let prep = PreparedWorkload::new(&app, &cfg, &spec);
-            let sharded = system::audit_run(&prep, &cfg, p).expect("sharded audit");
-            sharded.assert_clean();
-            assert_eq!(
-                format!("{:?}", serial.report),
-                format!("{:?}", sharded.report),
-                "{p}: audited report diverged at intra-jobs {intra}"
-            );
-        }
-    }
-}
-
 #[test]
 fn iteration_rebase_yields_monotone_global_times() {
     let cfg = SystemConfig::paper(2);

@@ -3,6 +3,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::RangeInclusive;
 
 /// A parsed command line: one subcommand plus `--key value` options.
 #[derive(Debug, Clone, Default)]
@@ -112,6 +113,31 @@ impl Args {
         }
     }
 
+    /// [`Args::get_parsed`], also rejecting a present value outside
+    /// `range`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ArgError::Invalid`] if present but unparseable or out
+    /// of range.
+    pub fn get_in_range<T: std::str::FromStr + PartialOrd>(
+        &self,
+        key: &str,
+        default: T,
+        range: RangeInclusive<T>,
+        expected: &'static str,
+    ) -> Result<T, ArgError> {
+        let v = self.get_parsed(key, default, expected)?;
+        match self.get(key) {
+            Some(raw) if !range.contains(&v) => Err(ArgError::Invalid {
+                key: key.to_string(),
+                value: raw.to_string(),
+                expected,
+            }),
+            _ => Ok(v),
+        }
+    }
+
     /// Rejects any option not in `allowed`.
     ///
     /// # Errors
@@ -157,6 +183,16 @@ mod tests {
         let a = Args::parse(["run", "--gpus", "lots"]).unwrap();
         let e = a.get_parsed("gpus", 2u8, "integer").unwrap_err();
         assert!(e.to_string().contains("expected integer"));
+    }
+
+    #[test]
+    fn out_of_range_value_is_invalid() {
+        let a = Args::parse(["run", "--gpus", "65"]).unwrap();
+        let e = a
+            .get_in_range("gpus", 4u8, 1..=64, "integer 1-64")
+            .unwrap_err();
+        assert_eq!(e.to_string(), "--gpus 65: expected integer 1-64");
+        assert_eq!(a.get_in_range("iterations", 2u32, 1..=9, "1-9").unwrap(), 2);
     }
 
     #[test]

@@ -5,13 +5,16 @@ use std::fmt::Write as _;
 use finepack::{AllocationPolicy, AreaModel, FinePackConfig, FlushReason, SubheaderFormat};
 use gpu_model::{profile_run, read_trace, write_trace, AddressMap, Gpu, GpuId};
 use protocol::{fig2_sizes, FramingModel, PcieGen};
-use sim_engine::Table;
-use sim_engine::{SimTime, ThroughputReport, WallClock, WorkerPool};
-use system::{
-    audit_run, fault_sweep, run_suite_prepared, scaling_curve, subheader_sweep, CreditConfig,
-    FaultProfile, FlowControlMode, Paradigm, PreparedWorkload, RunBudget, SystemConfig,
+use sim_engine::{
+    ChaosConfig, QuietPanicGuard, RetryPolicy, SimTime, Table, ThroughputReport, WallClock,
+    WorkerPool,
 };
-use telemetry::{EventKind, Law, Sample, TraceEvent, TraceHandle};
+use system::{
+    audit_run, fault_sweep, run_suite_prepared, run_suite_supervised, scaling_curve,
+    single_gpu_time, subheader_sweep, CreditConfig, FaultProfile, FlowControlMode, Paradigm,
+    PreparedWorkload, RunBudget, RunReport, Supervision, SystemConfig, REPORT_SCHEMA_VERSION,
+};
+use telemetry::{EventKind, Law, Sample, TraceEvent, TraceHandle, CHROME_TRACE_SCHEMA_VERSION};
 use workloads::{
     suite, CollectiveTuning, MsgDist, RunSpec, ScalingMode, Workload, COLLECTIVE_REGISTRY,
 };
@@ -95,26 +98,8 @@ COMMANDS:
   inspect          summarize a recorded trace --trace <file>
   analyze          profile a recorded trace's remote-store stream
                    --trace <file> [--gpus N] [--window-bytes B]
-  serve            run the sweep-farm daemon: accept jobs over a unix
-                   socket and answer repeats from a content-addressed
-                   result cache (see DESIGN.md §13)
-                   [--socket PATH (default finepack-farm.sock)]
-                   [--cache-entries N (default 64; oldest evicted)]
-                   [--jobs N]
-                   [--trace-out FILE (Chrome trace of serving events,
-                   written on shutdown)]
-  submit           submit one job to a running daemon and print the
-                   served report (byte-identical to the one-shot
-                   run/suite output; stdout carries exactly the report)
-                   [--socket PATH] [--kind run|suite (default run)]
-                   [--audit true (run the conservation auditor on cache
-                   misses and stamp the entry)]
-                   plus the matching run/suite options above
-  status           report a running daemon's cache and job counters
-                   [--socket PATH]
-  shutdown         stop a running daemon cleanly [--socket PATH]
-  version          print version, build fingerprint, and schema
-                   versions (also: --version)
+  version          print the crate version and the report and trace
+                   schema versions (also: --version)
   help             this text
 
 APPS: jacobi pagerank sssp als ct eqwp diffusion hit
@@ -144,17 +129,9 @@ failed and after how many retries, is byte-identical at every --jobs;
 errors become per-point failures: the table keeps the surviving rows
 and a `failed points` section lists the rest.
 
-FARM: `serve` keeps a daemon resident with workloads warm and a
-content-addressed result cache keyed on a canonical fingerprint of
-(system config, seed, workload identity, build). Because reports are
-byte-identical at every --jobs, a repeated `submit` of the
-same sweep point is answered from cache without executing a single
-simulation event; the build fingerprint is part of the key, so a
-recompiled binary never serves stale entries.
-
 EXIT CODES: 0 clean; 3 partial results (some supervised sweep points
-failed after retries, one-shot or daemon-served); 2 unrecoverable
-(usage, I/O, socket/protocol, or simulation error).
+failed after retries); 2 unrecoverable (usage, I/O, or simulation
+error).
 "
     .to_string()
 }
@@ -180,47 +157,75 @@ fn tuning_from(args: &Args) -> Result<CollectiveTuning, ArgError> {
 }
 
 /// Looks up an app by name across the suite and the collectives
-/// registry; collectives pick up `--payload`/`--msg-dist` from `args`.
+/// registry; collectives pick up `--payload`/`--msg-dist` from `args`,
+/// which suite apps reject.
 fn find_app(args: &Args, name: &str) -> Result<Box<dyn Workload>, ArgError> {
     let tuning = tuning_from(args)?;
-    suite()
-        .into_iter()
-        .find(|a| a.name() == name)
-        .or_else(|| workloads::collective(name, &tuning))
-        .ok_or(ArgError::Invalid {
-            key: "app".into(),
-            value: format!("unknown app `{name}`"),
-            expected: "a suite or collective name (see `help`)",
-        })
+    if let Some(app) = suite().into_iter().find(|a| a.name() == name) {
+        if let Some(key) = ["payload", "msg-dist"]
+            .into_iter()
+            .find(|k| args.get(k).is_some())
+        {
+            return Err(ArgError::Invalid {
+                key: key.into(),
+                value: args.get_or(key, "?").to_string(),
+                expected: "a collective --app (suite apps take no --payload or --msg-dist)",
+            });
+        }
+        return Ok(app);
+    }
+    workloads::collective(name, &tuning).ok_or(ArgError::Invalid {
+        key: "app".into(),
+        value: format!("unknown app `{name}`"),
+        expected: "a suite or collective name (see `help`)",
+    })
 }
 
 fn spec_from(args: &Args) -> Result<RunSpec, ArgError> {
     spec_from_gpus(args, 4)
 }
 
+/// Parses the run shape. One GPU is a legal trace to record; every
+/// command that simulates a fabric also needs a peer, which
+/// [`system_from`] checks.
 fn spec_from_gpus(args: &Args, default_gpus: u8) -> Result<RunSpec, ArgError> {
-    let mut spec = RunSpec::paper(args.get_parsed("gpus", default_gpus, "integer 1-64")?);
-    spec.iterations = args.get_parsed("iterations", spec.iterations, "positive integer")?;
-    spec.scale_down = args.get_parsed("scale-down", spec.scale_down, "positive integer")?;
+    let mut spec =
+        RunSpec::paper(args.get_in_range("gpus", default_gpus, 1..=64, "integer 1-64")?);
+    spec.iterations = args.get_in_range(
+        "iterations",
+        spec.iterations,
+        1..=u32::MAX,
+        "positive integer",
+    )?;
+    spec.scale_down = args.get_in_range(
+        "scale-down",
+        spec.scale_down,
+        1..=u32::MAX,
+        "positive integer",
+    )?;
     spec.seed = args.get_parsed("seed", spec.seed, "integer")?;
-    spec.validate();
     Ok(spec)
 }
 
+/// Builds the simulated system every simulating command runs: the
+/// paper's node with the `--pcie`, `--windows`, `--flow-control`,
+/// `--ber`/`--fault-profile`, and `--run-budget` knobs applied. Options
+/// a command does not accept are absent, so they keep the paper's
+/// defaults.
 fn system_from(args: &Args, spec: &RunSpec) -> Result<SystemConfig, ArgError> {
-    let gen = match args.get_parsed("pcie", 4u8, "4, 5, or 6")? {
-        4 => PcieGen::Gen4,
+    if spec.num_gpus < 2 {
+        return Err(ArgError::Invalid {
+            key: "gpus".into(),
+            value: spec.num_gpus.to_string(),
+            expected: "integer 2-64 (the fabric needs a peer GPU)",
+        });
+    }
+    let gen = match args.get_in_range("pcie", 4u8, 4..=6, "4, 5, or 6")? {
         5 => PcieGen::Gen5,
         6 => PcieGen::Gen6,
-        _ => {
-            return Err(ArgError::Invalid {
-                key: "pcie".into(),
-                value: args.get_or("pcie", "?").to_string(),
-                expected: "4, 5, or 6",
-            })
-        }
+        _ => PcieGen::Gen4,
     };
-    let windows = args.get_parsed("windows", 1u32, "1-64")?;
+    let windows = args.get_in_range("windows", 1u32, 1..=64, "1-64")?;
     let fp = FinePackConfig::paper(u32::from(spec.num_gpus)).with_windows(windows);
     let mut cfg = SystemConfig::paper(spec.num_gpus)
         .with_pcie_gen(gen)
@@ -383,103 +388,17 @@ pub(crate) fn goodput(args: &Args) -> Result<String, CliError> {
     Ok(t.render())
 }
 
-/// Builds a farm [`farm::JobRequest`] from CLI args — the shared
-/// front door for `run`, `suite`, and `submit`. Both the one-shot
-/// commands and the daemon execute requests through
-/// [`farm::execute_job`], so their outputs are byte-identical by
-/// construction.
-fn job_request_from(args: &Args, kind: farm::JobKind) -> Result<farm::JobRequest, CliError> {
-    let mut req = farm::JobRequest::new(kind);
-    req.gpus = args.get_parsed("gpus", req.gpus, "integer 2-64")?;
-    req.pcie = args.get_parsed("pcie", req.pcie, "4, 5, or 6")?;
-    req.iterations = args.get_parsed("iterations", req.iterations, "positive integer")?;
-    req.scale_down = args.get_parsed("scale-down", req.scale_down, "positive integer")?;
-    req.seed = args.get_parsed("seed", req.seed, "integer")?;
-    req.windows = args.get_parsed("windows", req.windows, "1-64")?;
-    req.open_loop = match args.get_or("flow-control", "credited") {
-        "open" => true,
-        "credited" => false,
-        other => {
-            return Err(ArgError::Invalid {
-                key: "flow-control".into(),
-                value: other.to_string(),
-                expected: "open or credited",
-            }
-            .into())
-        }
-    };
-    req.budget = budget_spec_from(args)?;
-    match kind {
-        farm::JobKind::Run => {
-            req.app = Some(args.get_or("app", "pagerank").to_string());
-            req.payload = match args.get("payload") {
-                None => None,
-                Some(v) => Some(v.parse().map_err(|_| ArgError::Invalid {
-                    key: "payload".into(),
-                    value: v.to_string(),
-                    expected: "collective payload bytes",
-                })?),
-            };
-            req.msg_dist = args.get("msg-dist").map(str::to_string);
-            req.ber = match args.get("ber") {
-                None => None,
-                Some(v) => Some(v.parse().map_err(|_| ArgError::Invalid {
-                    key: "ber".into(),
-                    value: v.to_string(),
-                    expected: "bit-error rate in [0, 1], e.g. 1e-8",
-                })?),
-            };
-            req.fault_profile = args.get("fault-profile").map(str::to_string);
-        }
-        farm::JobKind::Suite => {
-            req.retries = args.get_parsed("retries", 0u32, "retry count")?;
-            req.chaos = match args.get("chaos") {
-                None => None,
-                Some(v) => Some(v.parse().map_err(|_| ArgError::Invalid {
-                    key: "chaos".into(),
-                    value: v.to_string(),
-                    expected: "injection rate in [0, 1]",
-                })?),
-            };
-        }
-    }
-    req.validate()?;
-    Ok(req)
-}
+/// Paradigm order of the `run` table.
+const RUN_PARADIGMS: [Paradigm; 6] = [
+    Paradigm::BulkDma,
+    Paradigm::P2pStores,
+    Paradigm::WriteCombining,
+    Paradigm::Gps,
+    Paradigm::FinePack,
+    Paradigm::InfiniteBw,
+];
 
-/// Parses `--run-budget SPEC` into the farm's wire-level budget form
-/// (same grammar as [`run_budget_from`]).
-fn budget_spec_from(args: &Args) -> Result<Option<farm::BudgetSpec>, ArgError> {
-    let Some(spec) = args.get("run-budget") else {
-        return Ok(None);
-    };
-    let invalid = |value: &str| ArgError::Invalid {
-        key: "run-budget".into(),
-        value: value.to_string(),
-        expected: "an event count, or `events=N,sim-ms=N,stall=N` parts",
-    };
-    let mut budget = farm::BudgetSpec::default();
-    for part in spec.split(',') {
-        let (key, value) = match part.split_once('=') {
-            Some(kv) => kv,
-            None => ("events", part),
-        };
-        let n: u64 = value.trim().parse().map_err(|_| invalid(part))?;
-        if n == 0 {
-            return Err(invalid(part));
-        }
-        match key.trim() {
-            "events" => budget.events = Some(n),
-            "sim-ms" => budget.sim_ms = Some(n),
-            "stall" => budget.stall = Some(n),
-            _ => return Err(invalid(part)),
-        }
-    }
-    Ok(Some(budget))
-}
-
-/// `run --app <name> ...`: delegates to [`farm::execute_job`], the
-/// same code path the sweep-farm daemon serves from.
+/// `run --app <name> ...`: one app across every paradigm.
 pub(crate) fn run_app(args: &Args) -> Result<String, CliError> {
     args.expect_only(&[
         "app",
@@ -497,23 +416,74 @@ pub(crate) fn run_app(args: &Args) -> Result<String, CliError> {
         "run-budget",
         "json",
     ])?;
-    let req = job_request_from(args, farm::JobKind::Run)?;
-    let out = farm::execute_job(&req, &WorkerPool::serial())?;
+    let app = find_app(args, args.get_or("app", "pagerank"))?;
+    let spec = spec_from(args)?;
+    let cfg = system_from(args, &spec)?;
+    let (text, reports) = run_table(app.as_ref(), &spec, &cfg);
     if let Some(path) = args.get("json") {
         let mut doc = String::from("{\n  \"schema_version\": 1,\n  \"reports\": [\n");
-        for (i, report) in out.reports_json.iter().enumerate() {
+        for (i, report) in reports.iter().enumerate() {
             doc.push_str("    ");
             doc.push_str(report);
-            doc.push_str(if i + 1 < out.reports_json.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
+            doc.push_str(if i + 1 < reports.len() { ",\n" } else { "\n" });
         }
         doc.push_str("  ]\n}\n");
         std::fs::write(path, doc).map_err(|e| CliError::io(path, e))?;
     }
-    Ok(out.text)
+    Ok(text)
+}
+
+/// Renders the `run` table, plus the canonical JSON of every run that
+/// survived (in paradigm order) for `--json`.
+fn run_table(app: &dyn Workload, spec: &RunSpec, cfg: &SystemConfig) -> (String, Vec<String>) {
+    let t1 = single_gpu_time(app, cfg, spec);
+    let prep = PreparedWorkload::new(app, cfg, spec);
+    let mut t = Table::new(
+        format!(
+            "{} on {} GPUs, {} ({} pattern)",
+            app.name(),
+            spec.num_gpus,
+            cfg.pcie_gen,
+            app.pattern()
+        ),
+        &[
+            "paradigm",
+            "speedup",
+            "wire bytes",
+            "stores/packet",
+            "stall",
+        ],
+    );
+    let mut reports = Vec::new();
+    for p in RUN_PARADIGMS {
+        match prep.try_run(cfg, p) {
+            Ok(report) => {
+                t.row(&[
+                    p.to_string(),
+                    format!("{:.2}x", t1.as_secs_f64() / report.total_time.as_secs_f64()),
+                    report.traffic.total().to_string(),
+                    report
+                        .mean_stores_per_packet()
+                        .map(|v| format!("{v:.1}"))
+                        .unwrap_or_else(|| "-".into()),
+                    if report.stall_time == SimTime::ZERO {
+                        "-".into()
+                    } else {
+                        report.stall_time.to_string()
+                    },
+                ]);
+                reports.push(RunReport::canonical_json(&report));
+            }
+            Err(e) => t.row(&[
+                p.to_string(),
+                "dead".into(),
+                "-".into(),
+                "-".into(),
+                e.to_string(),
+            ]),
+        }
+    }
+    (t.render(), reports)
 }
 
 fn find_paradigm(name: &str) -> Result<Paradigm, ArgError> {
@@ -553,10 +523,7 @@ pub(crate) fn faults(args: &Args) -> Result<String, CliError> {
     let spec = spec_from(args)?;
     let pool = pool_from(args)?;
     let paradigm = find_paradigm(args.get_or("paradigm", "finepack"))?;
-    let mut cfg = SystemConfig::paper(spec.num_gpus).with_flow_control(flow_control_from(args)?);
-    if let Some(profile) = fault_profile_from(args)? {
-        cfg = cfg.with_faults(profile);
-    }
+    let cfg = system_from(args, &spec)?;
     let bers = [0.0, 1e-8, 1e-7, 1e-6, 1e-5];
     let points = fault_sweep(app.as_ref(), &cfg, &spec, paradigm, &bers, &pool);
     let mut t = Table::new(
@@ -616,8 +583,8 @@ pub(crate) fn faults(args: &Args) -> Result<String, CliError> {
     Ok(t.render())
 }
 
-/// `suite ...`: delegates to [`farm::execute_job`], the same code path
-/// the sweep-farm daemon serves from.
+/// `suite ...`: the Fig 9 table for the whole suite, run under the
+/// supervisor.
 pub(crate) fn suite_table(args: &Args) -> Result<CmdOut, CliError> {
     args.expect_only(&[
         "gpus",
@@ -631,13 +598,123 @@ pub(crate) fn suite_table(args: &Args) -> Result<CmdOut, CliError> {
         "chaos",
         "run-budget",
     ])?;
-    let req = job_request_from(args, farm::JobKind::Suite)?;
+    let spec = spec_from(args)?;
+    let cfg = system_from(args, &spec)?;
     let pool = pool_from(args)?;
-    let out = farm::execute_job(&req, &pool)?;
-    Ok(CmdOut {
-        text: out.text,
-        partial: out.partial,
+    Ok(suite_report(&spec, &cfg, &pool, supervision_from(args)?))
+}
+
+/// Parses `--retries N` and `--chaos RATE` (a per-kind injection
+/// probability in [0, 1]).
+fn supervision_from(args: &Args) -> Result<Supervision, ArgError> {
+    let chaos = match args.get("chaos") {
+        None => None,
+        Some(_) => Some(ChaosConfig::uniform(args.get_in_range(
+            "chaos",
+            0.0,
+            0.0..=1.0,
+            "injection rate in [0, 1]",
+        )?)),
+    };
+    Ok(Supervision {
+        policy: RetryPolicy::retries(args.get_parsed("retries", 0u32, "retry count")?),
+        chaos,
     })
+}
+
+/// Renders the supervised `suite` table, including the retried/failed
+/// sections and the partial-results epilogue.
+fn suite_report(
+    spec: &RunSpec,
+    cfg: &SystemConfig,
+    pool: &WorkerPool,
+    supervision: Supervision,
+) -> CmdOut {
+    // Chaos panics are expected noise: silence the default panic hook's
+    // stderr chatter while the supervisor catches them.
+    let _quiet = supervision
+        .chaos
+        .as_ref()
+        .map(|_| QuietPanicGuard::engage());
+    let sup = run_suite_supervised(
+        &suite(),
+        cfg,
+        spec,
+        &Paradigm::FIG9,
+        pool,
+        supervision,
+        &TraceHandle::off(),
+    );
+    let mut t = Table::new(
+        format!("suite speedups on {} GPUs, {}", spec.num_gpus, cfg.pcie_gen),
+        &["app", "bulk-dma", "p2p-stores", "finepack", "infinite-bw"],
+    );
+    for row in sup.points.iter().filter_map(|p| p.row.as_ref()) {
+        let cell = |p| format!("{:.2}x", row.speedup(p).expect("measured"));
+        t.row(&[
+            row.app.clone(),
+            cell(Paradigm::BulkDma),
+            cell(Paradigm::P2pStores),
+            cell(Paradigm::FinePack),
+            cell(Paradigm::InfiniteBw),
+        ]);
+    }
+    let mut out = t.render();
+    if sup.retried().next().is_some() {
+        let _ = writeln!(out, "\nretried points:");
+        for p in sup.retried() {
+            let verdict = if p.is_ok() {
+                format!("succeeded after {} attempts", p.attempts)
+            } else {
+                format!("failed after {} attempts", p.attempts)
+            };
+            let _ = writeln!(out, "  {}: {verdict}", p.app);
+            for (i, failure) in p.failures.iter().enumerate() {
+                let _ = writeln!(out, "    attempt {}: {failure}", i + 1);
+            }
+        }
+    }
+    let partial = !sup.all_ok();
+    if partial {
+        let failed = sup.failed().count();
+        let _ = writeln!(
+            out,
+            "\nfailed points ({failed} of {} apps):",
+            sup.points.len()
+        );
+        for p in sup.failed() {
+            let _ = writeln!(
+                out,
+                "  {}: {} (after {} attempts)",
+                p.app,
+                p.final_failure().expect("failed point has a failure"),
+                p.attempts
+            );
+        }
+        let _ = writeln!(out, "partial results: exiting with code 3");
+    }
+    single_core_warning(&mut out);
+    CmdOut { text: out, partial }
+}
+
+/// The machine's available parallelism (1 when undetectable).
+fn available_parallelism() -> usize {
+    std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1)
+}
+
+/// The single-core caveat `suite` and `bench` print when thread knobs
+/// cannot buy wall-clock time on this machine. Independent of the
+/// `--jobs` value so output stays byte-identical across it.
+fn single_core_warning(out: &mut String) {
+    if available_parallelism() == 1 {
+        let _ = writeln!(
+            out,
+            "warning: this machine reports a single available core; \
+             --jobs cannot reduce wall-clock time here"
+        );
+    }
 }
 
 /// `collectives ...`: the AI-training collectives study — a fine-vs-bulk
@@ -669,7 +746,7 @@ pub(crate) fn collectives(args: &Args) -> Result<String, CliError> {
     let cfg = system_from(args, &spec)?;
     let pool = pool_from(args)?;
     let tuning = tuning_from(args)?;
-    let max_gpus: u8 = args.get_parsed("max-gpus", 16u8, "integer 2-64")?;
+    let max_gpus: u8 = args.get_in_range("max-gpus", 16u8, 2..=64, "integer 2-64")?;
     if max_gpus < spec.num_gpus {
         return Err(ArgError::Invalid {
             key: "max-gpus".into(),
@@ -848,143 +925,14 @@ pub(crate) fn collectives(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// The default farm socket path.
-const DEFAULT_SOCKET: &str = "finepack-farm.sock";
-
-/// `serve [--socket PATH] ...`: run the sweep-farm daemon until a
-/// `shutdown` command arrives on the socket.
-pub(crate) fn serve(args: &Args) -> Result<String, CliError> {
-    args.expect_only(&["socket", "cache-entries", "jobs", "trace-out"])?;
-    let socket = args.get_or("socket", DEFAULT_SOCKET).to_string();
-    let config = farm::ServeConfig {
-        socket: socket.clone(),
-        cache_entries: args.get_parsed("cache-entries", 64usize, "cache entry capacity")?,
-        jobs: match args.get("jobs") {
-            None => farm::available_parallelism(),
-            Some(_) => {
-                let pool = pool_from(args)?;
-                pool.jobs()
-            }
-        },
-        trace_out: args.get("trace-out").map(str::to_string),
-    };
-    let cache_entries = config.cache_entries;
-    let server = farm::Server::bind(config)?;
-    // Announce readiness before blocking so wrappers know the socket is
-    // live (the returned text only prints after shutdown).
-    println!(
-        "farm: serving on {socket} (cache capacity {cache_entries}, {} build)",
-        farm::build_fingerprint()
-    );
-    use std::io::Write as _;
-    let _ = std::io::stdout().flush();
-    server.run()?;
-    Ok(format!("farm: daemon on {socket} shut down cleanly\n"))
-}
-
-/// `submit [--socket PATH] [--kind run|suite] [--audit true] ...`:
-/// submit one job to a running daemon and print the served report.
-/// Stdout carries exactly the report bytes (so it can be diffed against
-/// the one-shot `run`/`suite` output); job lifecycle lines go to
-/// stderr.
-pub(crate) fn submit(args: &Args) -> Result<CmdOut, CliError> {
-    args.expect_only(&[
-        "socket",
-        "kind",
-        "app",
-        "payload",
-        "msg-dist",
-        "gpus",
-        "pcie",
-        "iterations",
-        "scale-down",
-        "seed",
-        "windows",
-        "flow-control",
-        "ber",
-        "fault-profile",
-        "retries",
-        "chaos",
-        "run-budget",
-        "audit",
-    ])?;
-    let kind = match args.get_or("kind", "run") {
-        "run" => farm::JobKind::Run,
-        "suite" => farm::JobKind::Suite,
-        other => {
-            return Err(ArgError::Invalid {
-                key: "kind".into(),
-                value: other.to_string(),
-                expected: "run or suite",
-            }
-            .into())
-        }
-    };
-    let mut req = job_request_from(args, kind)?;
-    req.audit = match args.get_or("audit", "false") {
-        "true" => true,
-        "false" => false,
-        other => {
-            return Err(ArgError::Invalid {
-                key: "audit".into(),
-                value: other.to_string(),
-                expected: "true or false",
-            }
-            .into())
-        }
-    };
-    let socket = args.get_or("socket", DEFAULT_SOCKET);
-    let outcome = farm::submit(socket, &req, |job| {
-        eprintln!("farm: job {job} missed the cache, simulating");
-    })?;
-    if outcome.cache_hit {
-        eprintln!(
-            "farm: job {} served from cache (fingerprint {}, hit {})",
-            outcome.job, outcome.fingerprint, outcome.hits
-        );
-    }
-    if outcome.audit_clean == Some(false) {
-        return Err(CliError::Failed(format!(
-            "conservation audit found violations for job {} (fingerprint {})",
-            outcome.job, outcome.fingerprint
-        )));
-    }
-    Ok(CmdOut {
-        text: outcome.report,
-        partial: outcome.partial,
-    })
-}
-
-/// `status [--socket PATH]`: report a running daemon's counters.
-pub(crate) fn farm_status(args: &Args) -> Result<String, CliError> {
-    args.expect_only(&["socket"])?;
-    let socket = args.get_or("socket", DEFAULT_SOCKET);
-    let s = farm::status(socket)?;
-    let mut out = String::new();
-    let _ = writeln!(out, "farm status on {socket}:");
-    let _ = writeln!(out, "  version: {} (build {})", s.version, s.build);
-    let _ = writeln!(out, "  jobs submitted: {}", s.jobs_submitted);
-    let _ = writeln!(out, "  sim events executed: {}", s.sim_events_total);
-    let _ = writeln!(
-        out,
-        "  cache: {} of {} entries; {} hits, {} misses, {} evictions",
-        s.cache_entries, s.cache_capacity, s.cache_hits, s.cache_misses, s.cache_evictions
-    );
-    Ok(out)
-}
-
-/// `shutdown [--socket PATH]`: stop a running daemon cleanly.
-pub(crate) fn farm_shutdown(args: &Args) -> Result<String, CliError> {
-    args.expect_only(&["socket"])?;
-    let socket = args.get_or("socket", DEFAULT_SOCKET);
-    farm::shutdown(socket)?;
-    Ok(format!("farm: daemon on {socket} shut down\n"))
-}
-
-/// `version` / `--version`: crate version plus build fingerprint (the
-/// same identity folded into every cache key).
+/// `version` / `--version`: the crate version plus the schema versions
+/// of the machine-readable outputs.
 pub(crate) fn version() -> String {
-    farm::version_line()
+    format!(
+        "finepack-sim {} (report schema {REPORT_SCHEMA_VERSION}, \
+         trace schema {CHROME_TRACE_SCHEMA_VERSION})\n",
+        env!("CARGO_PKG_VERSION")
+    )
 }
 
 /// `sweep-subheader ...`
@@ -1000,7 +948,7 @@ pub(crate) fn sweep_subheader(args: &Args) -> Result<String, CliError> {
         "jobs",
     ])?;
     let spec = spec_from(args)?;
-    let cfg = SystemConfig::paper(spec.num_gpus);
+    let cfg = system_from(args, &spec)?;
     let pool = pool_from(args)?;
     let apps: Vec<Box<dyn Workload>> = match args.get("app") {
         Some(name) => vec![find_app(args, name)?],
@@ -1025,7 +973,7 @@ pub(crate) fn sweep_subheader(args: &Args) -> Result<String, CliError> {
 /// `area [--gpus N]`
 pub(crate) fn area(args: &Args) -> Result<String, CliError> {
     args.expect_only(&["gpus"])?;
-    let gpus: u32 = args.get_parsed("gpus", 4u32, "integer >= 2")?;
+    let gpus: u32 = args.get_in_range("gpus", 4u32, 2..=u32::MAX, "integer >= 2")?;
     let cfg = FinePackConfig::paper(gpus);
     let model = AreaModel::new(cfg);
     let mut out = String::new();
@@ -1213,7 +1161,7 @@ pub(crate) fn audit(args: &Args) -> Result<String, CliError> {
         ],
     };
     // Trace replay is independent of every swept axis: prepare once.
-    let base = SystemConfig::paper(spec.num_gpus);
+    let base = system_from(args, &spec)?;
     let prep = PreparedWorkload::new(app.as_ref(), &base, &spec);
 
     let faults: [(&str, Option<FaultProfile>); 3] = [
@@ -1243,7 +1191,7 @@ pub(crate) fn audit(args: &Args) -> Result<String, CliError> {
             for (fault_name, profile) in &faults {
                 for &paradigm in &paradigms {
                     for (alloc_name, alloc) in allocations_for(paradigm) {
-                        let mut cfg = SystemConfig::paper(spec.num_gpus).with_pcie_gen(gen);
+                        let mut cfg = base.with_pcie_gen(gen);
                         if open {
                             cfg = cfg.with_flow_control(FlowControlMode::Open);
                         }
@@ -1419,7 +1367,7 @@ pub(crate) fn bench(args: &Args) -> Result<String, CliError> {
     // A sub-1.0 "speedup" on a box with one usable core is thread
     // overhead, not a harness regression: record the machine's
     // parallelism alongside the numbers so consumers can tell.
-    let available = farm::available_parallelism();
+    let available = available_parallelism();
     let single_core = available == 1 || pool.jobs() == 1;
 
     let queue_backend = sim_engine::EventQueue::<u8>::new().backend_name();
@@ -1510,7 +1458,7 @@ pub(crate) fn bench(args: &Args) -> Result<String, CliError> {
             pool.jobs()
         );
     }
-    farm::single_core_warning(&mut out);
+    single_core_warning(&mut out);
     if !deterministic {
         return Err(CliError::Failed(format!(
             "parallel suite output diverged from serial (jobs = {})",
@@ -1587,7 +1535,7 @@ fn load_trace(args: &Args) -> Result<gpu_model::KernelTrace, CliError> {
 pub(crate) fn replay(args: &Args) -> Result<String, CliError> {
     args.expect_only(&["trace", "gpus"])?;
     let trace = load_trace(args)?;
-    let gpus: u8 = args.get_parsed("gpus", 4u8, "integer")?;
+    let gpus: u8 = args.get_in_range("gpus", 4u8, 1..=64, "integer 1-64")?;
     let map = AddressMap::new(gpus, 16 << 30);
     let gpu = Gpu::new(gpu_model::GpuConfig::gv100(), GpuId::new(0), map);
     let run = gpu.execute_kernel(&trace);
@@ -1616,7 +1564,7 @@ pub(crate) fn replay(args: &Args) -> Result<String, CliError> {
 pub(crate) fn analyze(args: &Args) -> Result<String, CliError> {
     args.expect_only(&["trace", "gpus", "window-bytes"])?;
     let trace = load_trace(args)?;
-    let gpus: u8 = args.get_parsed("gpus", 4u8, "integer")?;
+    let gpus: u8 = args.get_in_range("gpus", 4u8, 1..=64, "integer 1-64")?;
     let window: u64 = args.get_parsed("window-bytes", 1u64 << 30, "power-of-two bytes")?;
     if !window.is_power_of_two() {
         return Err(CliError::Usage(
@@ -1896,6 +1844,7 @@ mod tests {
         )
         .unwrap();
         assert!(out.partial, "{}", out.text);
+        assert_eq!(out.exit_code(), crate::EXIT_PARTIAL);
         assert!(out.text.contains("failed points"), "{}", out.text);
         assert!(out.text.contains("event ceiling"), "{}", out.text);
         assert!(out.text.contains("exiting with code 3"), "{}", out.text);
@@ -1998,7 +1947,7 @@ mod tests {
         assert!(rendered.contains("(chrome)"), "{rendered}");
         let json = std::fs::read_to_string(json_s).unwrap();
         assert!(
-            json.starts_with("{\"schema_version\":1,\"traceEvents\":["),
+            json.starts_with("{\"schema_version\":2,\"traceEvents\":["),
             "{}",
             &json[..80]
         );

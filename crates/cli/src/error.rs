@@ -38,18 +38,6 @@ pub enum CliError {
     },
     /// The simulation or a self-check failed.
     Failed(String),
-    /// A farm socket operation failed (bind refused, no daemon
-    /// listening, connection lost).
-    Socket {
-        /// The socket path involved.
-        path: String,
-        /// The underlying error, rendered.
-        detail: String,
-    },
-    /// The farm wire protocol broke down: a malformed request or
-    /// response line, an incompatible wire schema, or a peer that
-    /// disconnected mid-job.
-    Protocol(String),
 }
 
 impl CliError {
@@ -73,10 +61,7 @@ impl fmt::Display for CliError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CliError::Usage(msg) | CliError::Failed(msg) => write!(f, "{msg}"),
-            CliError::Io { path, detail } | CliError::Socket { path, detail } => {
-                write!(f, "{path}: {detail}")
-            }
-            CliError::Protocol(msg) => write!(f, "protocol error: {msg}"),
+            CliError::Io { path, detail } => write!(f, "{path}: {detail}"),
         }
     }
 }
@@ -86,24 +71,6 @@ impl std::error::Error for CliError {}
 impl From<ArgError> for CliError {
     fn from(e: ArgError) -> Self {
         CliError::Usage(e.to_string())
-    }
-}
-
-impl From<farm::FarmError> for CliError {
-    fn from(e: farm::FarmError) -> Self {
-        use farm::FarmError;
-        match e {
-            FarmError::Bind { path, detail } | FarmError::Connect { path, detail } => {
-                CliError::Socket { path, detail }
-            }
-            FarmError::Malformed(msg) => CliError::Protocol(format!("malformed message: {msg}")),
-            FarmError::PeerDisconnected(msg) => {
-                CliError::Protocol(format!("peer disconnected: {msg}"))
-            }
-            FarmError::Io(msg) => CliError::Protocol(format!("socket i/o failed: {msg}")),
-            FarmError::Invalid(msg) => CliError::Usage(format!("invalid job: {msg}")),
-            FarmError::Failed(msg) => CliError::Failed(msg),
-        }
     }
 }
 
@@ -152,28 +119,6 @@ mod tests {
     fn io_errors_name_the_path() {
         let e = CliError::io("/tmp/missing.fpkt", "no such file");
         assert_eq!(e.to_string(), "/tmp/missing.fpkt: no such file");
-    }
-
-    #[test]
-    fn farm_errors_map_to_socket_protocol_and_usage() {
-        let e: CliError = farm::FarmError::Connect {
-            path: "/tmp/farm.sock".into(),
-            detail: "no such file".into(),
-        }
-        .into();
-        assert!(matches!(e, CliError::Socket { .. }));
-        assert_eq!(e.to_string(), "/tmp/farm.sock: no such file");
-        assert_eq!(e.exit_code(), EXIT_ERROR);
-
-        let e: CliError = farm::FarmError::PeerDisconnected("mid-job".into()).into();
-        assert!(matches!(e, CliError::Protocol(_)));
-        assert!(e.to_string().contains("peer disconnected"));
-
-        let e: CliError = farm::FarmError::Malformed("bad line".into()).into();
-        assert!(matches!(e, CliError::Protocol(_)));
-
-        let e: CliError = farm::FarmError::Invalid("gpus must be 2-64".into()).into();
-        assert!(matches!(e, CliError::Usage(_)));
     }
 
     #[test]

@@ -65,10 +65,6 @@ where
         Some("run") => commands::run_app(&args).map(CmdOut::clean),
         Some("suite") => commands::suite_table(&args),
         Some("collectives") => commands::collectives(&args).map(CmdOut::clean),
-        Some("serve") => commands::serve(&args).map(CmdOut::clean),
-        Some("submit") => commands::submit(&args),
-        Some("status") => commands::farm_status(&args).map(CmdOut::clean),
-        Some("shutdown") => commands::farm_shutdown(&args).map(CmdOut::clean),
         Some("sweep-subheader") => commands::sweep_subheader(&args).map(CmdOut::clean),
         Some("faults") => commands::faults(&args).map(CmdOut::clean),
         Some("bench") => commands::bench(&args).map(CmdOut::clean),
@@ -153,14 +149,89 @@ mod tests {
         let e = execute(["run", "--app", "jacobi", "--intra-jobs", "2"]).unwrap_err();
         assert_eq!(e.to_string(), "unknown option --intra-jobs");
         assert_eq!(e.exit_code(), EXIT_ERROR);
+        // So are the removed daemon commands.
+        for cmd in ["serve", "submit"] {
+            let e = execute([cmd]).unwrap_err();
+            assert_eq!(
+                e.to_string(),
+                format!("unknown command `{cmd}` (try `help`)")
+            );
+            assert_eq!(e.exit_code(), EXIT_ERROR);
+        }
+    }
+
+    /// Every command rejects out-of-range shapes with a usage error
+    /// naming the option, before anything runs or panics.
+    #[test]
+    fn bad_inputs_are_typed_errors_not_panics() {
+        let dir = std::env::temp_dir().join("finepack-bad-input-test");
+        let dir_s = dir.to_str().expect("utf-8 temp dir");
+        // A one-GPU trace is still legal to record.
+        run([
+            "record",
+            "--app",
+            "jacobi",
+            "--out",
+            dir_s,
+            "--gpus",
+            "1",
+            "--iterations",
+            "1",
+            "--scale-down",
+            "16",
+        ])
+        .expect("one-GPU record");
+        let trace = format!("{dir_s}/jacobi.g0.i0.fpkt");
+        // Each case is `[command, bad flag, value, other options...]`.
+        let mut cases: Vec<Vec<&str>> = vec![
+            vec!["collectives", "--max-gpus", "65"],
+            vec!["area", "--gpus", "1"],
+            vec!["replay", "--gpus", "0", "--trace", &trace],
+            vec!["analyze", "--gpus", "0", "--trace", &trace],
+        ];
+        // (command, options it needs, builds a SystemConfig, takes --windows)
+        let commands: [(&str, &[&str], bool, bool); 9] = [
+            ("run", &[], true, true),
+            ("suite", &[], true, false),
+            ("faults", &[], true, false),
+            ("trace", &["--out", dir_s], true, true),
+            ("audit", &[], true, false),
+            ("collectives", &[], true, true),
+            ("sweep-subheader", &[], true, false),
+            ("record", &["--app", "jacobi", "--out", dir_s], false, false),
+            ("bench", &["--out", dir_s], true, false),
+        ];
+        for (cmd, needs, simulates, windows) in commands {
+            let mut bad = vec![
+                ("--gpus", "0"),
+                ("--gpus", "65"),
+                ("--iterations", "0"),
+                ("--scale-down", "0"),
+            ];
+            if simulates {
+                bad.push(("--gpus", "1"));
+            }
+            if windows {
+                bad.extend([("--windows", "0"), ("--windows", "65")]);
+            }
+            for (flag, value) in bad {
+                cases.push([&[cmd, flag, value], needs].concat());
+            }
+        }
+        for argv in cases {
+            let e = execute(argv.clone()).expect_err(&format!("accepted {argv:?}"));
+            assert_eq!(e.exit_code(), EXIT_ERROR, "{argv:?}");
+            assert!(e.to_string().contains(argv[1]), "{argv:?}: {e}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn version_answers_as_command_and_bare_flag() {
         let v = run(["version"]).unwrap();
         assert!(v.starts_with("finepack-sim "), "{v}");
-        assert!(v.contains("build "), "{v}");
-        assert!(v.contains("wire schema"), "{v}");
+        assert!(v.contains("report schema 1"), "{v}");
+        assert!(v.contains("trace schema 2"), "{v}");
         // The bare flag has no subcommand, which the arg parser would
         // reject — it must still answer.
         assert_eq!(run(["--version"]).unwrap(), v);

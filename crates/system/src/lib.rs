@@ -34,7 +34,6 @@ mod budget;
 mod config;
 mod experiment;
 mod fault;
-mod fingerprint;
 mod link;
 mod paradigm;
 mod report;
@@ -51,7 +50,6 @@ pub use experiment::{
     ScalingPoint, SpeedupRow, SuitePoint, SuiteResult, SupervisedSuite, Supervision,
 };
 pub use fault::{FabricFault, FaultProfile, Outage, RunError, RunnerError};
-pub use fingerprint::{CanonicalBytes, ConfigFingerprint, FingerprintBuilder};
 pub use link::{Fabric, FcStats, Link, LinkDelivery};
 pub use paradigm::Paradigm;
 pub use report::{RunReport, TrafficBreakdown, UniqueTracker, REPORT_SCHEMA_VERSION};

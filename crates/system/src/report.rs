@@ -161,7 +161,7 @@ pub struct RunReport {
 
 /// Schema version stamped into [`RunReport::canonical_json`]; bump on
 /// any field addition, removal, or semantic change so downstream
-/// tooling (and the farm's result cache) can detect format drift.
+/// tooling can detect format drift.
 pub const REPORT_SCHEMA_VERSION: u32 = 1;
 
 impl RunReport {
@@ -173,7 +173,7 @@ impl RunReport {
     /// A canonical machine-readable JSON rendering: fixed key order,
     /// integer times in picoseconds, `schema_version` first. Two equal
     /// reports always serialize byte-identically, which is what lets
-    /// the sweep farm diff a cached report against a fresh run.
+    /// the golden-output gate diff a report against its pinned line.
     pub fn canonical_json(&self) -> String {
         use std::fmt::Write as _;
         let mut s = String::with_capacity(640);

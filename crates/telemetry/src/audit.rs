@@ -717,15 +717,9 @@ impl TraceCollector for AuditCollector {
             // conservation laws: the supervisor replays whole runs, so a
             // retried task's streams are audited per run, not across
             // attempts.
-            // Farm serving events likewise live on the daemon's
-            // wall-clock serving track, not in any simulated run.
             EventKind::TaskStart { .. }
             | EventKind::TaskRetry { .. }
-            | EventKind::TaskFailed { .. }
-            | EventKind::JobSubmitted { .. }
-            | EventKind::JobCacheHit { .. }
-            | EventKind::JobStart { .. }
-            | EventKind::JobDone { .. } => {}
+            | EventKind::TaskFailed { .. } => {}
         }
     }
 

@@ -123,32 +123,6 @@ pub enum EventKind {
         /// Attempts executed before giving up.
         attempts: u32,
     },
-    /// Farm serving: job `job` arrived over the daemon socket. Like the
-    /// harness `Task*` events, farm events carry the job sequence
-    /// number truncated to `u8` in the `gpu` field and sit outside any
-    /// GPU's timeline.
-    JobSubmitted {
-        /// Daemon-assigned job sequence number.
-        job: u64,
-    },
-    /// Farm serving: job `job` was answered from the result cache —
-    /// no simulation events executed.
-    JobCacheHit {
-        /// Daemon-assigned job sequence number.
-        job: u64,
-    },
-    /// Farm serving: job `job` missed the cache and began simulating.
-    JobStart {
-        /// Daemon-assigned job sequence number.
-        job: u64,
-    },
-    /// Farm serving: job `job` completed and its response was sent.
-    JobDone {
-        /// Daemon-assigned job sequence number.
-        job: u64,
-        /// Whether the response came from the cache.
-        cache_hit: bool,
-    },
 }
 
 impl EventKind {
@@ -170,10 +144,6 @@ impl EventKind {
             EventKind::TaskStart { .. } => "task-start",
             EventKind::TaskRetry { .. } => "task-retry",
             EventKind::TaskFailed { .. } => "task-failed",
-            EventKind::JobSubmitted { .. } => "job-submitted",
-            EventKind::JobCacheHit { .. } => "job-cache-hit",
-            EventKind::JobStart { .. } => "job-start",
-            EventKind::JobDone { .. } => "job-done",
         }
     }
 }

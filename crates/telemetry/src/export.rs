@@ -16,16 +16,15 @@ use crate::event::{EventKind, Sample, TraceEvent};
 /// Schema version stamped into the Chrome-trace JSON header; bump on
 /// any change to track layout or event body shapes so downstream
 /// tooling can detect format drift.
-pub const CHROME_TRACE_SCHEMA_VERSION: u32 = 1;
+pub const CHROME_TRACE_SCHEMA_VERSION: u32 = 2;
 
 /// Track ids within each GPU's process, in rendering order.
-const TRACKS: [(u32, &str); 6] = [
+const TRACKS: [(u32, &str); 5] = [
     (0, "sm (store stream)"),
     (1, "rwq (coalescing)"),
     (2, "wire (egress TLPs)"),
     (3, "commit (ingress drain)"),
     (4, "harness (supervision)"),
-    (5, "farm (serving)"),
 ];
 
 fn track_of(kind: &EventKind) -> u32 {
@@ -44,10 +43,6 @@ fn track_of(kind: &EventKind) -> u32 {
         EventKind::TaskStart { .. }
         | EventKind::TaskRetry { .. }
         | EventKind::TaskFailed { .. } => 4,
-        EventKind::JobSubmitted { .. }
-        | EventKind::JobCacheHit { .. }
-        | EventKind::JobStart { .. }
-        | EventKind::JobDone { .. } => 5,
     }
 }
 
@@ -182,22 +177,6 @@ pub fn chrome_trace(events: &[TraceEvent], samples: &[Sample]) -> String {
             EventKind::TaskFailed { task, attempts } => format!(
                 "{{\"name\":\"task-failed\",\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":{tid},\
                  \"ts\":{ts:.6},\"args\":{{\"task\":{task},\"attempts\":{attempts}}}}}"
-            ),
-            EventKind::JobSubmitted { job } => format!(
-                "{{\"name\":\"job-submitted\",\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\
-                 \"tid\":{tid},\"ts\":{ts:.6},\"args\":{{\"job\":{job}}}}}"
-            ),
-            EventKind::JobCacheHit { job } => format!(
-                "{{\"name\":\"job-cache-hit\",\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\
-                 \"tid\":{tid},\"ts\":{ts:.6},\"args\":{{\"job\":{job}}}}}"
-            ),
-            EventKind::JobStart { job } => format!(
-                "{{\"name\":\"job-start\",\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\
-                 \"tid\":{tid},\"ts\":{ts:.6},\"args\":{{\"job\":{job}}}}}"
-            ),
-            EventKind::JobDone { job, cache_hit } => format!(
-                "{{\"name\":\"job-done\",\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\
-                 \"tid\":{tid},\"ts\":{ts:.6},\"args\":{{\"job\":{job},\"cache_hit\":{cache_hit}}}}}"
             ),
         };
         row(&mut out, &body);
@@ -340,7 +319,7 @@ mod tests {
     fn chrome_trace_has_tracks_spans_and_counters() {
         let json = chrome_trace(&events(), &[sample(10, 0), sample(10, 1)]);
         assert_balanced_json(&json);
-        assert!(json.starts_with("{\"schema_version\":1,\"traceEvents\":["));
+        assert!(json.starts_with("{\"schema_version\":2,\"traceEvents\":["));
         // Process/track metadata for both GPUs seen in the data.
         assert!(json.contains("\"name\":\"GPU0\""));
         assert!(json.contains("\"name\":\"GPU1\""));
@@ -353,42 +332,6 @@ mod tests {
         // Counters from the samples.
         assert!(json.contains("\"name\":\"rwq_entries\""));
         assert!(json.contains("\"hdr\":2,\"data\":16"));
-    }
-
-    #[test]
-    fn farm_events_render_on_the_serving_track() {
-        let events = vec![
-            TraceEvent {
-                time: SimTime::from_ns(1),
-                gpu: 0,
-                kind: EventKind::JobSubmitted { job: 7 },
-            },
-            TraceEvent {
-                time: SimTime::from_ns(2),
-                gpu: 0,
-                kind: EventKind::JobStart { job: 7 },
-            },
-            TraceEvent {
-                time: SimTime::from_ns(3),
-                gpu: 0,
-                kind: EventKind::JobDone {
-                    job: 7,
-                    cache_hit: false,
-                },
-            },
-            TraceEvent {
-                time: SimTime::from_ns(4),
-                gpu: 1,
-                kind: EventKind::JobCacheHit { job: 8 },
-            },
-        ];
-        let json = chrome_trace(&events, &[]);
-        assert_balanced_json(&json);
-        assert!(json.contains("farm (serving)"));
-        assert!(json
-            .contains("\"name\":\"job-submitted\",\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":5"));
-        assert!(json.contains("\"args\":{\"job\":7,\"cache_hit\":false}"));
-        assert!(json.contains("\"name\":\"job-cache-hit\""));
     }
 
     #[test]

@@ -142,7 +142,7 @@ mod tests {
     /// Registration is derived from the registries, not re-listed: every
     /// entry's constructor must produce a workload whose `name()` matches
     /// its registry key, and keys must be unique across *both* tables
-    /// (collectives share the CLI/farm name namespace with the suite).
+    /// (collectives share the CLI name namespace with the suite).
     #[test]
     fn registries_are_consistent_and_collision_free() {
         let tuning = CollectiveTuning::default();

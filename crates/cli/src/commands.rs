@@ -1531,16 +1531,37 @@ fn load_trace(args: &Args) -> Result<gpu_model::KernelTrace, CliError> {
     read_trace(&bytes).map_err(|e| CliError::Failed(format!("{path}: {e}")))
 }
 
+/// GPU0 of the `--gpus` node that `replay` and `analyze` run `trace` on.
+/// A node too small for the addresses the trace touches (it was
+/// recorded on a larger one) is a usage error, not a routing panic.
+fn replay_gpu(args: &Args, trace: &gpu_model::KernelTrace) -> Result<Gpu, CliError> {
+    let gpus: u8 = args.get_in_range("gpus", 4u8, 1..=64, "integer 1-64")?;
+    let map = AddressMap::new(gpus, 16 << 30);
+    if let Some(top) = trace.highest_address() {
+        if top / map.bytes_per_gpu() >= u64::from(gpus) {
+            return Err(CliError::Usage(format!(
+                "--gpus {gpus} is too small for trace `{}`: it touches address {top:#x}, \
+                 outside a {gpus}-GPU node (16 GiB per GPU)",
+                trace.name
+            )));
+        }
+    }
+    Ok(Gpu::new(gpu_model::GpuConfig::gv100(), GpuId::new(0), map))
+}
+
 /// `replay --trace <file> [--gpus N]`
 pub(crate) fn replay(args: &Args) -> Result<String, CliError> {
     args.expect_only(&["trace", "gpus"])?;
     let trace = load_trace(args)?;
-    let gpus: u8 = args.get_in_range("gpus", 4u8, 1..=64, "integer 1-64")?;
-    let map = AddressMap::new(gpus, 16 << 30);
-    let gpu = Gpu::new(gpu_model::GpuConfig::gv100(), GpuId::new(0), map);
+    let gpu = replay_gpu(args, &trace)?;
     let run = gpu.execute_kernel(&trace);
     let mut out = String::new();
-    let _ = writeln!(out, "replayed `{}` on GPU0 of {gpus}:", run.name);
+    let _ = writeln!(
+        out,
+        "replayed `{}` on GPU0 of {}:",
+        run.name,
+        gpu.address_map().num_gpus()
+    );
     let _ = writeln!(out, "  kernel time: {}", run.kernel_time);
     let _ = writeln!(
         out,
@@ -1564,15 +1585,13 @@ pub(crate) fn replay(args: &Args) -> Result<String, CliError> {
 pub(crate) fn analyze(args: &Args) -> Result<String, CliError> {
     args.expect_only(&["trace", "gpus", "window-bytes"])?;
     let trace = load_trace(args)?;
-    let gpus: u8 = args.get_in_range("gpus", 4u8, 1..=64, "integer 1-64")?;
     let window: u64 = args.get_parsed("window-bytes", 1u64 << 30, "power-of-two bytes")?;
     if !window.is_power_of_two() {
         return Err(CliError::Usage(
             "--window-bytes must be a power of two".into(),
         ));
     }
-    let map = AddressMap::new(gpus, 16 << 30);
-    let gpu = Gpu::new(gpu_model::GpuConfig::gv100(), GpuId::new(0), map);
+    let gpu = replay_gpu(args, &trace)?;
     let run = gpu.execute_kernel(&trace);
     let profile = profile_run(&run, window);
     let mut out = String::new();

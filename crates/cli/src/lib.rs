@@ -182,12 +182,31 @@ mod tests {
         ])
         .expect("one-GPU record");
         let trace = format!("{dir_s}/jacobi.g0.i0.fpkt");
+        // GPU3 of a 4-GPU node writes outside a 2-GPU one.
+        let dir4 = format!("{dir_s}/four-gpus");
+        run([
+            "record",
+            "--app",
+            "jacobi",
+            "--out",
+            &dir4,
+            "--gpus",
+            "4",
+            "--iterations",
+            "1",
+            "--scale-down",
+            "16",
+        ])
+        .expect("four-GPU record");
+        let trace_g3 = format!("{dir4}/jacobi.g3.i0.fpkt");
         // Each case is `[command, bad flag, value, other options...]`.
         let mut cases: Vec<Vec<&str>> = vec![
             vec!["collectives", "--max-gpus", "65"],
             vec!["area", "--gpus", "1"],
             vec!["replay", "--gpus", "0", "--trace", &trace],
             vec!["analyze", "--gpus", "0", "--trace", &trace],
+            vec!["replay", "--gpus", "2", "--trace", &trace_g3],
+            vec!["analyze", "--gpus", "2", "--trace", &trace_g3],
         ];
         // (command, options it needs, builds a SystemConfig, takes --windows)
         let commands: [(&str, &[&str], bool, bool); 9] = [

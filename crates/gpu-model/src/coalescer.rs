@@ -6,12 +6,19 @@
 //! because peer-GPU writes are not cached or combined in L2 (§III).
 //! This module reproduces that behaviour and is the source of the
 //! store-size distributions in Figure 4.
-
-use std::collections::BTreeMap;
+//!
+//! The kernel works a word at a time: each active lane ORs its byte range
+//! into a `u128` mask for every cache line it touches, the touched lines
+//! are sorted by address, and `trailing_zeros` run extraction turns each
+//! mask into transactions.
 
 use crate::addr::{AddressMap, GpuId};
 use crate::config::GpuConfig;
 use crate::trace::{store_byte, AccessPattern, RemoteStore};
+
+/// Most cache lines one warp store can touch: 32 lanes of at most 8
+/// bytes, over lines of at least 8 bytes, touch at most two lines each.
+const MAX_LINES: usize = 64;
 
 /// One post-coalescing store transaction (local or remote).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,8 +44,15 @@ impl StoreTxn {
 /// Coalesces one warp store instruction into L1-egress transactions.
 ///
 /// Lanes are grouped by cache block; within a block, contiguous runs of
-/// written bytes become one transaction each (lanes writing the same byte
-/// resolve to the highest-numbered lane, matching warp store semantics).
+/// written bytes become one transaction each, in ascending address
+/// order. Lanes writing the same byte merge: every payload byte is
+/// [`store_byte`] of its address, so the winning lane does not matter.
+///
+/// # Panics
+///
+/// Panics if `bytes_per_lane` is outside 1..=8, or if `cfg`'s cache
+/// block is not a power of two in 8..=128 bytes (see
+/// [`GpuConfig::validate`]).
 ///
 /// # Examples
 ///
@@ -64,55 +78,91 @@ pub fn coalesce_warp_store(
     active_mask: u32,
     value_seed: u64,
 ) -> Vec<StoreTxn> {
-    let block = u64::from(cfg.cache_block_bytes);
-    // block base -> (byte offset -> writing lane), BTreeMap for
-    // deterministic ascending-address output.
-    let mut blocks: BTreeMap<u64, BTreeMap<u64, u32>> = BTreeMap::new();
-    for lane in 0..cfg.warp_size {
-        if active_mask & (1 << lane) == 0 {
-            continue;
-        }
-        let addr = pattern.lane_addr(lane, bytes_per_lane);
-        for b in 0..u64::from(bytes_per_lane) {
-            let byte_addr = addr + b;
-            let base = byte_addr / block * block;
-            // Later (higher) lanes win on overlap, as in warp store
-            // semantics where lane order resolves conflicts.
-            blocks.entry(base).or_default().insert(byte_addr, lane);
-        }
-    }
     let mut txns = Vec::new();
-    for bytes in blocks.values() {
-        let mut run_start: Option<u64> = None;
-        let mut prev: u64 = 0;
-        let mut data: Vec<u8> = Vec::new();
-        for &byte_addr in bytes.keys() {
-            match run_start {
-                Some(_) if byte_addr == prev + 1 => {
-                    data.push(store_byte(byte_addr, value_seed));
-                    prev = byte_addr;
-                }
-                Some(start) => {
-                    txns.push(StoreTxn {
-                        addr: start,
-                        data: std::mem::take(&mut data),
-                    });
-                    run_start = Some(byte_addr);
-                    prev = byte_addr;
-                    data.push(store_byte(byte_addr, value_seed));
-                }
-                None => {
-                    run_start = Some(byte_addr);
-                    prev = byte_addr;
-                    data.push(store_byte(byte_addr, value_seed));
+    for_each_txn(
+        cfg,
+        pattern,
+        bytes_per_lane,
+        active_mask,
+        value_seed,
+        |txn| txns.push(txn),
+    );
+    txns
+}
+
+/// The coalescing kernel behind [`coalesce_warp_store`]: hands each
+/// transaction to `sink` in ascending address order. Only the payloads
+/// are allocated; the line masks live on the stack.
+pub(crate) fn for_each_txn(
+    cfg: &GpuConfig,
+    pattern: &AccessPattern,
+    bytes_per_lane: u32,
+    active_mask: u32,
+    value_seed: u64,
+    mut sink: impl FnMut(StoreTxn),
+) {
+    assert!(
+        (1..=8).contains(&bytes_per_lane),
+        "bytes per lane {bytes_per_lane} outside 1..=8"
+    );
+    let block = u64::from(cfg.cache_block_bytes);
+    assert!(
+        block.is_power_of_two() && (8..=128).contains(&block),
+        "cache block {block}B outside the coalescer's 8-128B"
+    );
+    // Lanes past the warp never execute.
+    let warp_lanes = u32::MAX
+        .checked_shl(cfg.warp_size)
+        .map_or(u32::MAX, |hi| !hi);
+    let mut lines = [(0u64, 0u128); MAX_LINES];
+    let mut n = 0;
+    let mut active = active_mask & warp_lanes;
+    while active != 0 {
+        let lane = active.trailing_zeros();
+        active &= active - 1;
+        let mut at = pattern.lane_addr(lane, bytes_per_lane);
+        let last = at + u64::from(bytes_per_lane - 1);
+        loop {
+            let base = at & !(block - 1);
+            let seg_last = last.min(base | (block - 1));
+            let len = (seg_last - at) as u32 + 1;
+            let bits = (u128::MAX >> (u128::BITS - len)) << (at - base);
+            // Neighbouring lanes mostly share a line: merge into the
+            // last one touched; sorting below folds the rest.
+            match lines[..n].last_mut() {
+                Some((b, mask)) if *b == base => *mask |= bits,
+                _ => {
+                    lines[n] = (base, bits);
+                    n += 1;
                 }
             }
-        }
-        if let Some(start) = run_start {
-            txns.push(StoreTxn { addr: start, data });
+            if seg_last == last {
+                break;
+            }
+            at = seg_last + 1;
         }
     }
-    txns
+    let lines = &mut lines[..n];
+    lines.sort_unstable_by_key(|&(base, _)| base);
+    let mut i = 0;
+    while i < lines.len() {
+        let (base, mut mask) = lines[i];
+        i += 1;
+        while i < lines.len() && lines[i].0 == base {
+            mask |= lines[i].1;
+            i += 1;
+        }
+        while mask != 0 {
+            let start = mask.trailing_zeros();
+            let len = (!(mask >> start)).trailing_zeros();
+            mask &= u128::MAX.checked_shl(start + len).unwrap_or(0);
+            let addr = base + u64::from(start);
+            let data = (0..u64::from(len))
+                .map(|b| store_byte(addr + b, value_seed))
+                .collect();
+            sink(StoreTxn { addr, data });
+        }
+    }
 }
 
 /// Classifies a coalesced transaction as local or remote and converts

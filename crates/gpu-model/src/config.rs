@@ -93,7 +93,9 @@ impl GpuConfig {
     /// # Panics
     ///
     /// Panics if the configuration is inconsistent (e.g. sector size does
-    /// not divide the cache block size).
+    /// not divide the cache block size) or outside what the L1 coalescer
+    /// handles: a cache block of 8-128 bytes (one `u128` byte mask per
+    /// line) and at most 32 lanes (one `u32` active mask per warp).
     pub fn validate(&self) {
         assert!(self.cache_block_bytes.is_power_of_two());
         assert!(self.sector_bytes.is_power_of_two());
@@ -102,7 +104,14 @@ impl GpuConfig {
             0,
             "sectors must tile the cache block"
         );
-        assert!(self.warp_size > 0 && self.warp_size <= 64);
+        assert!(
+            (8..=128).contains(&self.cache_block_bytes),
+            "cache block must be 8-128 bytes"
+        );
+        assert!(
+            self.warp_size > 0 && self.warp_size <= 32,
+            "warp size must be 1-32 lanes"
+        );
         assert!(self.num_sms > 0);
         assert!(self.max_threads_per_cta <= self.max_threads_per_sm);
     }
@@ -143,6 +152,22 @@ mod tests {
         let c = GpuConfig::gv100();
         // 1.4 GHz -> 714ps period (rounded).
         assert_eq!(c.clock.cycles_to_time(1), SimTime::from_ps(714));
+    }
+
+    #[test]
+    #[should_panic(expected = "cache block must be 8-128 bytes")]
+    fn oversized_cache_block_panics() {
+        let mut c = GpuConfig::gv100();
+        c.cache_block_bytes = 256;
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "warp size must be 1-32 lanes")]
+    fn warp_wider_than_the_active_mask_panics() {
+        let mut c = GpuConfig::gv100();
+        c.warp_size = 64;
+        c.validate();
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use sim_engine::{Histogram, SimTime};
 
 use crate::addr::{AddressMap, GpuId};
-use crate::coalescer::{coalesce_warp_store, route_txn};
+use crate::coalescer::{for_each_txn, route_txn};
 use crate::config::GpuConfig;
 use crate::trace::{KernelTrace, RemoteStore, TraceOp};
 
@@ -68,6 +68,30 @@ impl KernelStats {
             remote_atomics: 0,
             remote_loads: 0,
         }
+    }
+
+    /// Adds `other`'s counts into these (merging runs across GPUs and
+    /// iterations). Every field is destructured, so a new field cannot
+    /// be left out of the merge.
+    pub fn merge(&mut self, other: &KernelStats) {
+        let KernelStats {
+            remote_size_hist,
+            remote_bytes,
+            remote_stores,
+            local_bytes,
+            local_stores,
+            compute_cycles,
+            remote_atomics,
+            remote_loads,
+        } = other;
+        self.remote_size_hist.merge(remote_size_hist);
+        self.remote_bytes += remote_bytes;
+        self.remote_stores += remote_stores;
+        self.local_bytes += local_bytes;
+        self.local_stores += local_stores;
+        self.compute_cycles += compute_cycles;
+        self.remote_atomics += remote_atomics;
+        self.remote_loads += remote_loads;
     }
 
     /// Mean remote store size in bytes, or `None` if no remote stores.
@@ -191,31 +215,32 @@ impl Gpu {
                     active_mask,
                     value_seed,
                 } => {
-                    let txns = coalesce_warp_store(
+                    let clock = &mut sm_clock[next_store_sm];
+                    for_each_txn(
                         &self.config,
                         pattern,
                         *bytes_per_lane,
                         *active_mask,
                         *value_seed,
+                        |txn| {
+                            *clock += u64::from(self.config.store_issue_cycles);
+                            match route_txn(&self.map, self.id, txn) {
+                                Ok(remote) => {
+                                    stats.remote_size_hist.record(u64::from(remote.len()));
+                                    stats.remote_bytes += u64::from(remote.len());
+                                    stats.remote_stores += 1;
+                                    egress.push(TimedStore {
+                                        time: self.config.clock.cycles_to_time(*clock),
+                                        store: remote,
+                                    });
+                                }
+                                Err(local) => {
+                                    stats.local_bytes += u64::from(local.len());
+                                    stats.local_stores += 1;
+                                }
+                            }
+                        },
                     );
-                    for txn in txns {
-                        sm_clock[next_store_sm] += u64::from(self.config.store_issue_cycles);
-                        match route_txn(&self.map, self.id, txn) {
-                            Ok(remote) => {
-                                stats.remote_size_hist.record(u64::from(remote.len()));
-                                stats.remote_bytes += u64::from(remote.len());
-                                stats.remote_stores += 1;
-                                egress.push(TimedStore {
-                                    time: self.config.clock.cycles_to_time(sm_clock[next_store_sm]),
-                                    store: remote,
-                                });
-                            }
-                            Err(local) => {
-                                stats.local_bytes += u64::from(local.len());
-                                stats.local_stores += 1;
-                            }
-                        }
-                    }
                     next_store_sm = (next_store_sm + 1) % num_sms;
                 }
                 TraceOp::Fence => {

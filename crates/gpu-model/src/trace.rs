@@ -167,6 +167,54 @@ impl KernelTrace {
             .filter(|op| matches!(op, TraceOp::RemoteLoad { .. }))
             .count()
     }
+
+    /// The highest byte address any store, load or atomic touches, or
+    /// `None` if no op touches memory. Saturates at `u64::MAX`, so a
+    /// hostile trace cannot overflow it. Replaying needs a node whose
+    /// address map covers this address.
+    pub fn highest_address(&self) -> Option<u64> {
+        self.ops.iter().filter_map(TraceOp::highest_address).max()
+    }
+}
+
+impl TraceOp {
+    /// The highest byte address this op touches (see
+    /// [`KernelTrace::highest_address`]).
+    fn highest_address(&self) -> Option<u64> {
+        let (first, bytes) = match self {
+            TraceOp::Compute { .. } | TraceOp::Fence => return None,
+            TraceOp::RemoteLoad { addr, bytes } | TraceOp::RemoteAtomic { addr, bytes, .. } => {
+                (*addr, *bytes)
+            }
+            TraceOp::WarpStore {
+                pattern,
+                bytes_per_lane,
+                active_mask,
+                ..
+            } => {
+                // Lane addresses ascend with the lane in the regular
+                // patterns, so the highest active lane writes highest.
+                let top_lane = u64::from(31u32.checked_sub(active_mask.leading_zeros())?);
+                let first = match pattern {
+                    AccessPattern::Contiguous { base } => {
+                        base.saturating_add(top_lane * u64::from(*bytes_per_lane))
+                    }
+                    AccessPattern::Strided { base, stride } => {
+                        base.saturating_add(top_lane.saturating_mul(*stride))
+                    }
+                    AccessPattern::Scattered { addrs } => addrs
+                        .iter()
+                        .take(32)
+                        .enumerate()
+                        .filter(|&(lane, _)| active_mask >> lane & 1 == 1)
+                        .map(|(_, addr)| *addr)
+                        .max()?,
+                };
+                (first, *bytes_per_lane)
+            }
+        };
+        Some(first.saturating_add(u64::from(bytes).saturating_sub(1)))
+    }
 }
 
 /// Deterministic data byte for address `addr` under `seed`.
@@ -253,6 +301,52 @@ mod tests {
         assert_eq!(t.total_compute_cycles(), 15);
         assert_eq!(t.store_count(), 1);
         assert!(!t.is_empty());
+    }
+
+    #[test]
+    fn highest_address_covers_every_active_byte() {
+        let store = |pattern, active_mask| TraceOp::WarpStore {
+            pattern,
+            bytes_per_lane: 4,
+            active_mask,
+            value_seed: 0,
+        };
+        let mut t = KernelTrace::new("k");
+        t.push(TraceOp::Compute { cycles: 10 });
+        assert_eq!(t.highest_address(), None);
+        // An empty mask writes nothing.
+        t.push(store(AccessPattern::Contiguous { base: 1 << 40 }, 0));
+        assert_eq!(t.highest_address(), None);
+        // Lane 2 of a contiguous store: 0x100 + 8, bytes 0x108..=0x10b.
+        t.push(store(AccessPattern::Contiguous { base: 0x100 }, 0b101));
+        assert_eq!(t.highest_address(), Some(0x10b));
+        t.push(store(
+            AccessPattern::Strided {
+                base: 0x1000,
+                stride: 0x100,
+            },
+            0b11,
+        ));
+        assert_eq!(t.highest_address(), Some(0x1103));
+        // Inactive scattered lanes do not count.
+        t.push(store(
+            AccessPattern::Scattered {
+                addrs: vec![0x9000, 1 << 50, 0x8000],
+            },
+            0b101,
+        ));
+        assert_eq!(t.highest_address(), Some(0x9003));
+        t.push(TraceOp::RemoteLoad {
+            addr: 0xA000,
+            bytes: 8,
+        });
+        assert_eq!(t.highest_address(), Some(0xA007));
+        t.push(TraceOp::RemoteAtomic {
+            addr: u64::MAX - 1,
+            bytes: 8,
+            value_seed: 0,
+        });
+        assert_eq!(t.highest_address(), Some(u64::MAX));
     }
 
     #[test]

@@ -225,10 +225,19 @@ pub fn read_trace(bytes: &[u8]) -> Result<KernelTrace, TraceIoError> {
                 if !(1..=8).contains(&bytes_per_lane) {
                     return Err(TraceIoError::InvalidField("bytes per lane"));
                 }
+                let active_mask = buf.get_u32_le()?;
+                if let AccessPattern::Scattered { addrs } = &pattern {
+                    // Every active lane needs an address to write.
+                    if u64::from(active_mask) >> addrs.len() != 0 {
+                        return Err(TraceIoError::InvalidField(
+                            "active mask names a lane past the address list",
+                        ));
+                    }
+                }
                 TraceOp::WarpStore {
                     pattern,
                     bytes_per_lane,
-                    active_mask: buf.get_u32_le()?,
+                    active_mask,
                     value_seed: buf.get_u64_le()?,
                 }
             }

@@ -1,14 +1,140 @@
 //! Randomized property tests for the GPU model: the L1 coalescer must
 //! cover exactly the bytes the warp wrote, with per-lane conflict
-//! resolution, and routing must partition cleanly by address ownership.
+//! resolution, and must equal a per-byte reference coalescer; routing
+//! must partition cleanly by address ownership.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use gpu_model::{
     coalesce_warp_store, route_txn, store_byte, AccessPattern, AddressMap, GpuConfig, GpuId,
-    MemoryImage,
+    MemoryImage, StoreTxn,
 };
 use sim_engine::DetRng;
+
+/// The reference coalescer the line-mask kernel replaced: one map insert
+/// per written byte, grouped by cache block, ascending by address.
+/// Slow but plainly correct; the differential test below holds the
+/// kernel to it transaction for transaction.
+fn oracle_coalesce(
+    cfg: &GpuConfig,
+    pattern: &AccessPattern,
+    bytes_per_lane: u32,
+    active_mask: u32,
+    value_seed: u64,
+) -> Vec<StoreTxn> {
+    let block = u64::from(cfg.cache_block_bytes);
+    // block base -> (byte offset -> writing lane), BTreeMap for
+    // deterministic ascending-address output.
+    let mut blocks: BTreeMap<u64, BTreeMap<u64, u32>> = BTreeMap::new();
+    for lane in 0..cfg.warp_size {
+        if active_mask & (1 << lane) == 0 {
+            continue;
+        }
+        let addr = pattern.lane_addr(lane, bytes_per_lane);
+        for b in 0..u64::from(bytes_per_lane) {
+            let byte_addr = addr + b;
+            let base = byte_addr / block * block;
+            // Later (higher) lanes win on overlap, as in warp store
+            // semantics where lane order resolves conflicts.
+            blocks.entry(base).or_default().insert(byte_addr, lane);
+        }
+    }
+    let mut txns = Vec::new();
+    for bytes in blocks.values() {
+        let mut run_start: Option<u64> = None;
+        let mut prev: u64 = 0;
+        let mut data: Vec<u8> = Vec::new();
+        for &byte_addr in bytes.keys() {
+            match run_start {
+                Some(_) if byte_addr == prev + 1 => {
+                    data.push(store_byte(byte_addr, value_seed));
+                    prev = byte_addr;
+                }
+                Some(start) => {
+                    txns.push(StoreTxn {
+                        addr: start,
+                        data: std::mem::take(&mut data),
+                    });
+                    run_start = Some(byte_addr);
+                    prev = byte_addr;
+                    data.push(store_byte(byte_addr, value_seed));
+                }
+                None => {
+                    run_start = Some(byte_addr);
+                    prev = byte_addr;
+                    data.push(store_byte(byte_addr, value_seed));
+                }
+            }
+        }
+        if let Some(start) = run_start {
+            txns.push(StoreTxn { addr: start, data });
+        }
+    }
+    txns
+}
+
+/// A lane-0 address a few bytes either side of a line boundary, so that
+/// lanes straddle lines.
+fn near_line_boundary(rng: &mut DetRng, block: u64) -> u64 {
+    (rng.next_in_range(1, 1 << 16) * block)
+        .wrapping_add(rng.next_u64_below(17))
+        .wrapping_sub(8)
+}
+
+/// One warp store of every shape the kernel must handle: contiguous,
+/// strided (including stride 0 and strides below the lane width, so
+/// lanes overlap) and scattered (clustered, so lanes share lines and
+/// overlap, or spread over many lines); masks empty, full, single-lane
+/// or random; 1-8 bytes per lane.
+fn random_warp(rng: &mut DetRng, block: u64) -> (AccessPattern, u32, u32) {
+    let bytes_per_lane = rng.next_in_range(1, 9) as u32;
+    let mask = match rng.next_u64_below(4) {
+        0 => 0,
+        1 => u32::MAX,
+        2 => 1 << rng.next_u64_below(32),
+        _ => rng.next_u64() as u32,
+    };
+    let base = near_line_boundary(rng, block);
+    let pattern = match rng.next_u64_below(3) {
+        0 => AccessPattern::Contiguous { base },
+        1 => AccessPattern::Strided {
+            base,
+            stride: rng.next_u64_below(2 * block + 1),
+        },
+        _ => {
+            let spread = [16, 4 * block, 1 << 20][rng.next_u64_below(3) as usize];
+            AccessPattern::Scattered {
+                addrs: (0..32).map(|_| base + rng.next_u64_below(spread)).collect(),
+            }
+        }
+    };
+    (pattern, bytes_per_lane, mask)
+}
+
+/// The line-mask kernel equals the per-byte oracle transaction for
+/// transaction (order, address and payload) on every cache-block size
+/// and warp width `GpuConfig::validate` accepts.
+#[test]
+fn coalescer_equals_the_per_byte_oracle() {
+    let mut rng = DetRng::new(0x69_0004, "coalescer-oracle");
+    for _ in 0..4096 {
+        let mut cfg = GpuConfig::gv100();
+        cfg.cache_block_bytes = 8 << rng.next_u64_below(5);
+        cfg.sector_bytes = cfg.cache_block_bytes;
+        cfg.warp_size = [32, 32, 16, 1][rng.next_u64_below(4) as usize];
+        cfg.validate();
+        let (pattern, bytes_per_lane, mask) =
+            random_warp(&mut rng, u64::from(cfg.cache_block_bytes));
+        let seed = rng.next_u64();
+        assert_eq!(
+            coalesce_warp_store(&cfg, &pattern, bytes_per_lane, mask, seed),
+            oracle_coalesce(&cfg, &pattern, bytes_per_lane, mask, seed),
+            "{pattern:?}, {bytes_per_lane}B/lane, mask {mask:#x}, {}B lines, {} lanes",
+            cfg.cache_block_bytes,
+            cfg.warp_size
+        );
+    }
+}
 
 fn scattered_warp(rng: &mut DetRng) -> (Vec<u64>, u32, u32) {
     let elem = [1u32, 2, 4, 8][rng.next_u64_below(4) as usize];

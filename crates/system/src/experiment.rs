@@ -177,23 +177,12 @@ impl PreparedWorkload {
 
 /// Merges replay statistics across `[iteration][gpu]` kernel runs.
 fn merge_stats(runs: &[Vec<KernelRun>]) -> KernelStats {
-    let mut merged: Option<KernelStats> = None;
-    for iter in runs {
-        for run in iter {
-            match &mut merged {
-                None => merged = Some(run.stats.clone()),
-                Some(m) => {
-                    m.remote_size_hist.merge(&run.stats.remote_size_hist);
-                    m.remote_bytes += run.stats.remote_bytes;
-                    m.remote_stores += run.stats.remote_stores;
-                    m.local_bytes += run.stats.local_bytes;
-                    m.local_stores += run.stats.local_stores;
-                    m.compute_cycles += run.stats.compute_cycles;
-                }
-            }
-        }
+    let mut all = runs.iter().flatten();
+    let mut merged = all.next().expect("at least one kernel run").stats.clone();
+    for run in all {
+        merged.merge(&run.stats);
     }
-    merged.expect("at least one kernel run")
+    merged
 }
 
 /// One point of a bit-error-rate sweep: how fault injection at `ber`
@@ -843,7 +832,7 @@ pub fn bandwidth_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use workloads::{Jacobi, Pagerank};
+    use workloads::{Jacobi, Pagerank, Synthetic};
 
     fn tiny_cfg() -> (SystemConfig, RunSpec) {
         (SystemConfig::paper(2), RunSpec::tiny())
@@ -965,6 +954,37 @@ mod tests {
         let stats = prep.merged_stats();
         assert!(stats.remote_stores > 0);
         assert_eq!(stats.mean_remote_size(), Some(128.0));
+    }
+
+    /// Every counter, atomics and loads included, is the sum over all
+    /// (iteration, GPU) runs, not only the first run's.
+    #[test]
+    fn merged_stats_sum_every_field_over_runs() {
+        let (cfg, spec) = tiny_cfg();
+        let app = Synthetic::builder()
+            .load_fraction(0.1)
+            .atomic_fraction(0.1)
+            .build();
+        let prep = PreparedWorkload::new(&app, &cfg, &spec);
+        let runs: Vec<&KernelRun> = prep.runs().iter().flatten().collect();
+        assert!(runs.len() > 1);
+        let sum = |field: fn(&KernelStats) -> u64| -> u64 {
+            runs.iter().map(|run| field(&run.stats)).sum()
+        };
+        let merged = prep.merged_stats();
+        assert!(sum(|s| s.remote_atomics) > runs[0].stats.remote_atomics);
+        assert!(sum(|s| s.remote_loads) > runs[0].stats.remote_loads);
+        assert_eq!(merged.remote_atomics, sum(|s| s.remote_atomics));
+        assert_eq!(merged.remote_loads, sum(|s| s.remote_loads));
+        assert_eq!(merged.remote_bytes, sum(|s| s.remote_bytes));
+        assert_eq!(merged.remote_stores, sum(|s| s.remote_stores));
+        assert_eq!(merged.local_bytes, sum(|s| s.local_bytes));
+        assert_eq!(merged.local_stores, sum(|s| s.local_stores));
+        assert_eq!(merged.compute_cycles, sum(|s| s.compute_cycles));
+        assert_eq!(
+            merged.remote_size_hist.total(),
+            sum(|s| s.remote_size_hist.total())
+        );
     }
 
     fn two_apps() -> Vec<Box<dyn Workload>> {

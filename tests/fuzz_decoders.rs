@@ -2,7 +2,9 @@
 //! arbitrary and mutated inputs with an error — never panic, never loop.
 
 use finepack::{FinePackPacket, SubheaderFormat};
-use gpu_model::{read_trace, write_trace, AccessPattern, GpuId, KernelTrace, TraceOp};
+use gpu_model::{
+    read_trace, write_trace, AccessPattern, GpuId, KernelTrace, TraceIoError, TraceOp,
+};
 use protocol::TlpHeader;
 use sim_engine::DetRng;
 
@@ -42,6 +44,38 @@ fn trace_decode_total() {
     for _ in 0..256 {
         let bytes = random_bytes(&mut rng, 1024);
         let _ = read_trace(&bytes);
+    }
+}
+
+/// A scattered store whose active mask names lanes past its address
+/// list is rejected at decode time (replaying it would index past the
+/// list); a mask within the list still decodes.
+#[test]
+fn trace_decode_rejects_active_lanes_without_addresses() {
+    let store = |active_mask| {
+        let mut t = KernelTrace::new("short-scatter");
+        t.push(TraceOp::WarpStore {
+            pattern: AccessPattern::Scattered {
+                addrs: vec![0x40, 0x80, 0xC0, 0x100],
+            },
+            bytes_per_lane: 8,
+            active_mask,
+            value_seed: 0,
+        });
+        t
+    };
+    for mask in [0b1_0000, 0xFF, 1 << 31, u32::MAX] {
+        assert_eq!(
+            read_trace(&write_trace(&store(mask))),
+            Err(TraceIoError::InvalidField(
+                "active mask names a lane past the address list"
+            )),
+            "mask {mask:#x}"
+        );
+    }
+    for mask in [0, 0b1010, 0xF] {
+        let t = store(mask);
+        assert_eq!(read_trace(&write_trace(&t)), Ok(t));
     }
 }
 

@@ -16,6 +16,7 @@
 //! finepack-sim bench --jobs 4 --out BENCH_harness.json
 //! finepack-sim trace --app jacobi --format chrome --out trace.json
 //! finepack-sim audit --app jacobi --gpus 2 --scale-down 16
+//! finepack-sim reproduce --experiment fig09_speedup
 //! ```
 //!
 //! Sweep commands take `--jobs N` to fan out over a worker pool; the
@@ -34,9 +35,11 @@
 mod args;
 mod commands;
 mod error;
+mod experiments;
 
 pub use args::{ArgError, Args};
 pub use error::{CliError, CmdOut, EXIT_CLEAN, EXIT_ERROR, EXIT_PARTIAL};
+pub use experiments::{reproduce_all, Render, EXPERIMENT_REGISTRY};
 
 /// Executes a command line (without the program name) and returns the
 /// report text plus its completion status (clean or partial).
@@ -75,6 +78,7 @@ where
         Some("replay") => commands::replay(&args).map(CmdOut::clean),
         Some("inspect") => commands::inspect(&args).map(CmdOut::clean),
         Some("analyze") => commands::analyze(&args).map(CmdOut::clean),
+        Some("reproduce") => commands::reproduce(&args).map(CmdOut::clean),
         Some(other) => Err(CliError::Usage(format!(
             "unknown command `{other}` (try `help`)"
         ))),
@@ -112,7 +116,16 @@ mod tests {
     fn help_lists_commands() {
         let h = run(["help"]).unwrap();
         for cmd in [
-            "run", "suite", "goodput", "record", "replay", "area", "analyze", "trace", "audit",
+            "run",
+            "suite",
+            "goodput",
+            "record",
+            "replay",
+            "area",
+            "analyze",
+            "trace",
+            "audit",
+            "reproduce",
         ] {
             assert!(h.contains(cmd), "help missing {cmd}");
         }
@@ -207,6 +220,9 @@ mod tests {
             vec!["analyze", "--gpus", "0", "--trace", &trace],
             vec!["replay", "--gpus", "2", "--trace", &trace_g3],
             vec!["analyze", "--gpus", "2", "--trace", &trace_g3],
+            vec!["reproduce", "--experiment", "nope"],
+            // `reproduce` always runs at paper scale.
+            vec!["reproduce", "--scale-down", "8"],
         ];
         // (command, options it needs, builds a SystemConfig, takes --windows)
         let commands: [(&str, &[&str], bool, bool); 9] = [

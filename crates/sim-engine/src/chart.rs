@@ -1,4 +1,4 @@
-//! ASCII bar charts, so the benchmark harness can render paper-figure
+//! ASCII bar charts, so the experiment reports can render paper-figure
 //! lookalikes directly in the terminal.
 
 use std::fmt::Write as _;
@@ -103,11 +103,6 @@ impl BarChart {
         }
         out.push('\n');
         out
-    }
-
-    /// Renders with a default 48-character scale and prints to stdout.
-    pub fn print(&self) {
-        print!("{}", self.render(48));
     }
 }
 

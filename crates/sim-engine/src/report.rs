@@ -1,5 +1,5 @@
-//! Plain-text result tables, used by the benchmark harness to print the
-//! rows/series of each paper figure.
+//! Plain-text result tables: the rows/series of each paper figure and
+//! every CLI report.
 
 use std::fmt::Write as _;
 
@@ -105,11 +105,6 @@ impl Table {
             let _ = writeln!(out, "{}", render_line(row));
         }
         out
-    }
-
-    /// Renders and prints to stdout.
-    pub fn print(&self) {
-        print!("{}", self.render());
     }
 }
 

@@ -1,7 +1,8 @@
 //! Golden-output gate: every suite app and collective under each
 //! transport paradigm and both flow-control regimes, plus one faulted
 //! point, must reproduce its committed `RunReport::canonical_json` byte
-//! for byte. A refactor that claims "no result moves" is held to it here.
+//! for byte, and every registered experiment its rendered report. A
+//! refactor that claims "no result moves" is held to it here.
 //!
 //! On a mismatch the test writes what it got under
 //! `target/golden-actual/` and its failure message prints the `cp` that
@@ -116,4 +117,16 @@ fn faulted_report_matches_golden() {
             report.canonical_json()
         ),
     );
+}
+
+/// Every experiment `finepack-sim reproduce` renders, shrunk to one
+/// iteration at scale-down 256.
+#[test]
+fn reproduce_experiments_match_golden() {
+    let spec = RunSpec {
+        iterations: 1,
+        scale_down: 256,
+        ..RunSpec::paper(GPUS)
+    };
+    check("reproduce.txt", &cli::reproduce_all(&spec));
 }

@@ -235,14 +235,7 @@ mod tests {
     #[test]
     fn every_paradigm_is_clean_on_the_default_config() {
         let cfg = SystemConfig::paper(2);
-        for paradigm in [
-            Paradigm::FinePack,
-            Paradigm::P2pStores,
-            Paradigm::WriteCombining,
-            Paradigm::Gps,
-            Paradigm::BulkDma,
-            Paradigm::InfiniteBw,
-        ] {
+        for paradigm in Paradigm::ALL {
             audit(&Pagerank::default(), &cfg, paradigm).assert_clean();
         }
     }

@@ -1,6 +1,7 @@
 //! The inter-GPU communication paradigms compared in the evaluation.
 
 use std::fmt;
+use std::str::FromStr;
 
 use finepack::{EgressPath, FinePackEgress, GpsEgress, RawP2pEgress, WriteCombiningEgress};
 use gpu_model::GpuId;
@@ -27,6 +28,17 @@ pub enum Paradigm {
 }
 
 impl Paradigm {
+    /// Every paradigm, in the `run` table's order. Name parsing
+    /// ([`FromStr`]) and every all-paradigm sweep derive from this list.
+    pub const ALL: [Paradigm; 6] = [
+        Paradigm::BulkDma,
+        Paradigm::P2pStores,
+        Paradigm::WriteCombining,
+        Paradigm::Gps,
+        Paradigm::FinePack,
+        Paradigm::InfiniteBw,
+    ];
+
     /// The four paradigms plotted in Fig 9, in plot order.
     pub const FIG9: [Paradigm; 4] = [
         Paradigm::BulkDma,
@@ -90,6 +102,18 @@ impl fmt::Display for Paradigm {
     }
 }
 
+impl FromStr for Paradigm {
+    type Err = String;
+
+    /// Parses a paradigm by its [`Display`](fmt::Display) name.
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        Paradigm::ALL
+            .into_iter()
+            .find(|p| p.to_string() == s)
+            .ok_or_else(|| format!("unknown paradigm `{s}`"))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,5 +141,13 @@ mod tests {
         assert_eq!(Paradigm::FinePack.to_string(), "finepack");
         assert_eq!(Paradigm::BulkDma.to_string(), "bulk-dma");
         assert_eq!(Paradigm::InfiniteBw.to_string(), "infinite-bw");
+    }
+
+    #[test]
+    fn names_parse_back() {
+        for p in Paradigm::ALL {
+            assert_eq!(p.to_string().parse::<Paradigm>(), Ok(p));
+        }
+        assert!("warp-drive".parse::<Paradigm>().is_err());
     }
 }

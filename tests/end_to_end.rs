@@ -14,18 +14,10 @@ fn tiny() -> (SystemConfig, RunSpec) {
 #[test]
 fn every_app_runs_under_every_paradigm() {
     let (cfg, spec) = tiny();
-    let paradigms = [
-        Paradigm::BulkDma,
-        Paradigm::P2pStores,
-        Paradigm::FinePack,
-        Paradigm::WriteCombining,
-        Paradigm::Gps,
-        Paradigm::InfiniteBw,
-    ];
     for app in suite() {
         let prep = PreparedWorkload::new(app.as_ref(), &cfg, &spec);
         let mut unique = None;
-        for p in paradigms {
+        for p in Paradigm::ALL {
             let report = prep.run(&cfg, p);
             assert!(
                 report.total_time.as_ps() > 0,

@@ -1,7 +1,7 @@
 //! Full-stack determinism: identical seeds must reproduce identical
 //! simulations — times, wire bytes, packet counts — across independent
 //! runs. This is what makes every number in EXPERIMENTS.md reproducible
-//! with `cargo bench`.
+//! with `finepack-sim reproduce`.
 
 use system::{speedup_row, Paradigm, PreparedWorkload, SystemConfig};
 use workloads::{suite, RunSpec};

@@ -5,14 +5,11 @@ use std::fmt::Write as _;
 use finepack::{AllocationPolicy, AreaModel, FinePackConfig, FlushReason, SubheaderFormat};
 use gpu_model::{profile_run, read_trace, write_trace, AddressMap, Gpu, GpuId};
 use protocol::{fig2_sizes, FramingModel, PcieGen};
-use sim_engine::{
-    ChaosConfig, QuietPanicGuard, RetryPolicy, SimTime, Table, ThroughputReport, WallClock,
-    WorkerPool,
-};
+use sim_engine::{SimTime, Table, WorkerPool};
 use system::{
     audit_run, fault_sweep, run_suite_prepared, run_suite_supervised, scaling_curve,
     single_gpu_time, subheader_sweep, CreditConfig, FaultProfile, FlowControlMode, Paradigm,
-    PreparedWorkload, RunBudget, RunReport, Supervision, SystemConfig, REPORT_SCHEMA_VERSION,
+    PreparedWorkload, RunBudget, RunReport, SystemConfig, REPORT_SCHEMA_VERSION,
 };
 use telemetry::{EventKind, Law, Sample, TraceEvent, TraceHandle, CHROME_TRACE_SCHEMA_VERSION};
 use workloads::{
@@ -37,12 +34,12 @@ COMMANDS:
                    [--ber RATE] [--fault-profile clean|noisy|outage|degraded|stuck]
                    [--json FILE (write per-paradigm reports as
                    versioned canonical JSON)]
-  suite            Fig 9 table for the whole application suite, run
-                   under the supervisor (panic isolation, retries,
-                   budgets, chaos injection)
+  suite            Fig 9 table for the whole application suite; each
+                   app runs isolated, so a panic or a budget trip
+                   fails only its own row
                    [--gpus N] [--pcie 4|5|6] [--scale-down S]
                    [--flow-control open|credited] [--jobs N]
-                   [--retries N] [--chaos RATE] [--run-budget SPEC]
+                   [--run-budget SPEC]
   collectives      AI-training collectives study: per-collective
                    message-size crossover tables (FinePack vs bulk DMA
                    vs plain stores, each as its time over the row's
@@ -53,8 +50,6 @@ COMMANDS:
                    [--gpus N] [--max-gpus N] [--pcie 4|5|6]
                    [--iterations K] [--scale-down S] [--seed S]
                    [--flow-control open|credited] [--jobs N]
-                   [--bench-out FILE]
-                   [--min-events-per-sec F]
   goodput          goodput-vs-size curve (Fig 2)
                    [--framing pcie|cxl|nvlink]
   sweep-subheader  Table II / Fig 12 sub-header sweep
@@ -65,17 +60,6 @@ COMMANDS:
                    [--scale-down S] [--iterations K] [--jobs N]
                    [--flow-control open|credited]
                    [--fault-profile clean|noisy|outage|degraded|stuck]
-  bench            harness self-benchmark: serial vs parallel suite wall
-                   clock, written as JSON; workload prep is untimed, then each variant
-                   runs warmup passes followed by measured reps
-                   reported as mean and sigma
-                   [--gpus N] [--pcie 4|5|6] [--scale-down S]
-                   [--iterations K] [--seed S] [--jobs N]
-                   [--flow-control open|credited]
-                   [--warmup N (default 1)] [--reps N (default 3)]
-                   [--min-events-per-sec F (fail below this serial
-                   throughput; 0 disables the gate)]
-                   [--out FILE (default BENCH_harness.json)]
   trace            run one (app, paradigm) with event tracing and write
                    a Chrome trace_event JSON (chrome://tracing /
                    Perfetto) or a CSV time series
@@ -121,21 +105,15 @@ machine's available parallelism; `--jobs 1` forces the serial path).
 Output is byte-identical for every N — parallelism never changes
 results, only wall-clock time.
 
-SUPERVISION (suite): `--retries N` re-runs a failed sweep point up to N
-extra times with the same derived seed (only the attempt index changes);
-`--chaos RATE` injects deterministic failures (forced panics, slowdowns,
-budget trips) at the given per-kind probability in [0, 1] to exercise
-the supervisor — at a fixed seed the full report, including which points
-failed and after how many retries, is byte-identical at every --jobs;
-`--run-budget SPEC` bounds each run, where SPEC is a plain integer
-(event ceiling) or comma-separated `events=N`, `sim-ms=N`, `stall=N`
-(events without forward progress). Budget trips, panics, and runner
-errors become per-point failures: the table keeps the surviving rows
-and a `failed points` section lists the rest.
+RUN BUDGETS: `--run-budget SPEC` (run, suite, trace) bounds each run,
+where SPEC is a plain integer (event ceiling) or comma-separated
+`events=N`, `sim-ms=N`, `stall=N` (events without forward progress).
+In `suite`, budget trips, panics, and runner errors become per-point
+failures: the table keeps the surviving rows and a `failed points`
+section lists the rest, the same at every --jobs.
 
-EXIT CODES: 0 clean; 3 partial results (some supervised sweep points
-failed after retries); 2 unrecoverable (usage, I/O, or simulation
-error).
+EXIT CODES: 0 clean; 3 partial results (some suite points failed);
+2 unrecoverable (usage, I/O, or simulation error).
 "
     .to_string()
 }
@@ -578,62 +556,23 @@ pub(crate) fn suite_table(args: &Args) -> Result<CmdOut, CliError> {
         "seed",
         "jobs",
         "flow-control",
-        "retries",
-        "chaos",
         "run-budget",
     ])?;
     let spec = spec_from(args)?;
     let cfg = system_from(args, &spec)?;
     let pool = pool_from(args)?;
-    Ok(suite_report(&spec, &cfg, &pool, supervision_from(args)?))
+    Ok(suite_report(&spec, &cfg, &pool))
 }
 
-/// Parses `--retries N` and `--chaos RATE` (a per-kind injection
-/// probability in [0, 1]).
-fn supervision_from(args: &Args) -> Result<Supervision, ArgError> {
-    let chaos = match args.get("chaos") {
-        None => None,
-        Some(_) => Some(ChaosConfig::uniform(args.get_in_range(
-            "chaos",
-            0.0,
-            0.0..=1.0,
-            "injection rate in [0, 1]",
-        )?)),
-    };
-    Ok(Supervision {
-        policy: RetryPolicy::retries(args.get_parsed("retries", 0u32, "retry count")?),
-        chaos,
-    })
-}
-
-/// Renders the supervised `suite` table, including the retried/failed
-/// sections and the partial-results epilogue.
-fn suite_report(
-    spec: &RunSpec,
-    cfg: &SystemConfig,
-    pool: &WorkerPool,
-    supervision: Supervision,
-) -> CmdOut {
-    // Chaos panics are expected noise: silence the default panic hook's
-    // stderr chatter while the supervisor catches them.
-    let _quiet = supervision
-        .chaos
-        .as_ref()
-        .map(|_| QuietPanicGuard::engage());
-    let sup = run_suite_supervised(
-        &suite(),
-        cfg,
-        spec,
-        &Paradigm::FIG9,
-        pool,
-        supervision,
-        &TraceHandle::off(),
-    );
+/// Renders the supervised `suite` table, including the failed-points
+/// section and the partial-results epilogue.
+fn suite_report(spec: &RunSpec, cfg: &SystemConfig, pool: &WorkerPool) -> CmdOut {
+    let sup = run_suite_supervised(&suite(), cfg, spec, &Paradigm::FIG9, pool);
     let mut t = Table::new(
         format!("suite speedups on {} GPUs, {}", spec.num_gpus, cfg.pcie_gen),
         &["app", "bulk-dma", "p2p-stores", "finepack", "infinite-bw"],
     );
-    for row in sup.points.iter().filter_map(|p| p.row.as_ref()) {
+    for row in sup.rows() {
         let cell = |p| format!("{:.2}x", row.speedup(p).expect("measured"));
         t.row(&[
             row.app.clone(),
@@ -644,20 +583,6 @@ fn suite_report(
         ]);
     }
     let mut out = t.render();
-    if sup.retried().next().is_some() {
-        let _ = writeln!(out, "\nretried points:");
-        for p in sup.retried() {
-            let verdict = if p.is_ok() {
-                format!("succeeded after {} attempts", p.attempts)
-            } else {
-                format!("failed after {} attempts", p.attempts)
-            };
-            let _ = writeln!(out, "  {}: {verdict}", p.app);
-            for (i, failure) in p.failures.iter().enumerate() {
-                let _ = writeln!(out, "    attempt {}: {failure}", i + 1);
-            }
-        }
-    }
     let partial = !sup.all_ok();
     if partial {
         let failed = sup.failed().count();
@@ -666,46 +591,27 @@ fn suite_report(
             "\nfailed points ({failed} of {} apps):",
             sup.points.len()
         );
-        for p in sup.failed() {
-            let _ = writeln!(
-                out,
-                "  {}: {} (after {} attempts)",
-                p.app,
-                p.final_failure().expect("failed point has a failure"),
-                p.attempts
-            );
+        for (app, failure) in sup.failed() {
+            let _ = writeln!(out, "  {app}: {failure}");
         }
         let _ = writeln!(out, "partial results: exiting with code 3");
     }
-    single_core_warning(&mut out);
-    CmdOut { text: out, partial }
-}
-
-/// The machine's available parallelism (1 when undetectable).
-fn available_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
-/// The single-core caveat `suite` and `bench` print when thread knobs
-/// cannot buy wall-clock time on this machine. Independent of the
-/// `--jobs` value so output stays byte-identical across it.
-fn single_core_warning(out: &mut String) {
-    if available_parallelism() == 1 {
+    // The single-core caveat depends on the machine, not on `--jobs`,
+    // so output stays byte-identical across it.
+    if WorkerPool::default_parallel().jobs() == 1 {
         let _ = writeln!(
             out,
             "warning: this machine reports a single available core; \
              --jobs cannot reduce wall-clock time here"
         );
     }
+    CmdOut { text: out, partial }
 }
 
 /// `collectives ...`: the AI-training collectives study — a fine-vs-bulk
 /// message-size crossover table per collective, then a weak-scaling
 /// curve over growing GPU counts. The report text never includes
-/// wall-clock numbers, so it stays byte-identical across `--jobs`;
-/// throughput goes to `--bench-out` JSON.
+/// wall-clock numbers, so it stays byte-identical across `--jobs`.
 pub(crate) fn collectives(args: &Args) -> Result<String, CliError> {
     args.expect_only(&[
         "collective",
@@ -720,8 +626,6 @@ pub(crate) fn collectives(args: &Args) -> Result<String, CliError> {
         "windows",
         "flow-control",
         "jobs",
-        "bench-out",
-        "min-events-per-sec",
     ])?;
     // The crossover table at a fixed GPU count uses the paper's strong
     // scaling (same semantics as `run`); the scaling section below
@@ -754,7 +658,6 @@ pub(crate) fn collectives(args: &Args) -> Result<String, CliError> {
             }
         };
 
-    let clock = WallClock::start();
     let mut total_events = 0u64;
     let mut out = String::new();
     let paradigms = [Paradigm::BulkDma, Paradigm::P2pStores, Paradigm::FinePack];
@@ -877,32 +780,6 @@ pub(crate) fn collectives(args: &Args) -> Result<String, CliError> {
     }
     out.push_str(&t.render());
     let _ = writeln!(out, "total sim events: {total_events}");
-
-    let wall = clock.elapsed().as_secs_f64();
-    let eps = total_events as f64 / wall.max(f64::MIN_POSITIVE);
-    if let Some(path) = args.get("bench-out") {
-        let json = format!(
-            "{{\n  \"bench\": \"collectives\",\n  \"schema_version\": 1,\n  \
-             \"gpus\": {},\n  \"max_gpus\": {},\n  \"payload_bytes\": {},\n  \
-             \"msg_dist\": \"{}\",\n  \"collectives\": {},\n  \"sim_events\": {},\n  \
-             \"wall_seconds\": {:.6},\n  \"events_per_sec\": {:.1}\n}}\n",
-            spec.num_gpus,
-            max_gpus,
-            tuning.payload_bytes,
-            tuning.msg,
-            names.len(),
-            total_events,
-            wall,
-            eps,
-        );
-        std::fs::write(path, json).map_err(|e| CliError::io(path, e))?;
-    }
-    let floor: f64 = args.get_parsed("min-events-per-sec", 0.0f64, "events/s floor")?;
-    if floor > 0.0 && eps < floor {
-        return Err(CliError::Failed(format!(
-            "collectives throughput {eps:.0} events/s is below the floor {floor:.0}"
-        )));
-    }
     Ok(out)
 }
 
@@ -954,7 +831,7 @@ pub(crate) fn sweep_subheader(args: &Args) -> Result<String, CliError> {
 /// `area [--gpus N]`
 pub(crate) fn area(args: &Args) -> Result<String, CliError> {
     args.expect_only(&["gpus"])?;
-    let gpus: u32 = args.get_in_range("gpus", 4u32, 2..=u32::MAX, "integer >= 2")?;
+    let gpus: u32 = args.get_in_range("gpus", 4u32, 2..=64, "integer 2-64")?;
     let cfg = FinePackConfig::paper(gpus);
     let model = AreaModel::new(cfg);
     let mut out = String::new();
@@ -1223,241 +1100,6 @@ pub(crate) fn audit(args: &Args) -> Result<String, CliError> {
         let _ = writeln!(out, "\nviolating points:\n{failures}");
         Err(CliError::Failed(out))
     }
-}
-
-/// One timed pass over an already-prepared suite, reduced to a
-/// throughput report plus the `Debug`-rendered rows used for the
-/// determinism cross-check. Workload elaboration and single-GPU
-/// baselines happen before the clock starts, so the measurement covers
-/// the event core alone.
-fn timed_prepared(
-    apps: &[system::PreparedApp],
-    cfg: &SystemConfig,
-    pool: &WorkerPool,
-) -> (ThroughputReport, String) {
-    let clock = WallClock::start();
-    let result = run_suite_prepared(apps, cfg, &Paradigm::FIG9, pool);
-    let report = ThroughputReport::new(clock.elapsed(), result.sim_events, result.sim_time);
-    (report, format!("{:?}", result.rows))
-}
-
-/// Mean and sample standard deviation (σ, n-1 denominator; zero for a
-/// single measurement).
-fn mean_sigma(xs: &[f64]) -> (f64, f64) {
-    let n = xs.len().max(1) as f64;
-    let mean = xs.iter().sum::<f64>() / n;
-    let var = if xs.len() > 1 {
-        xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (n - 1.0)
-    } else {
-        0.0
-    };
-    (mean, var.sqrt())
-}
-
-/// Runs `reps` timed passes after `warmup` untimed ones, returning the
-/// per-rep reports, the first pass's rendered rows, and whether every
-/// rep (warmup included) produced identical rows.
-fn measured_reps(
-    apps: &[system::PreparedApp],
-    cfg: &SystemConfig,
-    pool: &WorkerPool,
-    warmup: u32,
-    reps: u32,
-) -> (Vec<ThroughputReport>, String, bool) {
-    let mut rows: Option<String> = None;
-    let mut stable = true;
-    let mut check = |r: String| match &rows {
-        None => rows = Some(r),
-        Some(first) => stable &= *first == r,
-    };
-    for _ in 0..warmup {
-        let (_, r) = timed_prepared(apps, cfg, pool);
-        check(r);
-    }
-    let mut reports = Vec::with_capacity(reps as usize);
-    for _ in 0..reps.max(1) {
-        let (report, r) = timed_prepared(apps, cfg, pool);
-        check(r);
-        reports.push(report);
-    }
-    (reports, rows.expect("at least one rep"), stable)
-}
-
-/// `bench ...`: times the full suite serially and under the worker
-/// pool, checks the outputs match, and writes the comparison as JSON.
-pub(crate) fn bench(args: &Args) -> Result<String, CliError> {
-    args.expect_only(&[
-        "gpus",
-        "pcie",
-        "iterations",
-        "scale-down",
-        "seed",
-        "jobs",
-        "flow-control",
-        "run-budget",
-        "out",
-        "warmup",
-        "reps",
-        "min-events-per-sec",
-    ])?;
-    let spec = spec_from(args)?;
-    let cfg = system_from(args, &spec)?;
-    let pool = pool_from(args)?;
-    let out_path = args.get_or("out", "BENCH_harness.json");
-    let warmup: u32 = args.get_parsed("warmup", 1u32, "warm-up pass count")?;
-    let reps: u32 = args.get_parsed("reps", 3u32, "positive measured-rep count")?;
-    let floor: f64 = args.get_parsed("min-events-per-sec", 0.0f64, "serial events/s floor")?;
-    let apps = suite();
-
-    // Elaborate traces and single-GPU baselines once, outside every
-    // timed region: the benchmark measures event-core throughput, not
-    // workload preparation. Prep cost is still reported, separately.
-    let prep_clock = WallClock::start();
-    let prepared = system::prepare_apps(&apps, &cfg, &spec, &WorkerPool::serial());
-    let prep_seconds = prep_clock.elapsed().as_secs_f64();
-
-    // Warm-up passes pay first-touch costs (page faults, lazy allocator
-    // growth) so no measured rep does; then `reps` measured passes give
-    // a mean and a dispersion instead of a single noisy sample.
-    let (serial_reps, serial_rows, serial_stable) =
-        measured_reps(&prepared, &cfg, &WorkerPool::serial(), warmup, reps);
-    // Same warmup for the pool: its first-touch costs (thread spawn,
-    // per-worker allocator growth) must not bias the speedup ratio.
-    let (parallel_reps, parallel_rows, parallel_stable) =
-        measured_reps(&prepared, &cfg, &pool, warmup, reps);
-    let deterministic = serial_stable && parallel_stable && serial_rows == parallel_rows;
-    let eps = |r: &ThroughputReport| r.events_per_sec();
-    let wall = |r: &ThroughputReport| r.wall.as_secs_f64();
-    let (serial_eps, serial_eps_sigma) =
-        mean_sigma(&serial_reps.iter().map(eps).collect::<Vec<_>>());
-    let (serial_wall, serial_wall_sigma) =
-        mean_sigma(&serial_reps.iter().map(wall).collect::<Vec<_>>());
-    let (parallel_eps, parallel_eps_sigma) =
-        mean_sigma(&parallel_reps.iter().map(eps).collect::<Vec<_>>());
-    let (parallel_wall, parallel_wall_sigma) =
-        mean_sigma(&parallel_reps.iter().map(wall).collect::<Vec<_>>());
-    let speedup = serial_wall / parallel_wall.max(f64::MIN_POSITIVE);
-
-    // A sub-1.0 "speedup" on a box with one usable core is thread
-    // overhead, not a harness regression: record the machine's
-    // parallelism alongside the numbers so consumers can tell.
-    let available = available_parallelism();
-    let single_core = available == 1 || pool.jobs() == 1;
-
-    let queue_backend = sim_engine::EventQueue::<u8>::new().backend_name();
-    let json = format!(
-        "{{\n  \"bench\": \"harness\",\n  \"schema_version\": 1,\n  \
-         \"queue_backend\": \"{}\",\n  \"gpus\": {},\n  \
-         \"pcie\": \"{}\",\n  \
-         \"iterations\": {},\n  \"scale_down\": {},\n  \"seed\": {},\n  \"apps\": {},\n  \
-         \"jobs\": {},\n  \"available_parallelism\": {},\n  \
-         \"single_core\": {},\n  \"warmup_reps\": {},\n  \"measured_reps\": {},\n  \
-         \"prep_seconds\": {:.6},\n  \
-         \"sim_events\": {},\n  \"sim_time_ps\": {},\n  \
-         \"serial\": {{ \"wall_seconds\": {:.6}, \"wall_seconds_sigma\": {:.6}, \
-         \"events_per_sec\": {:.1}, \"events_per_sec_sigma\": {:.1}, \
-         \"sim_ps_per_wall_sec\": {:.1} }},\n  \
-         \"parallel\": {{ \"wall_seconds\": {:.6}, \"wall_seconds_sigma\": {:.6}, \
-         \"events_per_sec\": {:.1}, \"events_per_sec_sigma\": {:.1}, \
-         \"sim_ps_per_wall_sec\": {:.1} }},\n  \"speedup\": {:.3},\n  \
-         \"parallel_efficiency\": {:.3},\n  \"deterministic\": {}\n}}\n",
-        queue_backend,
-        spec.num_gpus,
-        cfg.pcie_gen,
-        spec.iterations,
-        spec.scale_down,
-        spec.seed,
-        apps.len(),
-        pool.jobs(),
-        available,
-        single_core,
-        warmup,
-        serial_reps.len(),
-        prep_seconds,
-        serial_reps[0].events,
-        serial_reps[0].sim_time.as_ps(),
-        serial_wall,
-        serial_wall_sigma,
-        serial_eps,
-        serial_eps_sigma,
-        serial_reps[0].sim_time.as_ps() as f64 / serial_wall.max(f64::MIN_POSITIVE),
-        parallel_wall,
-        parallel_wall_sigma,
-        parallel_eps,
-        parallel_eps_sigma,
-        parallel_reps[0].sim_time.as_ps() as f64 / parallel_wall.max(f64::MIN_POSITIVE),
-        speedup,
-        speedup / pool.jobs() as f64,
-        deterministic,
-    );
-    std::fs::write(out_path, &json).map_err(|e| CliError::io(out_path, e))?;
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "harness bench: {} apps x {} paradigms, {} GPUs, scale-down {}, \
-         {} queue, {warmup} warmup + {} reps (prep {:.0} ms untimed)",
-        apps.len(),
-        Paradigm::FIG9.len(),
-        spec.num_gpus,
-        spec.scale_down,
-        queue_backend,
-        serial_reps.len(),
-        1e3 * prep_seconds,
-    );
-    let _ = writeln!(
-        out,
-        "  serial   (1 job):  {:>9.2} ms, {:.0} events/s (sigma {:.0})",
-        1e3 * serial_wall,
-        serial_eps,
-        serial_eps_sigma,
-    );
-    let _ = writeln!(
-        out,
-        "  parallel ({} jobs): {:>8.2} ms, {:.0} events/s (sigma {:.0})",
-        pool.jobs(),
-        1e3 * parallel_wall,
-        parallel_eps,
-        parallel_eps_sigma,
-    );
-    let _ = writeln!(
-        out,
-        "  speedup: {speedup:.2}x  deterministic: {deterministic}  -> {out_path}"
-    );
-    if single_core {
-        let _ = writeln!(
-            out,
-            "  note: single-core run (available parallelism {available}, jobs {}); \
-             speedup reflects thread overhead, not harness performance",
-            pool.jobs()
-        );
-    }
-    single_core_warning(&mut out);
-    if !deterministic {
-        return Err(CliError::Failed(format!(
-            "parallel suite output diverged from serial (jobs = {})",
-            pool.jobs()
-        )));
-    }
-    // The CI regression gate: fail when mean serial throughput drops
-    // below the committed floor. Overridable per invocation by passing
-    // a lower (or zero) `--min-events-per-sec`.
-    if floor > 0.0 && serial_eps < floor {
-        let _ = writeln!(
-            out,
-            "FAIL: serial throughput {serial_eps:.0} events/s is below the floor \
-             {floor:.0} (sigma {serial_eps_sigma:.0}); lower or drop \
-             --min-events-per-sec to override"
-        );
-        return Err(CliError::Failed(out));
-    }
-    if floor > 0.0 {
-        let _ = writeln!(
-            out,
-            "  bench gate: {serial_eps:.0} events/s >= floor {floor:.0}"
-        );
-    }
-    Ok(out)
 }
 
 /// `record --app <name> --out <dir> ...`
@@ -1820,9 +1462,6 @@ mod tests {
     #[test]
     fn supervision_flags_are_validated() {
         for bad in [
-            vec!["suite", "--chaos", "2.0"],
-            vec!["suite", "--chaos", "lots"],
-            vec!["suite", "--retries", "-1"],
             vec!["suite", "--run-budget", "0"],
             vec!["suite", "--run-budget", "events=ten"],
             vec!["suite", "--run-budget", "cycles=5"],
@@ -1902,45 +1541,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_writes_json_and_reports_speedup() {
-        let out_file = std::env::temp_dir().join("finepack-bench-test.json");
-        let out_s = out_file.to_str().expect("utf-8 temp path");
-        let rendered = bench(
-            &Args::parse([
-                "bench",
-                "--gpus",
-                "2",
-                "--scale-down",
-                "16",
-                "--iterations",
-                "1",
-                "--jobs",
-                "2",
-                "--out",
-                out_s,
-            ])
-            .unwrap(),
-        )
-        .unwrap();
-        assert!(rendered.contains("speedup"), "{rendered}");
-        assert!(rendered.contains("deterministic: true"), "{rendered}");
-        let json = std::fs::read_to_string(out_s).unwrap();
-        for key in [
-            "\"bench\": \"harness\"",
-            "\"schema_version\": 1",
-            "\"jobs\": 2",
-            "\"sim_events\"",
-            "\"serial\"",
-            "\"parallel\"",
-            "\"speedup\"",
-            "\"deterministic\": true",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
-        let _ = std::fs::remove_file(&out_file);
-    }
-
-    #[test]
     fn trace_writes_chrome_json_and_csv() {
         let json_file = std::env::temp_dir().join("finepack-trace-test.json");
         let json_s = json_file.to_str().expect("utf-8 temp path");
@@ -1967,7 +1567,7 @@ mod tests {
         assert!(rendered.contains("(chrome)"), "{rendered}");
         let json = std::fs::read_to_string(json_s).unwrap();
         assert!(
-            json.starts_with("{\"schema_version\":2,\"traceEvents\":["),
+            json.starts_with("{\"schema_version\":3,\"traceEvents\":["),
             "{}",
             &json[..80]
         );

@@ -8,7 +8,7 @@
 //! | code | meaning |
 //! |------|---------|
 //! | 0    | clean: the command completed and every sweep point succeeded |
-//! | 3    | partial: the command completed but some supervised sweep points failed after retries |
+//! | 3    | partial: the command completed but some suite points failed |
 //! | 2    | unrecoverable: bad usage, I/O failure, or a simulation error |
 
 use std::fmt;
@@ -21,7 +21,7 @@ pub const EXIT_CLEAN: i32 = 0;
 /// simulation failure).
 pub const EXIT_ERROR: i32 = 2;
 /// Process exit code for a partial result: the command completed but
-/// some supervised sweep points failed after exhausting their retries.
+/// some suite points failed.
 pub const EXIT_PARTIAL: i32 = 3;
 
 /// Why a CLI command failed unrecoverably.
@@ -79,8 +79,8 @@ impl From<ArgError> for CliError {
 pub struct CmdOut {
     /// The report text to print.
     pub text: String,
-    /// True when some supervised sweep points failed after retries and
-    /// the output holds partial results (exit code [`EXIT_PARTIAL`]).
+    /// True when some suite points failed and the output holds partial
+    /// results (exit code [`EXIT_PARTIAL`]).
     pub partial: bool,
 }
 

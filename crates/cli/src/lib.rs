@@ -13,7 +13,6 @@
 //! finepack-sim record --app jacobi --out /tmp/traces
 //! finepack-sim replay --trace /tmp/traces/jacobi.g0.i0.fpkt
 //! finepack-sim area --gpus 16
-//! finepack-sim bench --jobs 4 --out BENCH_harness.json
 //! finepack-sim trace --app jacobi --format chrome --out trace.json
 //! finepack-sim audit --app jacobi --gpus 2 --scale-down 16
 //! finepack-sim reproduce --experiment fig09_speedup
@@ -21,11 +20,10 @@
 //!
 //! Sweep commands take `--jobs N` to fan out over a worker pool; the
 //! output is byte-identical for every `N` (parallelism changes only
-//! wall-clock time, never results). The `suite` sweep additionally
-//! runs under a supervisor: `--retries`, `--chaos`, and `--run-budget`
-//! control panic isolation, deterministic fault injection, and run
-//! budgets, and partial results exit with a distinct code (see
-//! [`EXIT_PARTIAL`]).
+//! wall-clock time, never results). The `suite` sweep runs each app
+//! isolated: a panic, a runner error or a `--run-budget` trip fails
+//! only that app's row, and partial results exit with a distinct code
+//! (see [`EXIT_PARTIAL`]).
 //!
 //! The library surface exists so the dispatcher is unit-testable; the
 //! binary (`src/main.rs`) is a thin wrapper around [`execute`].
@@ -70,7 +68,6 @@ where
         Some("collectives") => commands::collectives(&args).map(CmdOut::clean),
         Some("sweep-subheader") => commands::sweep_subheader(&args).map(CmdOut::clean),
         Some("faults") => commands::faults(&args).map(CmdOut::clean),
-        Some("bench") => commands::bench(&args).map(CmdOut::clean),
         Some("trace") => commands::trace(&args).map(CmdOut::clean),
         Some("audit") => commands::audit(&args).map(CmdOut::clean),
         Some("area") => commands::area(&args).map(CmdOut::clean),
@@ -162,8 +159,8 @@ mod tests {
         let e = execute(["run", "--app", "jacobi", "--intra-jobs", "2"]).unwrap_err();
         assert_eq!(e.to_string(), "unknown option --intra-jobs");
         assert_eq!(e.exit_code(), EXIT_ERROR);
-        // So are the removed daemon commands.
-        for cmd in ["serve", "submit"] {
+        // So are the removed daemon and self-benchmark commands.
+        for cmd in ["serve", "submit", "bench"] {
             let e = execute([cmd]).unwrap_err();
             assert_eq!(
                 e.to_string(),
@@ -216,6 +213,11 @@ mod tests {
         let mut cases: Vec<Vec<&str>> = vec![
             vec!["collectives", "--max-gpus", "65"],
             vec!["area", "--gpus", "1"],
+            vec!["area", "--gpus", "65"],
+            // Removed options are unknown, not silently ignored.
+            vec!["suite", "--retries", "1"],
+            vec!["suite", "--chaos", "0.1"],
+            vec!["collectives", "--bench-out", "f"],
             vec!["replay", "--gpus", "0", "--trace", &trace],
             vec!["analyze", "--gpus", "0", "--trace", &trace],
             vec!["replay", "--gpus", "2", "--trace", &trace_g3],
@@ -225,7 +227,7 @@ mod tests {
             vec!["reproduce", "--scale-down", "8"],
         ];
         // (command, options it needs, builds a SystemConfig, takes --windows)
-        let commands: [(&str, &[&str], bool, bool); 9] = [
+        let commands: [(&str, &[&str], bool, bool); 8] = [
             ("run", &[], true, true),
             ("suite", &[], true, false),
             ("faults", &[], true, false),
@@ -234,7 +236,6 @@ mod tests {
             ("collectives", &[], true, true),
             ("sweep-subheader", &[], true, false),
             ("record", &["--app", "jacobi", "--out", dir_s], false, false),
-            ("bench", &["--out", dir_s], true, false),
         ];
         for (cmd, needs, simulates, windows) in commands {
             let mut bad = vec![
@@ -266,7 +267,7 @@ mod tests {
         let v = run(["version"]).unwrap();
         assert!(v.starts_with("finepack-sim "), "{v}");
         assert!(v.contains("report schema 1"), "{v}");
-        assert!(v.contains("trace schema 2"), "{v}");
+        assert!(v.contains("trace schema 3"), "{v}");
         // The bare flag has no subcommand, which the arg parser would
         // reject — it must still answer.
         assert_eq!(run(["--version"]).unwrap(), v);

@@ -1,7 +1,7 @@
 //! `finepack-sim`: thin binary wrapper over the [`cli`] library.
 //!
-//! Exit codes: 0 clean, 3 partial results (some supervised sweep
-//! points failed after retries), 2 unrecoverable error.
+//! Exit codes: 0 clean, 3 partial results (some suite points failed),
+//! 2 unrecoverable error.
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();

@@ -15,11 +15,8 @@
 //!   is exactly reproducible.
 //! - [`WorkerPool`] / [`par_map_deterministic`]: deterministic parallel
 //!   sweep execution — ordered results, index-derived task seeds.
-//! - [`map_supervised`] / [`TaskFailure`] / [`RetryPolicy`] /
-//!   [`ChaosConfig`]: supervised sweep execution — panic isolation,
-//!   bounded deterministic retries, chaos injection.
-//! - [`WallClock`] / [`ThroughputReport`]: harness self-measurement
-//!   (events per wall second, simulated time per wall second).
+//! - [`run_isolated`] / [`TaskFailure`]: panic isolation for one sweep
+//!   task, so a panicking point becomes a structured failure.
 //! - [`Table`] / [`geomean`]: plain-text result reporting for the
 //!   benchmark harness.
 //!
@@ -43,7 +40,6 @@ mod bandwidth;
 mod chart;
 mod event;
 mod par;
-mod perf;
 mod report;
 mod rng;
 mod stats;
@@ -54,11 +50,8 @@ pub use bandwidth::Bandwidth;
 pub use chart::BarChart;
 pub use event::{Event, EventQueue};
 pub use par::{derive_task_seed, par_map_deterministic, TaskCtx, WorkerPool};
-pub use perf::{ThroughputReport, WallClock};
 pub use report::{geomean, Table};
 pub use rng::DetRng;
 pub use stats::{Counter, Histogram, Running};
-pub use supervise::{
-    map_supervised, ChaosConfig, QuietPanicGuard, RetryPolicy, TaskFailure, TaskReport,
-};
+pub use supervise::{run_isolated, TaskFailure};
 pub use time::{Frequency, SimTime};

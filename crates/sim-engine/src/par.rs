@@ -45,7 +45,7 @@ use crate::rng::DetRng;
 /// with no lock held). A poisoned slot therefore carries intact data:
 /// recover it instead of cascading a sibling worker's `.expect` panic on
 /// top of the original one.
-pub(crate) fn lock_tolerant<T>(slot: &Mutex<T>) -> MutexGuard<'_, T> {
+fn lock_tolerant<T>(slot: &Mutex<T>) -> MutexGuard<'_, T> {
     slot.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -74,13 +74,6 @@ pub struct TaskCtx {
     pub index: usize,
     /// Seed derived from the sweep's root seed and `index`.
     pub seed: u64,
-    /// Zero-based attempt number under supervised execution (see
-    /// [`map_supervised`](crate::map_supervised)). Always 0 on the
-    /// unsupervised paths. The *seed* is attempt-independent — retries
-    /// replay the same derived stream — so deterministic components
-    /// reproduce exactly, while chaos/diagnostic streams may fold the
-    /// attempt into their label to vary per attempt.
-    pub attempt: u32,
 }
 
 impl TaskCtx {
@@ -115,7 +108,6 @@ where
     let ctx = |index: usize| TaskCtx {
         index,
         seed: derive_task_seed(root_seed, index as u64),
-        attempt: 0,
     };
     if jobs == 1 || n <= 1 {
         // The historical serial path: inline, in order, no threads.
@@ -354,14 +346,5 @@ mod tests {
         assert!(slot.is_poisoned());
         let v = lock_tolerant(&slot).take();
         assert_eq!(v, Some(41));
-    }
-
-    #[test]
-    fn attempt_is_zero_on_unsupervised_paths() {
-        for jobs in [1, 4] {
-            let attempts =
-                par_map_deterministic(jobs, 5, (0..8u32).collect(), |ctx, _| ctx.attempt);
-            assert!(attempts.iter().all(|&a| a == 0), "jobs={jobs}");
-        }
     }
 }

@@ -1,57 +1,34 @@
-//! Supervised sweep execution: panic isolation, deterministic retries,
-//! and chaos injection.
+//! Panic isolation for sweep tasks.
 //!
 //! [`par_map_deterministic`](crate::par_map_deterministic) gives sweeps
 //! deterministic *parallelism* but no failure story: one panicking task
-//! unwinds the whole map. [`map_supervised`] keeps the determinism
-//! contract and adds one:
-//!
-//! - Each attempt of each task runs under `catch_unwind`, so a panicking
-//!   sweep point becomes a structured [`TaskFailure::Panicked`] in that
-//!   point's slot instead of tearing down its siblings.
-//! - A bounded [`RetryPolicy`] re-runs failed tasks with the **same
-//!   derived seed** — a deterministic task fails identically on every
-//!   attempt, which is exactly what makes retries meaningful only for
-//!   injected (chaos) failures and makes reports reproducible. The
-//!   attempt number is exposed via [`TaskCtx::attempt`] so diagnostic
-//!   streams can vary per attempt without perturbing the task's own
-//!   draws.
-//! - An optional [`ChaosConfig`] adversarially exercises the supervisor
-//!   itself: forced panics, slowdowns, and injected failures, all drawn
-//!   from the task's index-derived seed, so a chaos run is byte-identical
-//!   at any worker count.
-//!
-//! Results come back as [`TaskReport`]s **in input order**; the report
-//! records every failed attempt, so a harness can render "which points
-//! failed, after how many retries" deterministically.
+//! unwinds the whole map. Wrapping each task's body in [`run_isolated`]
+//! adds one: a panicking sweep point becomes a structured
+//! [`TaskFailure::Panicked`] in that point's slot instead of tearing
+//! down its siblings. Runs are deterministic, so a failed point is
+//! reported, not retried: a second attempt would fail the same way.
 //!
 //! # Examples
 //!
 //! ```
-//! use sim_engine::{map_supervised, RetryPolicy, TaskFailure};
+//! use sim_engine::{run_isolated, TaskFailure, WorkerPool};
 //!
-//! let reports = map_supervised(4, 42, (0..8u64).collect(), RetryPolicy::none(), None, |_, &x| {
-//!     if x == 3 {
-//!         panic!("task 3 is broken");
-//!     }
-//!     Ok::<u64, TaskFailure>(x * x)
+//! let results = WorkerPool::new(4).map((0..8u64).collect(), |x| {
+//!     run_isolated(|| {
+//!         if x == 3 {
+//!             panic!("task 3 is broken");
+//!         }
+//!         Ok(x * x)
+//!     })
 //! });
-//! assert_eq!(reports[2].result, Some(4));
-//! assert!(matches!(
-//!     reports[3].final_failure(),
-//!     Some(TaskFailure::Panicked { .. })
-//! ));
+//! assert_eq!(results[2], Ok(4));
+//! assert!(matches!(results[3], Err(TaskFailure::Panicked { .. })));
 //! ```
 
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
-use std::time::Duration;
 
-use crate::par::{derive_task_seed, lock_tolerant, TaskCtx};
-
-/// Why a supervised task attempt did not produce a result.
+/// Why an isolated task did not produce a result.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TaskFailure {
     /// The task panicked; `payload` is the stringified panic message.
@@ -73,11 +50,6 @@ pub enum TaskFailure {
         /// The domain error, rendered.
         detail: String,
     },
-    /// The chaos layer injected this failure to exercise the supervisor.
-    Injected {
-        /// Which chaos strike fired.
-        detail: String,
-    },
 }
 
 impl TaskFailure {
@@ -87,7 +59,6 @@ impl TaskFailure {
             TaskFailure::Panicked { .. } => "panic",
             TaskFailure::BudgetExceeded { .. } => "budget",
             TaskFailure::Failed { .. } => "error",
-            TaskFailure::Injected { .. } => "injected",
         }
     }
 }
@@ -98,184 +69,11 @@ impl std::fmt::Display for TaskFailure {
             TaskFailure::Panicked { payload } => write!(f, "panicked: {payload}"),
             TaskFailure::BudgetExceeded { detail } => write!(f, "budget exceeded: {detail}"),
             TaskFailure::Failed { detail } => write!(f, "failed: {detail}"),
-            TaskFailure::Injected { detail } => write!(f, "injected: {detail}"),
         }
     }
 }
 
 impl std::error::Error for TaskFailure {}
-
-/// How many times the supervisor re-runs a failed task.
-///
-/// Retries replay the task with the **same** derived seed (the retry/seed
-/// contract): a deterministic task that failed on its own will fail the
-/// same way again, so retries only help against injected or environmental
-/// failures — and the resulting report is reproducible either way.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    max_attempts: u32,
-}
-
-impl RetryPolicy {
-    /// No retries: one attempt per task.
-    pub fn none() -> Self {
-        RetryPolicy { max_attempts: 1 }
-    }
-
-    /// Up to `retries` re-runs after the first attempt (`retries + 1`
-    /// attempts total, saturating).
-    pub fn retries(retries: u32) -> Self {
-        RetryPolicy {
-            max_attempts: retries.saturating_add(1),
-        }
-    }
-
-    /// Total bounded attempts per task (always ≥ 1).
-    pub fn max_attempts(&self) -> u32 {
-        self.max_attempts
-    }
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy::none()
-    }
-}
-
-/// Deterministic chaos injection rates for supervised maps.
-///
-/// Every strike is drawn from a [`DetRng`](crate::DetRng) keyed by the task's derived
-/// seed and the attempt number — never by wall clock or thread identity —
-/// so whether task 5 panics on attempt 0 is a pure function of
-/// `(root_seed, 5, 0)` and a chaos run is byte-identical at any `jobs`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ChaosConfig {
-    /// Probability an attempt is aborted by a forced panic.
-    pub panic_rate: f64,
-    /// Probability an attempt is slowed by a brief sleep (exercises
-    /// claim-order skew without changing any output).
-    pub slow_rate: f64,
-    /// Probability an attempt returns an injected [`TaskFailure`]
-    /// (models a budget trip without needing a pathological config).
-    pub trip_rate: f64,
-}
-
-impl ChaosConfig {
-    /// All three strike kinds at the same `rate`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate` is outside `[0, 1]`.
-    pub fn uniform(rate: f64) -> Self {
-        let c = ChaosConfig {
-            panic_rate: rate,
-            slow_rate: rate,
-            trip_rate: rate,
-        };
-        c.validate();
-        c
-    }
-
-    /// Validates the rates.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any rate is outside `[0, 1]`.
-    pub fn validate(&self) {
-        for (name, r) in [
-            ("panic_rate", self.panic_rate),
-            ("slow_rate", self.slow_rate),
-            ("trip_rate", self.trip_rate),
-        ] {
-            assert!((0.0..=1.0).contains(&r), "chaos {name} out of range: {r}");
-        }
-    }
-
-    /// Rolls this attempt's strikes. May sleep (slowdown), panic (caught
-    /// by the supervisor), or return an injected failure. All three draws
-    /// happen up front in a fixed order so the stream is stable
-    /// regardless of which strikes fire.
-    fn strike(&self, ctx: &TaskCtx) -> Result<(), TaskFailure> {
-        let mut rng = ctx.rng(&format!("chaos/attempt{}", ctx.attempt));
-        let slow = rng.chance(self.slow_rate);
-        let forced_panic = rng.chance(self.panic_rate);
-        let trip = rng.chance(self.trip_rate);
-        if slow {
-            // Enough to shuffle claim order across workers, cheap enough
-            // for tests: 50–500 µs.
-            let us = 50 + rng.next_u64_below(450);
-            std::thread::sleep(Duration::from_micros(us));
-        }
-        if forced_panic {
-            panic!(
-                "chaos: forced panic (task {}, attempt {})",
-                ctx.index, ctx.attempt
-            );
-        }
-        if trip {
-            return Err(TaskFailure::Injected {
-                detail: format!(
-                    "chaos: forced failure (task {}, attempt {})",
-                    ctx.index, ctx.attempt
-                ),
-            });
-        }
-        Ok(())
-    }
-}
-
-/// The supervised outcome of one task: every failed attempt, plus the
-/// successful result if any attempt produced one.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TaskReport<R> {
-    /// Failures from attempts that produced no result, in attempt order.
-    /// When the task ultimately failed, the last entry is the terminal
-    /// failure.
-    pub failures: Vec<TaskFailure>,
-    /// The successful result, if any attempt produced one.
-    pub result: Option<R>,
-}
-
-impl<R> TaskReport<R> {
-    /// Attempts executed (failed attempts plus the successful one).
-    pub fn attempts(&self) -> u32 {
-        self.failures.len() as u32 + u32::from(self.result.is_some())
-    }
-
-    /// Whether some attempt succeeded.
-    pub fn is_ok(&self) -> bool {
-        self.result.is_some()
-    }
-
-    /// Whether the task ran more than one attempt.
-    pub fn retried(&self) -> bool {
-        self.attempts() > 1
-    }
-
-    /// The terminal failure, when no attempt succeeded.
-    pub fn final_failure(&self) -> Option<&TaskFailure> {
-        if self.result.is_some() {
-            None
-        } else {
-            self.failures.last()
-        }
-    }
-
-    /// Collapses the report into the issue-level outcome: the result, or
-    /// the terminal failure.
-    pub fn into_outcome(self) -> Result<R, TaskFailure> {
-        match self.result {
-            Some(r) => Ok(r),
-            None => Err(self
-                .failures
-                .into_iter()
-                .next_back()
-                .unwrap_or(TaskFailure::Failed {
-                    detail: "no attempt ran".to_string(),
-                })),
-        }
-    }
-}
 
 fn panic_message(payload: Box<dyn Any + Send>) -> String {
     match payload.downcast::<String>() {
@@ -287,351 +85,61 @@ fn panic_message(payload: Box<dyn Any + Send>) -> String {
     }
 }
 
-/// Runs one attempt under `catch_unwind`, turning a panic into a
-/// structured failure.
-fn run_attempt<T, R, F>(
-    f: &F,
-    ctx: TaskCtx,
-    task: &T,
-    chaos: Option<&ChaosConfig>,
-) -> Result<R, TaskFailure>
-where
-    F: Fn(TaskCtx, &T) -> Result<R, TaskFailure> + Sync,
-{
-    // AssertUnwindSafe: the closure only touches `f`, `task`, and the
-    // chaos config through shared references, and a failed attempt's
-    // partial state is discarded wholesale — nothing observes it.
-    let caught = catch_unwind(AssertUnwindSafe(|| {
-        if let Some(c) = chaos {
-            c.strike(&ctx)?;
-        }
-        f(ctx, task)
-    }));
-    match caught {
-        Ok(outcome) => outcome,
-        Err(payload) => Err(TaskFailure::Panicked {
+/// Runs `f` under `catch_unwind`, turning a panic into
+/// [`TaskFailure::Panicked`]; a returned failure passes through.
+///
+/// Call it inside a [`WorkerPool::map`](crate::WorkerPool::map) closure
+/// to keep one point's panic from unwinding the whole sweep. The panic
+/// hook still runs, so the panic message also reaches stderr.
+pub fn run_isolated<R>(f: impl FnOnce() -> Result<R, TaskFailure>) -> Result<R, TaskFailure> {
+    // AssertUnwindSafe: a panicking task's partial state is discarded
+    // wholesale; nothing observes it after the unwind.
+    catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|payload| {
+        Err(TaskFailure::Panicked {
             payload: panic_message(payload),
-        }),
-    }
-}
-
-fn supervise_task<T, R, F>(
-    f: &F,
-    index: usize,
-    root_seed: u64,
-    task: &T,
-    policy: RetryPolicy,
-    chaos: Option<&ChaosConfig>,
-) -> TaskReport<R>
-where
-    F: Fn(TaskCtx, &T) -> Result<R, TaskFailure> + Sync,
-{
-    let seed = derive_task_seed(root_seed, index as u64);
-    let mut failures = Vec::new();
-    for attempt in 0..policy.max_attempts() {
-        let ctx = TaskCtx {
-            index,
-            seed,
-            attempt,
-        };
-        match run_attempt(f, ctx, task, chaos) {
-            Ok(result) => {
-                return TaskReport {
-                    failures,
-                    result: Some(result),
-                }
-            }
-            Err(failure) => failures.push(failure),
-        }
-    }
-    TaskReport {
-        failures,
-        result: None,
-    }
-}
-
-/// Maps `f` over `tasks` on up to `jobs` workers with panic isolation,
-/// bounded deterministic retries, and optional chaos injection, returning
-/// [`TaskReport`]s in input order.
-///
-/// The determinism contract of
-/// [`par_map_deterministic`](crate::par_map_deterministic) carries over:
-/// per-task seeds derive from `root_seed` and the task *index*, results
-/// come back in input order, and `jobs = 1` runs inline in input order.
-/// Retries reuse the same seed with only [`TaskCtx::attempt`]
-/// incremented, and chaos strikes are keyed by `(seed, attempt)`, so the
-/// full report — including which tasks failed and after how many
-/// retries — is byte-identical at every worker count.
-///
-/// Tasks are borrowed (`&T`), not consumed: a retried attempt sees the
-/// identical input.
-///
-/// # Panics
-///
-/// Panics if `jobs == 0` or the chaos rates are out of range. Task panics
-/// do **not** propagate — they become [`TaskFailure::Panicked`].
-pub fn map_supervised<T, R, F>(
-    jobs: usize,
-    root_seed: u64,
-    tasks: Vec<T>,
-    policy: RetryPolicy,
-    chaos: Option<ChaosConfig>,
-    f: F,
-) -> Vec<TaskReport<R>>
-where
-    T: Send + Sync,
-    R: Send,
-    F: Fn(TaskCtx, &T) -> Result<R, TaskFailure> + Sync,
-{
-    assert!(jobs > 0, "worker pool needs at least one job slot");
-    if let Some(c) = &chaos {
-        c.validate();
-    }
-    let n = tasks.len();
-    if jobs == 1 || n <= 1 {
-        // Serial reference path: inline, in order, no threads.
-        return tasks
-            .iter()
-            .enumerate()
-            .map(|(i, t)| supervise_task(&f, i, root_seed, t, policy, chaos.as_ref()))
-            .collect();
-    }
-    let result_slots: Vec<Mutex<Option<TaskReport<R>>>> =
-        (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..jobs.min(n) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let report = supervise_task(&f, i, root_seed, &tasks[i], policy, chaos.as_ref());
-                *lock_tolerant(&result_slots[i]) = Some(report);
-            });
-        }
-    });
-    result_slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap_or_else(PoisonError::into_inner)
-                .expect("every claimed task stored a report")
         })
-        .collect()
-}
-
-impl crate::par::WorkerPool {
-    /// [`map_supervised`] sized by this pool's `jobs`.
-    pub fn map_supervised<T, R, F>(
-        &self,
-        root_seed: u64,
-        tasks: Vec<T>,
-        policy: RetryPolicy,
-        chaos: Option<ChaosConfig>,
-        f: F,
-    ) -> Vec<TaskReport<R>>
-    where
-        T: Send + Sync,
-        R: Send,
-        F: Fn(TaskCtx, &T) -> Result<R, TaskFailure> + Sync,
-    {
-        map_supervised(self.jobs(), root_seed, tasks, policy, chaos, f)
-    }
-}
-
-/// Suppresses the default panic-hook backtrace chatter for panics that a
-/// supervisor is about to catch, for the duration of the returned guard.
-///
-/// The supervised map converts task panics into [`TaskFailure::Panicked`]
-/// values; without this, every caught panic still prints
-/// `thread '…' panicked at …` to stderr through the global hook. The
-/// guard swaps in a hook that stays silent **only** while at least one
-/// guard is alive, then restores the previous behaviour — it is
-/// process-global, so use it in binaries (the CLI), not in library code
-/// that may share a process with unrelated threads.
-#[derive(Debug)]
-pub struct QuietPanicGuard(());
-
-static QUIET_PANICS: AtomicUsize = AtomicUsize::new(0);
-
-impl QuietPanicGuard {
-    /// Engages panic-hook silencing until the guard drops.
-    pub fn engage() -> Self {
-        if QUIET_PANICS.fetch_add(1, Ordering::SeqCst) == 0 {
-            let previous = std::panic::take_hook();
-            std::panic::set_hook(Box::new(move |info| {
-                if QUIET_PANICS.load(Ordering::SeqCst) == 0 {
-                    previous(info);
-                }
-            }));
-        }
-        QuietPanicGuard(())
-    }
-}
-
-impl Drop for QuietPanicGuard {
-    fn drop(&mut self) {
-        QUIET_PANICS.fetch_sub(1, Ordering::SeqCst);
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn square(_: TaskCtx, x: &u64) -> Result<u64, TaskFailure> {
-        Ok(x * x)
-    }
+    use crate::WorkerPool;
 
     #[test]
     fn clean_supervised_map_matches_plain_map() {
         for jobs in [1, 2, 4] {
-            let reports = map_supervised(
-                jobs,
-                9,
-                (0..16u64).collect(),
-                RetryPolicy::none(),
-                None,
-                square,
-            );
-            let values: Vec<u64> = reports.into_iter().map(|r| r.result.unwrap()).collect();
-            let plain: Vec<u64> = (0..16u64).map(|x| x * x).collect();
-            assert_eq!(values, plain, "jobs={jobs}");
+            let isolated =
+                WorkerPool::new(jobs).map((0..16u64).collect(), |x| run_isolated(|| Ok(x * x)));
+            let plain: Vec<Result<u64, TaskFailure>> = (0..16u64).map(|x| Ok(x * x)).collect();
+            assert_eq!(isolated, plain, "jobs={jobs}");
         }
     }
 
     #[test]
     fn panicking_task_is_isolated() {
         for jobs in [1, 4] {
-            let reports = map_supervised(
-                jobs,
-                0,
-                (0..16u64).collect(),
-                RetryPolicy::none(),
-                None,
-                |_, &x| {
+            let results = WorkerPool::new(jobs).map((0..16u64).collect(), |x| {
+                run_isolated(|| {
                     if x == 7 {
                         panic!("task seven exploded");
                     }
-                    Ok::<u64, TaskFailure>(x)
-                },
-            );
-            for (i, r) in reports.iter().enumerate() {
+                    Ok(x)
+                })
+            });
+            for (i, r) in results.iter().enumerate() {
                 if i == 7 {
-                    match r.final_failure() {
-                        Some(TaskFailure::Panicked { payload }) => {
+                    match r {
+                        Err(TaskFailure::Panicked { payload }) => {
                             assert!(payload.contains("task seven exploded"));
                         }
                         other => panic!("expected panic failure, got {other:?}"),
                     }
                 } else {
-                    assert_eq!(r.result, Some(i as u64), "jobs={jobs}");
+                    assert_eq!(*r, Ok(i as u64), "jobs={jobs}");
                 }
             }
         }
-    }
-
-    #[test]
-    fn retries_keep_seed_and_bump_attempt() {
-        let log: Mutex<Vec<(u64, u32)>> = Mutex::new(Vec::new());
-        let reports = map_supervised(1, 3, vec![0u64], RetryPolicy::retries(2), None, |ctx, _| {
-            log.lock().unwrap().push((ctx.seed, ctx.attempt));
-            if ctx.attempt < 2 {
-                Err(TaskFailure::Failed {
-                    detail: "not yet".to_string(),
-                })
-            } else {
-                Ok(ctx.attempt)
-            }
-        });
-        assert_eq!(reports[0].result, Some(2));
-        assert_eq!(reports[0].attempts(), 3);
-        assert!(reports[0].retried());
-        let log = log.into_inner().unwrap();
-        let seed = derive_task_seed(3, 0);
-        assert_eq!(log, vec![(seed, 0), (seed, 1), (seed, 2)]);
-    }
-
-    #[test]
-    fn retries_are_bounded() {
-        let reports = map_supervised(1, 0, vec![0u32], RetryPolicy::retries(3), None, |_, _| {
-            Err::<u32, _>(TaskFailure::Failed {
-                detail: "always".to_string(),
-            })
-        });
-        assert_eq!(reports[0].attempts(), 4);
-        assert!(!reports[0].is_ok());
-        assert_eq!(reports[0].failures.len(), 4);
-    }
-
-    #[test]
-    fn chaos_reports_are_identical_across_worker_counts() {
-        let chaos = ChaosConfig::uniform(0.3);
-        let run = |jobs: usize| {
-            map_supervised(
-                jobs,
-                1234,
-                (0..24u64).collect(),
-                RetryPolicy::retries(2),
-                Some(chaos),
-                square,
-            )
-        };
-        let serial = run(1);
-        for jobs in [2, 4] {
-            assert_eq!(serial, run(jobs), "jobs={jobs}");
-        }
-        // The rates are high enough that at 24 tasks something fired.
-        assert!(serial.iter().any(|r| r.retried()), "chaos never struck");
-    }
-
-    #[test]
-    fn chaos_zero_rate_is_a_noop() {
-        let clean = map_supervised(2, 5, (0..8u64).collect(), RetryPolicy::none(), None, square);
-        let chaos = map_supervised(
-            2,
-            5,
-            (0..8u64).collect(),
-            RetryPolicy::none(),
-            Some(ChaosConfig::uniform(0.0)),
-            square,
-        );
-        assert_eq!(clean, chaos);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn chaos_rates_validated() {
-        ChaosConfig::uniform(1.5);
-    }
-
-    #[test]
-    fn outcome_collapse() {
-        let ok: TaskReport<u32> = TaskReport {
-            failures: vec![TaskFailure::Injected {
-                detail: "x".to_string(),
-            }],
-            result: Some(5),
-        };
-        assert_eq!(ok.into_outcome(), Ok(5));
-        let bad: TaskReport<u32> = TaskReport {
-            failures: vec![
-                TaskFailure::Injected {
-                    detail: "first".to_string(),
-                },
-                TaskFailure::Panicked {
-                    payload: "last".to_string(),
-                },
-            ],
-            result: None,
-        };
-        assert_eq!(
-            bad.into_outcome(),
-            Err(TaskFailure::Panicked {
-                payload: "last".to_string()
-            })
-        );
     }
 
     #[test]
@@ -648,16 +156,5 @@ mod tests {
             .kind(),
             "panic"
         );
-    }
-
-    #[test]
-    fn quiet_guard_nests_and_restores() {
-        let a = QuietPanicGuard::engage();
-        {
-            let _b = QuietPanicGuard::engage();
-            assert!(QUIET_PANICS.load(Ordering::SeqCst) >= 2);
-        }
-        drop(a);
-        assert_eq!(QUIET_PANICS.load(Ordering::SeqCst), 0);
     }
 }

@@ -13,8 +13,7 @@ use std::sync::Arc;
 use finepack::{FinePackConfig, SubheaderFormat};
 use gpu_model::{AddressMap, Gpu, GpuId, KernelRun, KernelStats};
 use protocol::PcieGen;
-use sim_engine::{geomean, ChaosConfig, RetryPolicy, SimTime, TaskFailure, WorkerPool};
-use telemetry::{EventKind, TraceEvent, TraceHandle};
+use sim_engine::{geomean, run_isolated, SimTime, TaskFailure, WorkerPool};
 use workloads::{CommPattern, RunSpec, Workload};
 
 use crate::config::SystemConfig;
@@ -543,44 +542,17 @@ fn task_failure_from(err: RunError) -> TaskFailure {
 }
 
 /// One app's outcome under [`run_suite_supervised`]: its speedup row,
-/// or the per-attempt failures that exhausted its retry budget.
+/// or why it produced none.
 #[derive(Debug, Clone)]
 pub struct SuitePoint {
     /// Application name.
     pub app: String,
-    /// Attempts executed (1 = first try succeeded).
-    pub attempts: u32,
-    /// Failures from attempts that produced no row, in attempt order.
-    /// When the point ultimately failed, the last entry is terminal.
-    pub failures: Vec<TaskFailure>,
-    /// The speedup row, when some attempt succeeded.
-    pub row: Option<SpeedupRow>,
-}
-
-impl SuitePoint {
-    /// Whether some attempt produced a row.
-    pub fn is_ok(&self) -> bool {
-        self.row.is_some()
-    }
-
-    /// Whether the point ran more than one attempt.
-    pub fn retried(&self) -> bool {
-        self.attempts > 1
-    }
-
-    /// The terminal failure, when every attempt failed.
-    pub fn final_failure(&self) -> Option<&TaskFailure> {
-        if self.row.is_some() {
-            None
-        } else {
-            self.failures.last()
-        }
-    }
+    /// The speedup row, or the failure that stopped the point.
+    pub outcome: Result<SpeedupRow, TaskFailure>,
 }
 
 /// The Fig 9 suite under supervision: per-app outcomes (some possibly
-/// failed) plus harness self-measurement totals over the runs that
-/// completed.
+/// failed) plus totals over the runs that completed.
 #[derive(Debug, Clone)]
 pub struct SupervisedSuite {
     /// One outcome per app, in input order.
@@ -594,98 +566,40 @@ pub struct SupervisedSuite {
 impl SupervisedSuite {
     /// True when every app produced a row.
     pub fn all_ok(&self) -> bool {
-        self.points.iter().all(SuitePoint::is_ok)
+        self.points.iter().all(|p| p.outcome.is_ok())
     }
 
     /// The successful rows, in app order.
-    pub fn rows(&self) -> Vec<SpeedupRow> {
-        self.points.iter().filter_map(|p| p.row.clone()).collect()
+    pub fn rows(&self) -> impl Iterator<Item = &SpeedupRow> {
+        self.points.iter().filter_map(|p| p.outcome.as_ref().ok())
     }
 
-    /// Points whose every attempt failed, in app order.
-    pub fn failed(&self) -> impl Iterator<Item = &SuitePoint> {
-        self.points.iter().filter(|p| !p.is_ok())
-    }
-
-    /// Points that needed more than one attempt (successful or not).
-    pub fn retried(&self) -> impl Iterator<Item = &SuitePoint> {
-        self.points.iter().filter(|p| p.retried())
-    }
-
-    /// Collapses to the unsupervised [`SuiteResult`] when every point
-    /// succeeded — byte-identical to [`run_suite`] on the same inputs.
-    pub fn to_result(&self) -> Option<SuiteResult> {
-        if !self.all_ok() {
-            return None;
-        }
-        Some(SuiteResult {
-            rows: self.rows(),
-            sim_events: self.sim_events,
-            sim_time: self.sim_time,
-        })
+    /// The failed points' apps and failures, in app order.
+    pub fn failed(&self) -> impl Iterator<Item = (&str, &TaskFailure)> {
+        self.points
+            .iter()
+            .filter_map(|p| p.outcome.as_ref().err().map(|f| (p.app.as_str(), f)))
     }
 }
 
-/// How a supervised sweep handles failure: the retry budget plus
-/// optional deterministic chaos injection. [`Supervision::default`] is
-/// "no retries, no chaos" — supervision then only adds panic isolation
-/// and structured failure capture.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Supervision {
-    /// Bounded deterministic retry budget per point.
-    pub policy: RetryPolicy,
-    /// Deterministic fault injection, for testing the harness itself.
-    pub chaos: Option<ChaosConfig>,
-}
-
-impl Supervision {
-    /// Supervision with a retry budget and no chaos.
-    pub fn with_retries(retries: u32) -> Self {
-        Supervision {
-            policy: RetryPolicy::retries(retries),
-            chaos: None,
-        }
-    }
-
-    /// Adds chaos injection.
-    pub fn with_chaos(mut self, chaos: ChaosConfig) -> Self {
-        self.chaos = Some(chaos);
-        self
-    }
-}
-
-/// [`run_suite`] under supervision: each app's task runs behind panic
-/// isolation with bounded deterministic retries and optional chaos
-/// injection, and runner errors (link death, stall watchdog,
-/// [`RunError::BudgetExceeded`]) surface as structured per-point
-/// failures instead of killing the whole sweep.
+/// [`run_suite`] with each app's task behind panic isolation
+/// ([`run_isolated`]): a panic or a runner error (link death, stall
+/// watchdog, [`RunError::BudgetExceeded`]) becomes that point's
+/// failure instead of killing the whole sweep.
 ///
-/// Determinism: per-task supervision seeds derive from `cfg.seed` and
-/// the app *index*, retries reuse the seed with only the attempt index
-/// bumped, and chaos strikes are keyed by `(seed, attempt)` — so the
-/// full result, including which points failed and after how many
-/// retries, is byte-identical at every `pool` size. With no failures
-/// the rows and totals match [`run_suite`] exactly.
-///
-/// Harness lifecycle telemetry (`TaskStart`, `TaskRetry`, `TaskFailed`)
-/// is recorded through `trace` post-hoc in input order, timestamped at
-/// [`SimTime::ZERO`] with the task index in the `gpu` field (truncated
-/// to `u8` for display grouping); pass [`TraceHandle::off`] to skip it.
+/// Runs are deterministic, so a failed point is reported once, not
+/// retried. The result, including which points failed, is
+/// byte-identical at every `pool` size, and with no failures the rows
+/// and totals match [`run_suite`] exactly.
 pub fn run_suite_supervised(
     apps: &[Box<dyn Workload>],
     cfg: &SystemConfig,
     spec: &RunSpec,
     paradigms: &[Paradigm],
     pool: &WorkerPool,
-    sup: Supervision,
-    trace: &TraceHandle,
 ) -> SupervisedSuite {
-    let reports = pool.map_supervised(
-        cfg.seed,
-        (0..apps.len()).collect(),
-        sup.policy,
-        sup.chaos,
-        |_ctx, &i| {
+    let outcomes = pool.map((0..apps.len()).collect(), |i| {
+        run_isolated(|| {
             let app = apps[i].as_ref();
             let t1 = single_gpu_time(app, cfg, spec);
             let prepared = PreparedWorkload::new(app, cfg, spec);
@@ -703,44 +617,22 @@ pub fn run_suite_supervised(
                 speedups,
             };
             Ok((row, events, sim_time))
-        },
-    );
+        })
+    });
     let mut suite = SupervisedSuite {
-        points: Vec::with_capacity(reports.len()),
+        points: Vec::with_capacity(outcomes.len()),
         sim_events: 0,
         sim_time: SimTime::ZERO,
     };
-    for (i, report) in reports.into_iter().enumerate() {
-        let attempts = report.attempts();
-        if trace.is_on() {
-            let task = i as u32;
-            let gpu = i as u8;
-            let at = |kind| TraceEvent {
-                time: SimTime::ZERO,
-                gpu,
-                kind,
-            };
-            trace.record(at(EventKind::TaskStart { task }));
-            for attempt in 1..attempts {
-                trace.record(at(EventKind::TaskRetry { task, attempt }));
-            }
-            if !report.is_ok() {
-                trace.record(at(EventKind::TaskFailed { task, attempts }));
-            }
-        }
-        let row = match report.result {
-            Some((row, events, sim_time)) => {
-                suite.sim_events += events;
-                suite.sim_time += sim_time;
-                Some(row)
-            }
-            None => None,
-        };
+    for (app, outcome) in apps.iter().zip(outcomes) {
+        let outcome = outcome.map(|(row, events, sim_time)| {
+            suite.sim_events += events;
+            suite.sim_time += sim_time;
+            row
+        });
         suite.points.push(SuitePoint {
-            app: apps[i].name().to_string(),
-            attempts,
-            failures: report.failures,
-            row,
+            app: app.name().to_string(),
+            outcome,
         });
     }
     suite
@@ -1044,62 +936,15 @@ mod tests {
         let (cfg, spec) = tiny_cfg();
         let paradigms = [Paradigm::FinePack, Paradigm::P2pStores];
         let plain = run_suite(&two_apps(), &cfg, &spec, &paradigms, &WorkerPool::new(2));
-        let sup = run_suite_supervised(
-            &two_apps(),
-            &cfg,
-            &spec,
-            &paradigms,
-            &WorkerPool::new(2),
-            Supervision::with_retries(2),
-            &TraceHandle::off(),
-        );
+        let sup = run_suite_supervised(&two_apps(), &cfg, &spec, &paradigms, &WorkerPool::new(2));
         assert!(sup.all_ok());
         assert!(sup.failed().next().is_none());
-        assert!(sup.retried().next().is_none());
-        let collapsed = sup.to_result().expect("all ok collapses");
-        assert_eq!(collapsed.sim_events, plain.sim_events);
-        assert_eq!(collapsed.sim_time, plain.sim_time);
-        for (a, b) in collapsed.rows.iter().zip(&plain.rows) {
+        assert_eq!(sup.sim_events, plain.sim_events);
+        assert_eq!(sup.sim_time, plain.sim_time);
+        assert_eq!(sup.rows().count(), plain.rows.len());
+        for (a, b) in sup.rows().zip(&plain.rows) {
             assert_eq!(a.app, b.app);
             assert_eq!(a.speedups, b.speedups);
-        }
-        for p in &sup.points {
-            assert_eq!(p.attempts, 1);
-        }
-    }
-
-    #[test]
-    fn supervised_suite_chaos_is_pool_invariant() {
-        let (mut cfg, spec) = tiny_cfg();
-        cfg.seed = 0x5EED_CAFE;
-        let paradigms = [Paradigm::FinePack];
-        let chaos = ChaosConfig::uniform(0.4);
-        let run = |jobs| {
-            run_suite_supervised(
-                &two_apps(),
-                &cfg,
-                &spec,
-                &paradigms,
-                &WorkerPool::new(jobs),
-                Supervision::with_retries(1).with_chaos(chaos),
-                &TraceHandle::off(),
-            )
-        };
-        let serial = run(1);
-        let (par2, par4) = (run(2), run(4));
-        for other in [&par2, &par4] {
-            assert_eq!(serial.sim_events, other.sim_events);
-            assert_eq!(serial.sim_time, other.sim_time);
-            assert_eq!(serial.points.len(), other.points.len());
-            for (a, b) in serial.points.iter().zip(&other.points) {
-                assert_eq!(a.app, b.app);
-                assert_eq!(a.attempts, b.attempts);
-                assert_eq!(a.failures, b.failures);
-                assert_eq!(a.row.is_some(), b.row.is_some());
-                if let (Some(ra), Some(rb)) = (&a.row, &b.row) {
-                    assert_eq!(ra.speedups, rb.speedups);
-                }
-            }
         }
     }
 
@@ -1113,56 +958,15 @@ mod tests {
             &spec,
             &[Paradigm::FinePack],
             &WorkerPool::serial(),
-            Supervision::default(),
-            &TraceHandle::off(),
         );
         assert!(!sup.all_ok());
-        assert!(sup.to_result().is_none());
-        for p in &sup.points {
-            let failure = p.final_failure().expect("budget must trip");
+        assert_eq!(sup.failed().count(), sup.points.len());
+        for (_, failure) in sup.failed() {
             assert_eq!(failure.kind(), "budget");
             let msg = failure.to_string();
             assert!(msg.contains("event ceiling"), "{msg}");
         }
         assert_eq!(sup.sim_events, 0);
-    }
-
-    #[test]
-    fn supervised_suite_records_harness_lifecycle_events() {
-        let (mut cfg, spec) = tiny_cfg();
-        cfg.seed = 0x5EED_CAFE;
-        let (trace, ring) = TraceHandle::ring(256, 8);
-        let sup = run_suite_supervised(
-            &two_apps(),
-            &cfg,
-            &spec,
-            &[Paradigm::FinePack],
-            &WorkerPool::new(2),
-            Supervision::with_retries(1).with_chaos(ChaosConfig::uniform(0.4)),
-            &trace,
-        );
-        let ring = ring.lock().unwrap();
-        let events: Vec<_> = ring.events().cloned().collect();
-        let starts = events
-            .iter()
-            .filter(|e| matches!(e.kind, EventKind::TaskStart { .. }))
-            .count();
-        assert_eq!(starts, sup.points.len());
-        let retries = events
-            .iter()
-            .filter(|e| matches!(e.kind, EventKind::TaskRetry { .. }))
-            .count();
-        let expected: usize = sup
-            .points
-            .iter()
-            .map(|p| p.attempts.saturating_sub(1) as usize)
-            .sum();
-        assert_eq!(retries, expected);
-        let failed = events
-            .iter()
-            .filter(|e| matches!(e.kind, EventKind::TaskFailed { .. }))
-            .count();
-        assert_eq!(failed, sup.failed().count());
     }
 
     #[test]

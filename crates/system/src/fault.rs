@@ -180,11 +180,6 @@ pub enum RunError {
     BudgetExceeded(Box<BudgetTrip>),
 }
 
-/// The supervised harness's name for the runner's error type: every way
-/// a run can terminate without completing (link death, stall watchdog,
-/// budget trip).
-pub type RunnerError = RunError;
-
 impl std::fmt::Display for RunError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

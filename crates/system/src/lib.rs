@@ -47,9 +47,9 @@ pub use experiment::{
     bandwidth_sweep, dma_plan, fault_sweep, geomean_speedup, prepare_apps, run_suite,
     run_suite_prepared, run_suite_supervised, scaling_curve, single_gpu_time, speedup_row,
     speedup_row_prepared, subheader_sweep, FaultSweepPoint, PreparedApp, PreparedWorkload,
-    ScalingPoint, SpeedupRow, SuitePoint, SuiteResult, SupervisedSuite, Supervision,
+    ScalingPoint, SpeedupRow, SuitePoint, SuiteResult, SupervisedSuite,
 };
-pub use fault::{FabricFault, FaultProfile, Outage, RunError, RunnerError};
+pub use fault::{FabricFault, FaultProfile, Outage, RunError};
 pub use link::{Fabric, FcStats, Link, LinkDelivery};
 pub use paradigm::Paradigm;
 pub use report::{RunReport, TrafficBreakdown, UniqueTracker, REPORT_SCHEMA_VERSION};

@@ -712,14 +712,6 @@ impl TraceCollector for AuditCollector {
                     );
                 }
             }
-            // Harness supervision events sit outside any GPU's timeline
-            // (their `gpu` field carries a task index) and outside the
-            // conservation laws: the supervisor replays whole runs, so a
-            // retried task's streams are audited per run, not across
-            // attempts.
-            EventKind::TaskStart { .. }
-            | EventKind::TaskRetry { .. }
-            | EventKind::TaskFailed { .. } => {}
         }
     }
 

@@ -100,29 +100,6 @@ pub enum EventKind {
     FenceRelease,
     /// The GPU's kernel finished issuing (its release point).
     KernelEnd,
-    /// Harness supervision: sweep task `task` began executing. The
-    /// event's `gpu` field carries the task index truncated to `u8`;
-    /// harness events sit outside any GPU's timeline.
-    TaskStart {
-        /// Sweep task index (input order).
-        task: u32,
-    },
-    /// Harness supervision: sweep task `task` failed an attempt and is
-    /// being retried as attempt `attempt` (zero-based).
-    TaskRetry {
-        /// Sweep task index (input order).
-        task: u32,
-        /// The attempt about to run (≥ 1).
-        attempt: u32,
-    },
-    /// Harness supervision: sweep task `task` exhausted its attempts
-    /// without producing a result.
-    TaskFailed {
-        /// Sweep task index (input order).
-        task: u32,
-        /// Attempts executed before giving up.
-        attempts: u32,
-    },
 }
 
 impl EventKind {
@@ -141,9 +118,6 @@ impl EventKind {
             EventKind::Stall { .. } => "stall",
             EventKind::FenceRelease => "fence-release",
             EventKind::KernelEnd => "kernel-end",
-            EventKind::TaskStart { .. } => "task-start",
-            EventKind::TaskRetry { .. } => "task-retry",
-            EventKind::TaskFailed { .. } => "task-failed",
         }
     }
 }

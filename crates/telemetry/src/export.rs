@@ -16,15 +16,14 @@ use crate::event::{EventKind, Sample, TraceEvent};
 /// Schema version stamped into the Chrome-trace JSON header; bump on
 /// any change to track layout or event body shapes so downstream
 /// tooling can detect format drift.
-pub const CHROME_TRACE_SCHEMA_VERSION: u32 = 2;
+pub const CHROME_TRACE_SCHEMA_VERSION: u32 = 3;
 
 /// Track ids within each GPU's process, in rendering order.
-const TRACKS: [(u32, &str); 5] = [
+const TRACKS: [(u32, &str); 4] = [
     (0, "sm (store stream)"),
     (1, "rwq (coalescing)"),
     (2, "wire (egress TLPs)"),
     (3, "commit (ingress drain)"),
-    (4, "harness (supervision)"),
 ];
 
 fn track_of(kind: &EventKind) -> u32 {
@@ -40,9 +39,6 @@ fn track_of(kind: &EventKind) -> u32 {
         | EventKind::DllReplay { .. }
         | EventKind::CreditBlocked { .. } => 2,
         EventKind::Commit { .. } => 3,
-        EventKind::TaskStart { .. }
-        | EventKind::TaskRetry { .. }
-        | EventKind::TaskFailed { .. } => 4,
     }
 }
 
@@ -165,18 +161,6 @@ pub fn chrome_trace(events: &[TraceEvent], samples: &[Sample]) -> String {
             EventKind::KernelEnd => format!(
                 "{{\"name\":\"kernel-end\",\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":{tid},\
                  \"ts\":{ts:.6},\"args\":{{}}}}"
-            ),
-            EventKind::TaskStart { task } => format!(
-                "{{\"name\":\"task-start\",\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":{tid},\
-                 \"ts\":{ts:.6},\"args\":{{\"task\":{task}}}}}"
-            ),
-            EventKind::TaskRetry { task, attempt } => format!(
-                "{{\"name\":\"task-retry\",\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":{tid},\
-                 \"ts\":{ts:.6},\"args\":{{\"task\":{task},\"attempt\":{attempt}}}}}"
-            ),
-            EventKind::TaskFailed { task, attempts } => format!(
-                "{{\"name\":\"task-failed\",\"ph\":\"i\",\"s\":\"t\",\"pid\":{pid},\"tid\":{tid},\
-                 \"ts\":{ts:.6},\"args\":{{\"task\":{task},\"attempts\":{attempts}}}}}"
             ),
         };
         row(&mut out, &body);
@@ -319,7 +303,7 @@ mod tests {
     fn chrome_trace_has_tracks_spans_and_counters() {
         let json = chrome_trace(&events(), &[sample(10, 0), sample(10, 1)]);
         assert_balanced_json(&json);
-        assert!(json.starts_with("{\"schema_version\":2,\"traceEvents\":["));
+        assert!(json.starts_with("{\"schema_version\":3,\"traceEvents\":["));
         // Process/track metadata for both GPUs seen in the data.
         assert!(json.contains("\"name\":\"GPU0\""));
         assert!(json.contains("\"name\":\"GPU1\""));

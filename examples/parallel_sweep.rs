@@ -5,7 +5,9 @@
 //!
 //! Run with: `cargo run --release --example parallel_sweep`
 
-use sim_engine::{ThroughputReport, WallClock, WorkerPool};
+use std::time::Instant;
+
+use sim_engine::WorkerPool;
 use system::{run_suite, Paradigm, SystemConfig};
 use workloads::{suite, RunSpec};
 
@@ -19,16 +21,15 @@ fn main() {
     let apps = suite();
 
     // Serial baseline.
-    let clock = WallClock::start();
+    let clock = Instant::now();
     let serial = run_suite(&apps, &cfg, &spec, &Paradigm::FIG9, &WorkerPool::serial());
-    let serial_perf = ThroughputReport::new(clock.elapsed(), serial.sim_events, serial.sim_time);
+    let serial_wall = clock.elapsed();
 
     // The same sweep over every available core.
     let pool = WorkerPool::default_parallel();
-    let clock = WallClock::start();
+    let clock = Instant::now();
     let parallel = run_suite(&apps, &cfg, &spec, &Paradigm::FIG9, &pool);
-    let parallel_perf =
-        ThroughputReport::new(clock.elapsed(), parallel.sim_events, parallel.sim_time);
+    let parallel_wall = clock.elapsed();
 
     println!("app        finepack speedup (serial == parallel)");
     for (a, b) in serial.rows.iter().zip(parallel.rows.iter()) {
@@ -40,12 +41,8 @@ fn main() {
     assert_eq!(serial.sim_events, parallel.sim_events);
     assert_eq!(serial.sim_time, parallel.sim_time);
     println!(
-        "\nsweep wall time: serial {:?} ({:.0} events/s), {} workers {:?} \
-         ({:.2}x) — determinism preserved bit-for-bit",
-        serial_perf.wall,
-        serial_perf.events_per_sec(),
+        "\nsweep wall time: serial {serial_wall:?}, {} workers {parallel_wall:?} \
+         — determinism preserved bit-for-bit",
         pool.jobs(),
-        parallel_perf.wall,
-        parallel_perf.speedup_over(&serial_perf),
     );
 }

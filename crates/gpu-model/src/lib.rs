@@ -16,7 +16,8 @@
 //! - [`Gpu::execute_kernel`]: SM-parallel trace replay producing the
 //!   time-ordered remote-store egress stream the interconnect consumes.
 //! - [`MemoryImage`]: a functional memory image used to verify that
-//!   FinePack is semantically transparent.
+//!   FinePack is semantically transparent, stored as 128B lines in a
+//!   [`LineMap`].
 //!
 //! Remote stores bypass L2 on real NVIDIA GPUs (it is a memory-side cache
 //! with no inter-GPU coherence, §III), so this model routes them from the
@@ -40,6 +41,6 @@ pub use analysis::{profile_run, StoreProfile};
 pub use coalescer::{coalesce_warp_store, route_txn, StoreTxn};
 pub use config::GpuConfig;
 pub use gpu::{Gpu, KernelRun, KernelStats, TimedProbe, TimedStore};
-pub use memory::MemoryImage;
+pub use memory::{ImageDiff, LineHasher, LineMap, MemoryImage};
 pub use trace::{store_byte, AccessPattern, KernelTrace, RemoteStore, TraceOp};
 pub use traceio::{read_trace, write_trace, TraceIoError};

@@ -5,12 +5,58 @@
 //! the identical final memory image on the destination GPU.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
-/// Page size of the sparse image (an implementation detail, not the GPU's
-/// virtual-memory page size).
-const PAGE_BYTES: usize = 4096;
+/// Line size of the sparse image: the L1 line and RWQ entry size the
+/// remote stores were already coalesced to (an implementation detail,
+/// not a configuration).
+const LINE_BYTES: usize = 128;
 
-/// A sparse byte-addressable memory image.
+/// A multiply-xor hasher for line addresses (splitmix64 finalizer).
+///
+/// [`MemoryImage`] and `system`'s unique-byte tracker hash one `u64` per
+/// 128B line of every store they see; SipHash's per-call setup dominates
+/// that workload, while neither map lets hash order reach a result (they
+/// look up and insert, and the image's compare is an order-independent
+/// fold) — so a fast deterministic mix is both safe and measurably
+/// faster. The keys are the simulated workload's own addresses, so
+/// SipHash's resistance to crafted collisions buys nothing here.
+#[derive(Debug, Default, Clone)]
+pub struct LineHasher(u64);
+
+impl Hasher for LineHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        self.0 = z ^ (z >> 31);
+    }
+}
+
+/// A map keyed by line address, hashed with [`LineHasher`].
+pub type LineMap<V> = HashMap<u64, V, BuildHasherDefault<LineHasher>>;
+
+/// How two memory images disagree; see [`MemoryImage::diff`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ImageDiff {
+    /// Number of byte addresses whose values differ.
+    pub bytes: u64,
+    /// The lowest differing address, or `None` when the images agree.
+    pub first: Option<u64>,
+}
+
+/// A sparse byte-addressable memory image, stored as the 128B lines its
+/// writes touch.
 ///
 /// # Examples
 ///
@@ -24,7 +70,9 @@ const PAGE_BYTES: usize = 4096;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct MemoryImage {
-    pages: HashMap<u64, Box<[u8; PAGE_BYTES]>>,
+    /// Line base address -> line contents. Boxed: an inline 128B value
+    /// would make every slot the map reserves on growth that large.
+    lines: LineMap<Box<[u8; LINE_BYTES]>>,
     bytes_written: u64,
 }
 
@@ -39,14 +87,13 @@ impl MemoryImage {
         let mut cur = addr;
         let mut remaining = data;
         while !remaining.is_empty() {
-            let page = cur / PAGE_BYTES as u64;
-            let off = (cur % PAGE_BYTES as u64) as usize;
-            let n = remaining.len().min(PAGE_BYTES - off);
-            let page_buf = self
-                .pages
-                .entry(page)
-                .or_insert_with(|| Box::new([0u8; PAGE_BYTES]));
-            page_buf[off..off + n].copy_from_slice(&remaining[..n]);
+            let off = (cur % LINE_BYTES as u64) as usize;
+            let n = remaining.len().min(LINE_BYTES - off);
+            let line = self
+                .lines
+                .entry(cur - off as u64)
+                .or_insert_with(|| Box::new([0u8; LINE_BYTES]));
+            line[off..off + n].copy_from_slice(&remaining[..n]);
             cur += n as u64;
             remaining = &remaining[n..];
         }
@@ -58,11 +105,10 @@ impl MemoryImage {
         let mut out = Vec::with_capacity(len);
         let mut cur = addr;
         while out.len() < len {
-            let page = cur / PAGE_BYTES as u64;
-            let off = (cur % PAGE_BYTES as u64) as usize;
-            let n = (len - out.len()).min(PAGE_BYTES - off);
-            match self.pages.get(&page) {
-                Some(buf) => out.extend_from_slice(&buf[off..off + n]),
+            let off = (cur % LINE_BYTES as u64) as usize;
+            let n = (len - out.len()).min(LINE_BYTES - off);
+            match self.lines.get(&(cur - off as u64)) {
+                Some(line) => out.extend_from_slice(&line[off..off + n]),
                 None => out.extend(std::iter::repeat_n(0, n)),
             }
             cur += n as u64;
@@ -75,22 +121,42 @@ impl MemoryImage {
         self.bytes_written
     }
 
-    /// Number of touched pages.
-    pub fn touched_pages(&self) -> usize {
-        self.pages.len()
+    /// Number of touched 128B lines.
+    pub fn touched_lines(&self) -> usize {
+        self.lines.len()
     }
 
-    /// True if the two images hold identical contents (zero-filled pages
-    /// compare equal to absent pages).
-    pub fn same_contents(&self, other: &MemoryImage) -> bool {
-        let zero = [0u8; PAGE_BYTES];
-        let check = |a: &MemoryImage, b: &MemoryImage| {
-            a.pages.iter().all(|(page, buf)| match b.pages.get(page) {
-                Some(other_buf) => buf[..] == other_buf[..],
-                None => buf[..] == zero[..],
-            })
+    /// Compares the two images byte by byte. Untouched bytes read as
+    /// zero, so a zero-written byte matches an absent one.
+    pub fn diff(&self, other: &MemoryImage) -> ImageDiff {
+        const ZERO: [u8; LINE_BYTES] = [0; LINE_BYTES];
+        let mut diff = ImageDiff::default();
+        let mut compare = |base: u64, a: &[u8; LINE_BYTES], b: &[u8; LINE_BYTES]| {
+            if a == b {
+                return;
+            }
+            let mut differing = a.iter().zip(b).enumerate().filter(|(_, (x, y))| x != y);
+            if let Some((off, _)) = differing.next() {
+                let addr = base + off as u64;
+                diff.bytes += 1 + differing.count() as u64;
+                diff.first = Some(diff.first.map_or(addr, |f| f.min(addr)));
+            }
         };
-        check(self, other) && check(other, self)
+        for (&base, line) in &self.lines {
+            compare(base, line, other.lines.get(&base).map_or(&ZERO, |l| &**l));
+        }
+        for (&base, line) in &other.lines {
+            if !self.lines.contains_key(&base) {
+                compare(base, &ZERO, line);
+            }
+        }
+        diff
+    }
+
+    /// True if the two images hold identical contents (zero-filled lines
+    /// compare equal to absent lines).
+    pub fn same_contents(&self, other: &MemoryImage) -> bool {
+        self.diff(other).bytes == 0
     }
 }
 
@@ -107,12 +173,14 @@ mod tests {
     }
 
     #[test]
-    fn cross_page_write() {
+    fn cross_line_write() {
         let mut m = MemoryImage::new();
-        let data: Vec<u8> = (0..=255).collect();
-        m.write(4096 - 100, &data);
-        assert_eq!(m.read(4096 - 100, 256), data);
-        assert_eq!(m.touched_pages(), 2);
+        m.write(0x1000 + 16, &[7; 16]);
+        assert_eq!(m.touched_lines(), 1, "a 16B store inside a line");
+        let data: Vec<u8> = (0..16).collect();
+        m.write(0x2000 - 8, &data);
+        assert_eq!(m.read(0x2000 - 8, 16), data);
+        assert_eq!(m.touched_lines(), 3, "a line-crossing store touches two");
     }
 
     #[test]
@@ -125,7 +193,7 @@ mod tests {
     }
 
     #[test]
-    fn same_contents_ignores_zero_pages() {
+    fn same_contents_ignores_zero_lines() {
         let mut a = MemoryImage::new();
         let mut b = MemoryImage::new();
         a.write(0, &[0, 0, 0]); // touched but zero
@@ -134,5 +202,26 @@ mod tests {
         assert!(!a.same_contents(&b));
         a.write(5000, &[1]);
         assert!(a.same_contents(&b));
+    }
+
+    #[test]
+    fn diff_counts_bytes_and_finds_the_lowest() {
+        let mut a = MemoryImage::new();
+        let mut b = MemoryImage::new();
+        a.write(0x1000, &[5; 256]);
+        b.write(0x1000, &[5; 256]);
+        assert_eq!(a.diff(&b), ImageDiff::default());
+        // Three differing bytes over two lines, plus a zero-written line
+        // only `b` touched, which differs in nothing.
+        a.write(0x1004, &[6]);
+        a.write(0x1090, &[6, 6]);
+        b.write(0x2003, &[0]);
+        let want = ImageDiff {
+            bytes: 3,
+            first: Some(0x1004),
+        };
+        assert_eq!(a.diff(&b), want);
+        assert_eq!(b.diff(&a), want);
+        assert!(!a.same_contents(&b));
     }
 }

@@ -3,11 +3,11 @@
 //! resolution, and must equal a per-byte reference coalescer; routing
 //! must partition cleanly by address ownership.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use gpu_model::{
     coalesce_warp_store, route_txn, store_byte, AccessPattern, AddressMap, GpuConfig, GpuId,
-    MemoryImage, StoreTxn,
+    ImageDiff, MemoryImage, StoreTxn,
 };
 use sim_engine::DetRng;
 
@@ -219,36 +219,124 @@ fn routing_partitions_by_ownership() {
     }
 }
 
-/// MemoryImage::same_contents is an equivalence on random write sets.
+/// The per-byte model `MemoryImage` is held to: a byte never written
+/// is absent and reads as zero.
+type ByteModel = BTreeMap<u64, u8>;
+
+fn model_read(model: &ByteModel, addr: u64, len: usize) -> Vec<u8> {
+    (addr..addr + len as u64)
+        .map(|a| model.get(&a).copied().unwrap_or(0))
+        .collect()
+}
+
+/// The model's answer to `MemoryImage::diff`.
+fn model_diff(a: &ByteModel, b: &ByteModel) -> ImageDiff {
+    let addrs: BTreeSet<u64> = a.keys().chain(b.keys()).copied().collect();
+    let mut differing = addrs
+        .into_iter()
+        .filter(|x| a.get(x).copied().unwrap_or(0) != b.get(x).copied().unwrap_or(0));
+    let first = differing.next();
+    ImageDiff {
+        bytes: u64::from(first.is_some()) + differing.count() as u64,
+        first,
+    }
+}
+
+/// Draws 1-40 writes of 1-300 B over a 16-line region at a random
+/// line-aligned `base`, each covering 1-3 lines. At least half the
+/// writes longer than a byte straddle a line edge, a quarter write
+/// zeros, and the small region makes overwrites common. Applies each to
+/// both the image and the model, and returns the bytes written.
+fn random_writes(
+    rng: &mut DetRng,
+    base: u64,
+    image: &mut MemoryImage,
+    model: &mut ByteModel,
+) -> u64 {
+    let mut written = 0;
+    for _ in 0..rng.next_in_range(1, 41) {
+        let len = rng.next_in_range(1, 301);
+        let off = if len > 1 && rng.chance(0.5) {
+            // End past the next line edge, and at most two edges on.
+            128 - rng.next_in_range(len.saturating_sub(256).max(1), len.min(129))
+        } else {
+            rng.next_u64_below((3 * 128 + 1 - len).min(128))
+        };
+        let addr = base + rng.next_u64_below(16) * 128 + off;
+        let data: Vec<u8> = if rng.chance(0.25) {
+            vec![0; len as usize]
+        } else {
+            (0..len).map(|_| rng.next_u64() as u8).collect()
+        };
+        image.write(addr, &data);
+        for (i, &v) in data.iter().enumerate() {
+            model.insert(addr + i as u64, v);
+        }
+        written += len;
+    }
+    written
+}
+
+/// `MemoryImage` against the per-byte model: random line-straddling
+/// writes with overwrites and zero-valued writes, `read` over windows
+/// that include untouched bytes, and `diff`/`same_contents` in both
+/// directions, including a zero-written byte against an absent one and
+/// one flipped byte.
 #[test]
 fn memory_image_equivalence() {
     let mut rng = DetRng::new(0x69_0003, "memimage");
     for _ in 0..100 {
-        let n = rng.next_u64_below(64) as usize;
-        let writes: Vec<(u64, usize, u8)> = (0..n)
-            .map(|_| {
-                (
-                    rng.next_u64_below(65536),
-                    rng.next_in_range(1, 32) as usize,
-                    rng.next_u64() as u8,
-                )
-            })
-            .collect();
+        // At least one line up, so windows can start a line below it.
+        let base = (1 + rng.next_u64_below(1 << 40)) * 128;
         let mut a = MemoryImage::new();
+        let mut model_a = ByteModel::new();
+        let written = random_writes(&mut rng, base, &mut a, &mut model_a);
+        assert_eq!(a.bytes_written(), written);
+        let lines: BTreeSet<u64> = model_a.keys().map(|x| x / 128).collect();
+        assert_eq!(a.touched_lines(), lines.len());
+        for _ in 0..8 {
+            // Windows run from a line before the region to one after it.
+            let addr = base - 128 + rng.next_u64_below(18 * 128);
+            let len = rng.next_in_range(1, 400) as usize;
+            assert_eq!(
+                a.read(addr, len),
+                model_read(&model_a, addr, len),
+                "read {addr:#x}+{len}"
+            );
+        }
+
+        // An independent write set over the same region.
         let mut b = MemoryImage::new();
-        for (addr, len, v) in &writes {
-            a.write(*addr, &vec![*v; *len]);
+        let mut model_b = ByteModel::new();
+        random_writes(&mut rng, base, &mut b, &mut model_b);
+        assert_eq!(a.diff(&b), model_diff(&model_a, &model_b));
+        assert_eq!(b.diff(&a), model_diff(&model_b, &model_a));
+        assert_eq!(
+            a.same_contents(&b),
+            model_diff(&model_a, &model_b).bytes == 0
+        );
+
+        // The same contents written byte by byte: equal both ways.
+        let mut same = MemoryImage::new();
+        for (&addr, &v) in &model_a {
+            same.write(addr, &[v]);
         }
-        for (addr, len, v) in &writes {
-            b.write(*addr, &vec![*v; *len]);
-        }
-        assert!(a.same_contents(&b));
-        assert!(b.same_contents(&a));
-        if let Some((addr, _, _)) = writes.first() {
-            // Flip one byte: the images must now differ.
-            let cur = a.read(*addr, 1)[0];
-            b.write(*addr, &[cur ^ 0xFF]);
-            assert!(!a.same_contents(&b));
-        }
+        // A zero-written byte outside every touched line matches absence.
+        same.write(base + 20 * 128 + 5, &[0]);
+        assert_eq!(a.diff(&same), ImageDiff::default());
+        assert_eq!(same.diff(&a), ImageDiff::default());
+        assert!(a.same_contents(&same) && same.same_contents(&a));
+
+        // One flipped byte, anywhere in or next to the region.
+        let flip = base - 128 + rng.next_u64_below(18 * 128);
+        let cur = a.read(flip, 1)[0];
+        same.write(flip, &[cur ^ (1 + rng.next_u64_below(255)) as u8]);
+        let want = ImageDiff {
+            bytes: 1,
+            first: Some(flip),
+        };
+        assert_eq!(a.diff(&same), want);
+        assert_eq!(same.diff(&a), want);
+        assert!(!a.same_contents(&same) && !same.same_contents(&a));
     }
 }

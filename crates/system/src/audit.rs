@@ -89,7 +89,9 @@ pub fn audit_config_for(cfg: &SystemConfig, paradigm: Paradigm) -> AuditConfig {
 /// Runs `prep` under `paradigm` with the conservation auditor attached
 /// and every cross-check enabled: stream-vs-report accounting, the
 /// fabric's credit ledger, and (for transparent paradigms) the memory
-/// image diff against a program-order write-through baseline.
+/// image diff against a program-order write-through baseline. A
+/// transparency violation counts the differing bytes and names the
+/// lowest differing address.
 ///
 /// GPS is audited without the transparency oracle (its subscription
 /// filter drops stores by design) and `InfiniteBw` without wire or
@@ -120,10 +122,10 @@ pub fn audit_run(
         runner.try_run_iteration(iter_runs, prep.dma_plan())?;
     }
     // The ledger and images must be read before `finish` consumes the
-    // runner.
+    // runner. The images move out, so the diff below holds no copy.
     let fc_totals = runner.fc_totals();
     let fc_in_flight = runner.fc_in_flight();
-    let images = runner.images().map(<[MemoryImage]>::to_vec);
+    let images = runner.take_images();
     let report = runner.finish(prep.name(), prep.read_fraction());
 
     let totals = run_totals(&report, fc_totals, fc_in_flight);
@@ -136,12 +138,14 @@ pub fn audit_run(
     if let Some(images) = images {
         let baseline = write_through_images(prep, cfg.num_gpus);
         for (g, (got, want)) in images.iter().zip(&baseline).enumerate() {
-            if !got.same_contents(want) {
+            let diff = got.diff(want);
+            if let Some(first) = diff.first {
                 audit.flag(
                     Law::Transparency,
                     format!(
                         "gpu {g}: final memory image differs from the program-order \
-                         write-through baseline"
+                         write-through baseline in {} bytes, the lowest at {first:#x}",
+                        diff.bytes
                     ),
                 );
             }
@@ -224,7 +228,7 @@ fn run_totals(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use workloads::{Jacobi, Pagerank, RunSpec, Workload};
+    use workloads::{Ct, Jacobi, Pagerank, RunSpec, Workload};
 
     fn audit(app: &dyn Workload, cfg: &SystemConfig, paradigm: Paradigm) -> AuditOutcome {
         let spec = RunSpec::tiny();
@@ -256,6 +260,30 @@ mod tests {
         let plain = prep.try_run(&cfg, Paradigm::FinePack).expect("plain run");
         let audited = audit_run(&prep, &cfg, Paradigm::FinePack).expect("audited run");
         assert_eq!(format!("{plain:?}"), format!("{:?}", audited.report));
+    }
+
+    #[test]
+    fn transparency_detail_names_the_differing_bytes() {
+        // At paper scale, CT rays from two GPUs write different values
+        // to the same voxel bytes. The baseline settles each race by GPU
+        // index and the fabric by arrival order, so seven bytes on GPU 0
+        // end up different.
+        let cfg = SystemConfig::paper(4);
+        let prep = PreparedWorkload::new(&Ct::default(), &cfg, &RunSpec::paper(4));
+        let outcome = audit_run(&prep, &cfg, Paradigm::FinePack).expect("audited run");
+        let details: Vec<&str> = outcome
+            .violations
+            .iter()
+            .filter(|v| v.law == Law::Transparency)
+            .map(|v| v.detail.as_str())
+            .collect();
+        assert_eq!(
+            details,
+            [
+                "gpu 0: final memory image differs from the program-order write-through \
+                 baseline in 7 bytes, the lowest at 0x10a501479"
+            ]
+        );
     }
 
     #[test]

@@ -1,47 +1,16 @@
 //! Run reports: execution time plus the wire-traffic breakdown of Fig 10.
 
-use std::collections::HashMap;
-
 use finepack::{EgressMetrics, ReplayAmplification};
+use gpu_model::LineMap;
 use sim_engine::SimTime;
 
 use crate::paradigm::Paradigm;
-
-/// A multiply-xor hasher for line addresses (splitmix64 finalizer).
-///
-/// The tracker hashes one `u64` per 128B line of every traced store;
-/// SipHash's per-call setup dominates that workload, while map behavior
-/// (lookup/insert only, no iteration) never observes hash order — so a
-/// fast deterministic mix is both safe and measurably faster.
-#[derive(Debug, Default, Clone)]
-struct LineHasher(u64);
-
-impl std::hash::Hasher for LineHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    fn write_u64(&mut self, x: u64) {
-        let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        self.0 = z ^ (z >> 31);
-    }
-}
-
-type LineMap = HashMap<u64, u128, std::hash::BuildHasherDefault<LineHasher>>;
 
 /// Tracks unique bytes written per iteration (128B-line byte masks), to
 /// separate "useful" from "redundant" transfers in Fig 10's sense.
 #[derive(Debug, Default)]
 pub struct UniqueTracker {
-    lines: LineMap,
+    lines: LineMap<u128>,
     unique_total: u64,
 }
 

@@ -330,9 +330,11 @@ impl Runner {
         }
     }
 
-    /// The destination memory images, when `track_memory` was requested.
-    pub fn images(&self) -> Option<&[MemoryImage]> {
-        self.images.as_deref()
+    /// Moves the destination memory images out, when `track_memory` was
+    /// requested. The runner keeps no copy: later iterations write no
+    /// images, and a second call returns `None`.
+    pub fn take_images(&mut self) -> Option<Vec<MemoryImage>> {
+        self.images.take()
     }
 
     /// The fabric's cumulative credit ledger (consumed/returned units
@@ -996,7 +998,7 @@ mod tests {
         let image_for = |p: Paradigm| {
             let mut r = Runner::new(cfg, p, 0.0, true);
             r.run_iteration(&runs, &[]);
-            r.images().unwrap().to_vec()
+            r.take_images().unwrap()
         };
         let p2p = image_for(Paradigm::P2pStores);
         let fp = image_for(Paradigm::FinePack);

@@ -122,7 +122,7 @@ fn memory_images_match_between_finepack_and_p2p_for_full_suite() {
             for iter_runs in prep.runs() {
                 runner.run_iteration(iter_runs, &[]);
             }
-            runner.images().expect("tracking").to_vec()
+            runner.take_images().expect("tracking")
         };
         let fp = image_for(Paradigm::FinePack);
         let p2p = image_for(Paradigm::P2pStores);

@@ -24,7 +24,7 @@ fn images_under(cfg: SystemConfig, runs: &[KernelRun]) -> Vec<MemoryImage> {
     runner
         .try_run_iteration(runs, &[])
         .expect("run must survive");
-    runner.images().unwrap().to_vec()
+    runner.take_images().unwrap()
 }
 
 /// A noisy link replays TLPs but the destination memory image is

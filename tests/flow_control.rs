@@ -114,7 +114,7 @@ fn transparency_survives_backpressure() {
         let mut r = Runner::new(cfg, p, 0.0, true);
         r.try_run_iteration(&runs, &[])
             .expect("starved run survives");
-        r.images().unwrap().to_vec()
+        r.take_images().unwrap()
     };
     let p2p = image_for(Paradigm::P2pStores);
     let fp = image_for(Paradigm::FinePack);
@@ -168,7 +168,7 @@ fn faults_compose_with_credits() {
         let mut r = Runner::new(cfg, Paradigm::FinePack, 0.0, true);
         r.try_run_iteration(&runs, &[])
             .expect("faulty starved run survives");
-        let images = r.images().unwrap().to_vec();
+        let images = r.take_images().unwrap();
         (r.finish("pagerank", 0.8), images)
     };
     let (ra, ia) = run_once();
@@ -191,7 +191,7 @@ fn faults_compose_with_credits() {
         true,
     );
     clean.try_run_iteration(&runs, &[]).unwrap();
-    let ic = clean.images().unwrap().to_vec();
+    let ic = clean.take_images().unwrap();
     for g in 0..2 {
         assert!(
             ia[g].same_contents(&ic[g]),

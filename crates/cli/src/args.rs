@@ -28,8 +28,8 @@ pub enum ArgError {
         /// What was expected.
         expected: &'static str,
     },
-    /// No subcommand was given.
-    NoSubcommand,
+    /// A bare word appeared where an option was expected.
+    Unexpected(String),
 }
 
 impl fmt::Display for ArgError {
@@ -42,19 +42,35 @@ impl fmt::Display for ArgError {
                 value,
                 expected,
             } => write!(f, "--{key} {value}: expected {expected}"),
-            ArgError::NoSubcommand => write!(f, "no subcommand given (try `help`)"),
+            ArgError::Unexpected(arg) => write!(
+                f,
+                "unexpected argument `{arg}` (options take the form --key value)"
+            ),
         }
     }
 }
 
 impl std::error::Error for ArgError {}
 
+impl ArgError {
+    /// An [`ArgError::Invalid`]: `--key value` is not what `expected`
+    /// describes.
+    pub fn invalid(key: &str, value: impl fmt::Display, expected: &'static str) -> Self {
+        ArgError::Invalid {
+            key: key.to_string(),
+            value: value.to_string(),
+            expected,
+        }
+    }
+}
+
 impl Args {
     /// Parses `argv` (without the program name).
     ///
     /// # Errors
     ///
-    /// Returns [`ArgError::MissingValue`] if a `--flag` has no value.
+    /// Returns [`ArgError::MissingValue`] if a `--flag` has no value,
+    /// or [`ArgError::Unexpected`] for a second bare word.
     pub fn parse<I, S>(argv: I) -> Result<Self, ArgError>
     where
         I: IntoIterator<Item = S>,
@@ -71,7 +87,7 @@ impl Args {
             } else if out.subcommand.is_none() {
                 out.subcommand = Some(tok);
             } else {
-                return Err(ArgError::Unknown(tok));
+                return Err(ArgError::Unexpected(tok));
             }
         }
         Ok(out)
@@ -105,11 +121,7 @@ impl Args {
     ) -> Result<T, ArgError> {
         match self.get(key) {
             None => Ok(default),
-            Some(v) => v.parse().map_err(|_| ArgError::Invalid {
-                key: key.to_string(),
-                value: v.to_string(),
-                expected,
-            }),
+            Some(v) => v.parse().map_err(|_| ArgError::invalid(key, v, expected)),
         }
     }
 
@@ -129,11 +141,7 @@ impl Args {
     ) -> Result<T, ArgError> {
         let v = self.get_parsed(key, default, expected)?;
         match self.get(key) {
-            Some(raw) if !range.contains(&v) => Err(ArgError::Invalid {
-                key: key.to_string(),
-                value: raw.to_string(),
-                expected,
-            }),
+            Some(raw) if !range.contains(&v) => Err(ArgError::invalid(key, raw, expected)),
             _ => Ok(v),
         }
     }
@@ -175,7 +183,11 @@ mod tests {
     #[test]
     fn stray_positional_is_unknown() {
         let e = Args::parse(["run", "jacobi"]).unwrap_err();
-        assert!(matches!(e, ArgError::Unknown(_)));
+        assert_eq!(e, ArgError::Unexpected("jacobi".into()));
+        assert_eq!(
+            e.to_string(),
+            "unexpected argument `jacobi` (options take the form --key value)"
+        );
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Subcommand implementations.
+//! Subcommand implementations, and the command table that dispatches
+//! them, checks their options and renders `help`.
 
 use std::fmt::Write as _;
 
@@ -14,87 +15,270 @@ use system::{
 use telemetry::{EventKind, Law, Sample, TraceEvent, TraceHandle, CHROME_TRACE_SCHEMA_VERSION};
 use workloads::{
     suite, CollectiveTuning, MsgDist, RunSpec, ScalingMode, Workload, COLLECTIVE_REGISTRY,
+    SUITE_REGISTRY,
 };
 
 use crate::args::{ArgError, Args};
 use crate::error::{CliError, CmdOut};
 
-/// The `help` text.
+/// An option a command accepts.
+pub(crate) struct Opt {
+    /// The option's name, without the leading `--`.
+    pub(crate) name: &'static str,
+    /// The placeholder `help` prints for its value.
+    pub(crate) value: &'static str,
+    /// Whether the command refuses to run without it; `help` prints
+    /// the other options in brackets.
+    pub(crate) required: bool,
+}
+
+/// An option the command can do without.
+const fn opt(name: &'static str, value: &'static str) -> Opt {
+    Opt {
+        name,
+        value,
+        required: false,
+    }
+}
+
+impl Opt {
+    /// The same option, which the command cannot run without.
+    const fn required(self) -> Opt {
+        Opt {
+            required: true,
+            ..self
+        }
+    }
+}
+
+/// One `finepack-sim` command. [`crate::execute`] accepts exactly the
+/// options its entry names and `help` lists the same ones, so the two
+/// cannot disagree.
+pub(crate) struct Command {
+    pub(crate) name: &'static str,
+    /// `help`'s description, wrapped when rendered.
+    pub(crate) summary: &'static str,
+    /// The accepted options, in groups, in `help`'s order.
+    pub(crate) options: &'static [&'static [Opt]],
+    pub(crate) run: fn(&Args) -> Result<CmdOut, CliError>,
+}
+
+impl Command {
+    /// Every option the command accepts, in `help`'s order.
+    pub(crate) fn accepted(&self) -> impl Iterator<Item = &'static Opt> {
+        self.options.iter().flat_map(|group| group.iter())
+    }
+}
+
+// Each option several commands accept, declared once, then the groups
+// of them that travel together.
+const APP: Opt = opt("app", "<name>");
+const PAYLOAD: Opt = opt("payload", "BYTES");
+const MSG_DIST: Opt = opt("msg-dist", "DIST");
+const GPUS: Opt = opt("gpus", "N");
+const ITERATIONS: Opt = opt("iterations", "K");
+const SCALE_DOWN: Opt = opt("scale-down", "S");
+const SEED: Opt = opt("seed", "S");
+const PCIE: Opt = opt("pcie", "4|5|6");
+const WINDOWS: Opt = opt("windows", "W");
+const FLOW_CONTROL: Opt = opt("flow-control", "open|credited");
+const BER: Opt = opt("ber", "RATE");
+const FAULT_PROFILE: Opt = opt("fault-profile", "clean|noisy|outage|degraded|stuck");
+const RUN_BUDGET: Opt = opt("run-budget", "SPEC");
+const PARADIGM: Opt = opt("paradigm", "<name>");
+const JOBS: Opt = opt("jobs", "N");
+const TRACE: Opt = opt("trace", "<file>").required();
+
+/// The workload: a suite app or a collective, and the collective's
+/// tuning ([`find_app`]).
+const WORKLOAD: &[Opt] = &[APP, PAYLOAD, MSG_DIST];
+/// The run shape ([`spec_from`]).
+const SHAPE: &[Opt] = &[GPUS, ITERATIONS, SCALE_DOWN, SEED];
+/// Every knob [`system_from`] reads.
+const SYSTEM: &[Opt] = &[PCIE, WINDOWS, FLOW_CONTROL, BER, FAULT_PROFILE, RUN_BUDGET];
+
+/// Every command, in `help`'s order.
+pub(crate) const COMMANDS: [Command; 16] = [
+    Command {
+        name: "run",
+        summary: "simulate one app across paradigms; --json writes the \
+                  per-paradigm reports as versioned canonical JSON",
+        options: &[WORKLOAD, SHAPE, SYSTEM, &[opt("json", "FILE")]],
+        run: |a| run_app(a).map(CmdOut::clean),
+    },
+    Command {
+        name: "suite",
+        summary: "Fig 9 table for the whole application suite; each app runs \
+                  isolated, so a panic or a budget trip fails only its own row",
+        options: &[SHAPE, &[PCIE, FLOW_CONTROL, RUN_BUDGET, JOBS]],
+        run: suite_table,
+    },
+    Command {
+        name: "collectives",
+        summary: "AI-training collectives study: per-collective message-size \
+                  crossover tables (FinePack vs bulk DMA vs plain stores, each \
+                  as its time over the row's best) plus a weak-scaling curve \
+                  over doubling GPU counts",
+        options: &[
+            &[opt("collective", "<name>|all"), PAYLOAD, MSG_DIST],
+            SHAPE,
+            &[opt("max-gpus", "N"), PCIE, WINDOWS, FLOW_CONTROL, JOBS],
+        ],
+        run: |a| collectives(a).map(CmdOut::clean),
+    },
+    Command {
+        name: "goodput",
+        summary: "goodput-vs-size curve (Fig 2)",
+        options: &[&[opt("framing", "pcie|cxl|nvlink")]],
+        run: |a| goodput(a).map(CmdOut::clean),
+    },
+    Command {
+        name: "sweep-subheader",
+        summary: "Table II / Fig 12 sub-header sweep over one app, or the \
+                  whole suite without --app",
+        options: &[WORKLOAD, SHAPE, &[JOBS]],
+        run: |a| sweep_subheader(a).map(CmdOut::clean),
+    },
+    Command {
+        name: "faults",
+        summary: "bit-error-rate sweep: replay amplification under a faulty \
+                  data link layer",
+        options: &[
+            WORKLOAD,
+            SHAPE,
+            &[PARADIGM, FLOW_CONTROL, FAULT_PROFILE, JOBS],
+        ],
+        run: |a| faults(a).map(CmdOut::clean),
+    },
+    Command {
+        name: "trace",
+        summary: "run one (app, paradigm) with event tracing and write a \
+                  Chrome trace_event JSON (chrome://tracing / Perfetto) or a \
+                  CSV time series; samples every --sample-interval ns \
+                  (default 100, 0 disables) into a ring of --capacity events \
+                  (default 1048576)",
+        options: &[
+            WORKLOAD,
+            SHAPE,
+            SYSTEM,
+            &[
+                PARADIGM,
+                opt("format", "chrome|csv"),
+                opt("out", "FILE"),
+                opt("sample-interval", "NS"),
+                opt("capacity", "EVENTS"),
+            ],
+        ],
+        run: |a| trace(a).map(CmdOut::clean),
+    },
+    Command {
+        name: "audit",
+        summary: "conservation audit: replay the trace stream against \
+                  cross-layer conservation laws (bytes, wire framing, credits, \
+                  causality, transparency) over the whole configuration \
+                  matrix; non-zero exit on any violation",
+        options: &[WORKLOAD, SHAPE, &[PARADIGM]],
+        run: |a| audit(a).map(CmdOut::clean),
+    },
+    Command {
+        name: "area",
+        summary: "FinePack SRAM footprint (§VI-B)",
+        options: &[&[GPUS]],
+        run: |a| area(a).map(CmdOut::clean),
+    },
+    Command {
+        name: "record",
+        summary: "synthesize traces to disk",
+        options: &[&[opt("out", "<dir>").required()], WORKLOAD, SHAPE],
+        run: |a| record(a).map(CmdOut::clean),
+    },
+    Command {
+        name: "replay",
+        summary: "replay a recorded trace on one GPU",
+        options: &[&[TRACE, GPUS]],
+        run: |a| replay(a).map(CmdOut::clean),
+    },
+    Command {
+        name: "inspect",
+        summary: "summarize a recorded trace",
+        options: &[&[TRACE]],
+        run: |a| inspect(a).map(CmdOut::clean),
+    },
+    Command {
+        name: "analyze",
+        summary: "profile a recorded trace's remote-store stream",
+        options: &[&[TRACE, GPUS, opt("window-bytes", "B")]],
+        run: |a| analyze(a).map(CmdOut::clean),
+    },
+    Command {
+        name: "reproduce",
+        summary: "regenerate the paper's tables and figures plus the \
+                  extension studies at paper scale (EXPERIMENTS.md)",
+        options: &[&[opt("experiment", "<name>|all")]],
+        run: |a| reproduce(a).map(CmdOut::clean),
+    },
+    Command {
+        name: "version",
+        summary: "print the crate version and the report and trace schema \
+                  versions (also: --version)",
+        options: &[],
+        run: |_| Ok(CmdOut::clean(version())),
+    },
+    Command {
+        name: "help",
+        summary: "this text",
+        options: &[],
+        run: |_| Ok(CmdOut::clean(help())),
+    },
+];
+
+/// The column `help`'s command descriptions start at.
+const HELP_INDENT: usize = 19;
+/// The widest line `help` wraps to.
+const HELP_WIDTH: usize = 78;
+
+/// The `help` text: every [`COMMANDS`] entry with its options, then the
+/// workload and paradigm names from their registries.
 pub(crate) fn help() -> String {
-    "\
-finepack-sim — FinePack (HPCA 2023) reproduction driver
+    let mut out = String::from(
+        "finepack-sim — command line of the FinePack (HPCA 2023) reproduction\n\n\
+         USAGE: finepack-sim <command> [--option value]...\n\nCOMMANDS:\n",
+    );
+    for cmd in &COMMANDS {
+        let _ = write!(out, "  {:<1$}", cmd.name, HELP_INDENT - 2);
+        fill(&mut out, cmd.summary.split_whitespace().map(String::from));
+        if !cmd.options.is_empty() {
+            let _ = write!(out, "{:HELP_INDENT$}", "");
+            fill(
+                &mut out,
+                cmd.accepted().map(|o| {
+                    let usage = format!("--{} {}", o.name, o.value);
+                    if o.required {
+                        usage
+                    } else {
+                        format!("[{usage}]")
+                    }
+                }),
+            );
+        }
+    }
+    let apps: Vec<&str> = SUITE_REGISTRY.iter().map(|(n, _)| *n).collect();
+    let collectives: Vec<&str> = COLLECTIVE_REGISTRY.iter().map(|(n, _)| *n).collect();
+    let paradigms: Vec<String> = Paradigm::ALL.iter().map(Paradigm::to_string).collect();
+    let _ = write!(
+        out,
+        "\nAPPS: {}\nCOLLECTIVES: {}\n  (accepted wherever --app is; tuned with --payload BYTES and\n  \
+         --msg-dist DIST, one of fixed:N, uniform:MIN:MAX, bimodal:FINE:BULK:PCT)\n\
+         PARADIGMS: {}\n{HELP_NOTES}",
+        apps.join(" "),
+        collectives.join(" "),
+        paradigms.join(" "),
+    );
+    out
+}
 
-USAGE: finepack-sim <command> [--option value]...
-
-COMMANDS:
-  run              simulate one app across paradigms
-                   --app <name> [--gpus N] [--pcie 4|5|6]
-                   [--iterations K] [--scale-down S] [--windows W]
-                   [--flow-control open|credited]
-                   [--ber RATE] [--fault-profile clean|noisy|outage|degraded|stuck]
-                   [--json FILE (write per-paradigm reports as
-                   versioned canonical JSON)]
-  suite            Fig 9 table for the whole application suite; each
-                   app runs isolated, so a panic or a budget trip
-                   fails only its own row
-                   [--gpus N] [--pcie 4|5|6] [--scale-down S]
-                   [--flow-control open|credited] [--jobs N]
-                   [--run-budget SPEC]
-  collectives      AI-training collectives study: per-collective
-                   message-size crossover tables (FinePack vs bulk DMA
-                   vs plain stores, each as its time over the row's
-                   best) plus a weak-scaling curve over doubling GPU
-                   counts
-                   [--collective <name>|all] [--payload BYTES]
-                   [--msg-dist fixed:N|uniform:MIN:MAX|bimodal:FINE:BULK:PCT]
-                   [--gpus N] [--max-gpus N] [--pcie 4|5|6]
-                   [--iterations K] [--scale-down S] [--seed S]
-                   [--flow-control open|credited] [--jobs N]
-  goodput          goodput-vs-size curve (Fig 2)
-                   [--framing pcie|cxl|nvlink]
-  sweep-subheader  Table II / Fig 12 sub-header sweep
-                   [--app <name>] [--gpus N] [--scale-down S] [--jobs N]
-  faults           bit-error-rate sweep: replay amplification under a
-                   faulty data link layer
-                   [--app <name>] [--gpus N] [--paradigm <name>]
-                   [--scale-down S] [--iterations K] [--jobs N]
-                   [--flow-control open|credited]
-                   [--fault-profile clean|noisy|outage|degraded|stuck]
-  trace            run one (app, paradigm) with event tracing and write
-                   a Chrome trace_event JSON (chrome://tracing /
-                   Perfetto) or a CSV time series
-                   [--app <name>] [--paradigm <name>] [--gpus N]
-                   [--iterations K] [--scale-down S]
-                   [--format chrome|csv] [--out FILE]
-                   [--sample-interval NS (default 100; 0 disables)]
-                   [--capacity EVENTS (ring size, default 1048576)]
-  audit            conservation audit: replay the trace stream against
-                   cross-layer conservation laws (bytes, wire framing,
-                   credits, causality, transparency) over the whole
-                   configuration matrix; non-zero exit on any violation
-                   [--app <name>] [--paradigm <name>] [--gpus N]
-                   [--iterations K] [--scale-down S] [--seed S]
-  area             FinePack SRAM footprint (§VI-B) [--gpus N]
-  record           synthesize traces to disk
-                   --app <name> --out <dir> [--gpus N] [--iterations K]
-                   [--scale-down S]
-  replay           replay a recorded trace on one GPU
-                   --trace <file> [--gpus N]
-  inspect          summarize a recorded trace --trace <file>
-  analyze          profile a recorded trace's remote-store stream
-                   --trace <file> [--gpus N] [--window-bytes B]
-  reproduce        regenerate the paper's tables and figures plus the
-                   extension studies at paper scale (EXPERIMENTS.md)
-                   [--experiment <name>|all]
-  version          print the crate version and the report and trace
-                   schema versions (also: --version)
-  help             this text
-
-APPS: jacobi pagerank sssp als ct eqwp diffusion hit
-COLLECTIVES: ring-allreduce tree-allreduce alltoall halo2d broadcast
-  (accepted wherever --app is; tuned with --payload and --msg-dist)
-PARADIGMS: bulk-dma p2p-stores finepack write-combining gps infinite-bw
-
+/// The end of `help`: what several commands' shared options do.
+const HELP_NOTES: &str = "
 FLOW CONTROL: `credited` (default) simulates the closed loop — finite
 link credit pools backpressure the egress buffers and can stall the
 GPU store streams (reported in the `stall` column); `open` is the
@@ -105,17 +289,35 @@ machine's available parallelism; `--jobs 1` forces the serial path).
 Output is byte-identical for every N — parallelism never changes
 results, only wall-clock time.
 
-RUN BUDGETS: `--run-budget SPEC` (run, suite, trace) bounds each run,
-where SPEC is a plain integer (event ceiling) or comma-separated
-`events=N`, `sim-ms=N`, `stall=N` (events without forward progress).
-In `suite`, budget trips, panics, and runner errors become per-point
-failures: the table keeps the surviving rows and a `failed points`
-section lists the rest, the same at every --jobs.
+RUN BUDGETS: `--run-budget SPEC` bounds each run, where SPEC is a
+plain integer (event ceiling) or comma-separated `events=N`,
+`sim-ms=N`, `stall=N` (events without forward progress). In `suite`,
+budget trips, panics, and runner errors become per-point failures:
+the table keeps the surviving rows and a `failed points` section
+lists the rest, the same at every --jobs.
 
 EXIT CODES: 0 clean; 3 partial results (some suite points failed);
 2 unrecoverable (usage, I/O, or simulation error).
-"
-    .to_string()
+";
+
+/// Appends `items` to `out` separated by spaces, wrapped before
+/// [`HELP_WIDTH`] with continuation lines indented to [`HELP_INDENT`],
+/// and ends the line. `out` must already stand at that column.
+fn fill(out: &mut String, items: impl Iterator<Item = String>) {
+    let mut col = HELP_INDENT;
+    for item in items {
+        let len = item.chars().count();
+        if col > HELP_INDENT && col + 1 + len > HELP_WIDTH {
+            let _ = write!(out, "\n{:HELP_INDENT$}", "");
+            col = HELP_INDENT;
+        } else if col > HELP_INDENT {
+            out.push(' ');
+            col += 1;
+        }
+        out.push_str(&item);
+        col += len;
+    }
+    out.push('\n');
 }
 
 /// Parses the collective knobs (`--payload`, `--msg-dist`) into a
@@ -124,17 +326,17 @@ fn tuning_from(args: &Args) -> Result<CollectiveTuning, ArgError> {
     let mut tuning = CollectiveTuning::default();
     tuning.payload_bytes = args.get_parsed("payload", tuning.payload_bytes, "payload bytes")?;
     if let Some(d) = args.get("msg-dist") {
-        tuning.msg = MsgDist::parse(d).map_err(|_| ArgError::Invalid {
-            key: "msg-dist".into(),
-            value: d.to_string(),
-            expected: "fixed:N, uniform:MIN:MAX, or bimodal:FINE:BULK:PCT",
+        tuning.msg = MsgDist::parse(d).map_err(|_| {
+            ArgError::invalid(
+                "msg-dist",
+                d,
+                "fixed:N, uniform:MIN:MAX, or bimodal:FINE:BULK:PCT",
+            )
         })?;
     }
-    tuning.validate().map_err(|e| ArgError::Invalid {
-        key: "payload".into(),
-        value: e,
-        expected: "a valid collective tuning",
-    })?;
+    tuning
+        .validate()
+        .map_err(|e| ArgError::invalid("payload", e, "a valid collective tuning"))?;
     Ok(tuning)
 }
 
@@ -144,33 +346,34 @@ fn tuning_from(args: &Args) -> Result<CollectiveTuning, ArgError> {
 fn find_app(args: &Args, name: &str) -> Result<Box<dyn Workload>, ArgError> {
     let tuning = tuning_from(args)?;
     if let Some(app) = suite().into_iter().find(|a| a.name() == name) {
-        if let Some(key) = ["payload", "msg-dist"]
-            .into_iter()
-            .find(|k| args.get(k).is_some())
-        {
-            return Err(ArgError::Invalid {
-                key: key.into(),
-                value: args.get_or(key, "?").to_string(),
-                expected: "a collective --app (suite apps take no --payload or --msg-dist)",
-            });
-        }
+        no_tuning(args)?;
         return Ok(app);
     }
-    workloads::collective(name, &tuning).ok_or(ArgError::Invalid {
-        key: "app".into(),
-        value: format!("unknown app `{name}`"),
-        expected: "a suite or collective name (see `help`)",
-    })
+    workloads::collective(name, &tuning).ok_or(ArgError::invalid(
+        "app",
+        format!("unknown app `{name}`"),
+        "a suite or collective name (see `help`)",
+    ))
 }
 
-fn spec_from(args: &Args) -> Result<RunSpec, ArgError> {
-    spec_from_gpus(args, 4)
+/// Rejects the collective knobs, which suite apps do not take.
+fn no_tuning(args: &Args) -> Result<(), ArgError> {
+    for key in ["payload", "msg-dist"] {
+        if let Some(value) = args.get(key) {
+            return Err(ArgError::invalid(
+                key,
+                value,
+                "a collective --app (suite apps take no --payload or --msg-dist)",
+            ));
+        }
+    }
+    Ok(())
 }
 
-/// Parses the run shape. One GPU is a legal trace to record; every
-/// command that simulates a fabric also needs a peer, which
-/// [`system_from`] checks.
-fn spec_from_gpus(args: &Args, default_gpus: u8) -> Result<RunSpec, ArgError> {
+/// Parses the run shape, on `default_gpus` GPUs unless `--gpus` says
+/// otherwise. One GPU is a legal trace to record; every command that
+/// simulates a fabric also needs a peer, which [`system_from`] checks.
+fn spec_from(args: &Args, default_gpus: u8) -> Result<RunSpec, ArgError> {
     let mut spec =
         RunSpec::paper(args.get_in_range("gpus", default_gpus, 1..=64, "integer 1-64")?);
     spec.iterations = args.get_in_range(
@@ -196,11 +399,11 @@ fn spec_from_gpus(args: &Args, default_gpus: u8) -> Result<RunSpec, ArgError> {
 /// defaults.
 fn system_from(args: &Args, spec: &RunSpec) -> Result<SystemConfig, ArgError> {
     if spec.num_gpus < 2 {
-        return Err(ArgError::Invalid {
-            key: "gpus".into(),
-            value: spec.num_gpus.to_string(),
-            expected: "integer 2-64 (the fabric needs a peer GPU)",
-        });
+        return Err(ArgError::invalid(
+            "gpus",
+            spec.num_gpus,
+            "integer 2-64 (the fabric needs a peer GPU)",
+        ));
     }
     let gen = match args.get_in_range("pcie", 4u8, 4..=6, "4, 5, or 6")? {
         5 => PcieGen::Gen5,
@@ -229,10 +432,12 @@ fn run_budget_from(args: &Args) -> Result<Option<RunBudget>, ArgError> {
     let Some(spec) = args.get("run-budget") else {
         return Ok(None);
     };
-    let invalid = |value: &str| ArgError::Invalid {
-        key: "run-budget".into(),
-        value: value.to_string(),
-        expected: "an event count, or `events=N,sim-ms=N,stall=N` parts",
+    let invalid = |value: &str| {
+        ArgError::invalid(
+            "run-budget",
+            value,
+            "an event count, or `events=N,sim-ms=N,stall=N` parts",
+        )
     };
     let mut budget = RunBudget::unlimited();
     for part in spec.split(',') {
@@ -257,24 +462,9 @@ fn run_budget_from(args: &Args) -> Result<Option<RunBudget>, ArgError> {
 /// Parses `--jobs N` into a [`WorkerPool`] (default: the machine's
 /// available parallelism; `--jobs 1` selects the serial path).
 fn pool_from(args: &Args) -> Result<WorkerPool, ArgError> {
-    match args.get("jobs") {
-        None => Ok(WorkerPool::default_parallel()),
-        Some(v) => {
-            let jobs: usize = v.parse().map_err(|_| ArgError::Invalid {
-                key: "jobs".into(),
-                value: v.to_string(),
-                expected: "positive worker count",
-            })?;
-            if jobs == 0 {
-                return Err(ArgError::Invalid {
-                    key: "jobs".into(),
-                    value: v.to_string(),
-                    expected: "positive worker count",
-                });
-            }
-            Ok(WorkerPool::new(jobs))
-        }
-    }
+    let default = WorkerPool::default_parallel().jobs();
+    let jobs = args.get_in_range("jobs", default, 1..=usize::MAX, "positive worker count")?;
+    Ok(WorkerPool::new(jobs))
 }
 
 /// Parses `--flow-control open|credited` (default: the paper-scale
@@ -283,11 +473,7 @@ fn flow_control_from(args: &Args) -> Result<FlowControlMode, ArgError> {
     match args.get_or("flow-control", "credited") {
         "open" => Ok(FlowControlMode::Open),
         "credited" => Ok(FlowControlMode::Credited(CreditConfig::paper())),
-        other => Err(ArgError::Invalid {
-            key: "flow-control".into(),
-            value: other.to_string(),
-            expected: "open or credited",
-        }),
+        other => Err(ArgError::invalid("flow-control", other, "open or credited")),
     }
 }
 
@@ -296,11 +482,10 @@ fn flow_control_from(args: &Args) -> Result<FlowControlMode, ArgError> {
 fn fault_profile_from(args: &Args) -> Result<Option<FaultProfile>, ArgError> {
     let ber: Option<f64> = match args.get("ber") {
         None => None,
-        Some(v) => Some(v.parse().map_err(|_| ArgError::Invalid {
-            key: "ber".into(),
-            value: v.to_string(),
-            expected: "bit-error rate in [0, 1], e.g. 1e-8",
-        })?),
+        Some(v) => Some(
+            v.parse()
+                .map_err(|_| ArgError::invalid("ber", v, "bit-error rate in [0, 1], e.g. 1e-8"))?,
+        ),
     };
     let profile = match args.get("fault-profile") {
         None => ber.map(FaultProfile::new),
@@ -318,22 +503,18 @@ fn fault_profile_from(args: &Args) -> Result<Option<FaultProfile>, ArgError> {
                     .with_degrade(0.5),
                 "stuck" => base.stuck_link(0, SimTime::ZERO),
                 other => {
-                    return Err(ArgError::Invalid {
-                        key: "fault-profile".into(),
-                        value: other.to_string(),
-                        expected: "clean, noisy, outage, degraded, or stuck",
-                    })
+                    return Err(ArgError::invalid(
+                        "fault-profile",
+                        other,
+                        "clean, noisy, outage, degraded, or stuck",
+                    ))
                 }
             })
         }
     };
     if let Some(p) = &profile {
         if !(0.0..=1.0).contains(&p.ber) {
-            return Err(ArgError::Invalid {
-                key: "ber".into(),
-                value: p.ber.to_string(),
-                expected: "bit-error rate in [0, 1]",
-            });
+            return Err(ArgError::invalid("ber", p.ber, "bit-error rate in [0, 1]"));
         }
     }
     Ok(profile)
@@ -341,19 +522,11 @@ fn fault_profile_from(args: &Args) -> Result<Option<FaultProfile>, ArgError> {
 
 /// `goodput [--framing pcie|cxl|nvlink]`
 pub(crate) fn goodput(args: &Args) -> Result<String, CliError> {
-    args.expect_only(&["framing"])?;
     let (name, fm) = match args.get_or("framing", "pcie") {
         "pcie" => ("PCIe 4.0", FramingModel::pcie_gen4()),
         "cxl" => ("CXL.io", FramingModel::cxl()),
         "nvlink" => ("NVLink-flit", FramingModel::nvlink_flit()),
-        other => {
-            return Err(ArgError::Invalid {
-                key: "framing".into(),
-                value: other.to_string(),
-                expected: "pcie, cxl, or nvlink",
-            }
-            .into())
-        }
+        other => return Err(ArgError::invalid("framing", other, "pcie, cxl, or nvlink").into()),
     };
     let mut t = Table::new(
         format!("{name} goodput vs transfer size"),
@@ -372,24 +545,8 @@ pub(crate) fn goodput(args: &Args) -> Result<String, CliError> {
 
 /// `run --app <name> ...`: one app across every paradigm.
 pub(crate) fn run_app(args: &Args) -> Result<String, CliError> {
-    args.expect_only(&[
-        "app",
-        "payload",
-        "msg-dist",
-        "gpus",
-        "pcie",
-        "iterations",
-        "scale-down",
-        "seed",
-        "windows",
-        "flow-control",
-        "ber",
-        "fault-profile",
-        "run-budget",
-        "json",
-    ])?;
     let app = find_app(args, args.get_or("app", "pagerank"))?;
-    let spec = spec_from(args)?;
+    let spec = spec_from(args, 4)?;
     let cfg = system_from(args, &spec)?;
     let (text, reports) = run_table(app.as_ref(), &spec, &cfg);
     if let Some(path) = args.get("json") {
@@ -459,30 +616,14 @@ fn run_table(app: &dyn Workload, spec: &RunSpec, cfg: &SystemConfig) -> (String,
 }
 
 fn find_paradigm(name: &str) -> Result<Paradigm, ArgError> {
-    name.parse().map_err(|_| ArgError::Invalid {
-        key: "paradigm".into(),
-        value: name.to_string(),
-        expected: "one of the paradigm names (see `help`)",
-    })
+    name.parse()
+        .map_err(|_| ArgError::invalid("paradigm", name, "one of the paradigm names (see `help`)"))
 }
 
 /// `faults [--app <name>] [--paradigm <name>] ...`
 pub(crate) fn faults(args: &Args) -> Result<String, CliError> {
-    args.expect_only(&[
-        "app",
-        "payload",
-        "msg-dist",
-        "gpus",
-        "paradigm",
-        "iterations",
-        "scale-down",
-        "seed",
-        "jobs",
-        "flow-control",
-        "fault-profile",
-    ])?;
     let app = find_app(args, args.get_or("app", "pagerank"))?;
-    let spec = spec_from(args)?;
+    let spec = spec_from(args, 4)?;
     let pool = pool_from(args)?;
     let paradigm = find_paradigm(args.get_or("paradigm", "finepack"))?;
     let cfg = system_from(args, &spec)?;
@@ -548,17 +689,7 @@ pub(crate) fn faults(args: &Args) -> Result<String, CliError> {
 /// `suite ...`: the Fig 9 table for the whole suite, run under the
 /// supervisor.
 pub(crate) fn suite_table(args: &Args) -> Result<CmdOut, CliError> {
-    args.expect_only(&[
-        "gpus",
-        "pcie",
-        "iterations",
-        "scale-down",
-        "seed",
-        "jobs",
-        "flow-control",
-        "run-budget",
-    ])?;
-    let spec = spec_from(args)?;
+    let spec = spec_from(args, 4)?;
     let cfg = system_from(args, &spec)?;
     let pool = pool_from(args)?;
     Ok(suite_report(&spec, &cfg, &pool))
@@ -613,46 +744,27 @@ fn suite_report(spec: &RunSpec, cfg: &SystemConfig, pool: &WorkerPool) -> CmdOut
 /// curve over growing GPU counts. The report text never includes
 /// wall-clock numbers, so it stays byte-identical across `--jobs`.
 pub(crate) fn collectives(args: &Args) -> Result<String, CliError> {
-    args.expect_only(&[
-        "collective",
-        "payload",
-        "msg-dist",
-        "gpus",
-        "max-gpus",
-        "pcie",
-        "iterations",
-        "scale-down",
-        "seed",
-        "windows",
-        "flow-control",
-        "jobs",
-    ])?;
     // The crossover table at a fixed GPU count uses the paper's strong
     // scaling (same semantics as `run`); the scaling section below
     // switches to weak scaling, the data-parallel training regime.
-    let spec = spec_from_gpus(args, 8)?;
+    let spec = spec_from(args, 8)?;
     let cfg = system_from(args, &spec)?;
     let pool = pool_from(args)?;
     let tuning = tuning_from(args)?;
     let max_gpus: u8 = args.get_in_range("max-gpus", 16u8, 2..=64, "integer 2-64")?;
     if max_gpus < spec.num_gpus {
-        return Err(ArgError::Invalid {
-            key: "max-gpus".into(),
-            value: max_gpus.to_string(),
-            expected: "at least --gpus",
-        }
-        .into());
+        return Err(ArgError::invalid("max-gpus", max_gpus, "at least --gpus").into());
     }
     let names: Vec<&'static str> =
         match args.get_or("collective", "all") {
             "all" => COLLECTIVE_REGISTRY.iter().map(|(n, _)| *n).collect(),
             name => {
                 let entry = COLLECTIVE_REGISTRY.iter().find(|(n, _)| *n == name).ok_or(
-                    ArgError::Invalid {
-                        key: "collective".into(),
-                        value: name.to_string(),
-                        expected: "a collective name or `all` (see `help`)",
-                    },
+                    ArgError::invalid(
+                        "collective",
+                        name,
+                        "a collective name or `all` (see `help`)",
+                    ),
                 )?;
                 vec![entry.0]
             }
@@ -795,22 +907,15 @@ pub(crate) fn version() -> String {
 
 /// `sweep-subheader ...`
 pub(crate) fn sweep_subheader(args: &Args) -> Result<String, CliError> {
-    args.expect_only(&[
-        "app",
-        "payload",
-        "msg-dist",
-        "gpus",
-        "scale-down",
-        "iterations",
-        "seed",
-        "jobs",
-    ])?;
-    let spec = spec_from(args)?;
+    let spec = spec_from(args, 4)?;
     let cfg = system_from(args, &spec)?;
     let pool = pool_from(args)?;
     let apps: Vec<Box<dyn Workload>> = match args.get("app") {
         Some(name) => vec![find_app(args, name)?],
-        None => suite(),
+        None => {
+            no_tuning(args)?;
+            suite()
+        }
     };
     let sweep = subheader_sweep(&apps, &cfg, &spec, &pool);
     let mut t = Table::new(
@@ -830,7 +935,6 @@ pub(crate) fn sweep_subheader(args: &Args) -> Result<String, CliError> {
 
 /// `area [--gpus N]`
 pub(crate) fn area(args: &Args) -> Result<String, CliError> {
-    args.expect_only(&["gpus"])?;
     let gpus: u32 = args.get_in_range("gpus", 4u32, 2..=64, "integer 2-64")?;
     let cfg = FinePackConfig::paper(gpus);
     let model = AreaModel::new(cfg);
@@ -861,45 +965,25 @@ pub(crate) fn area(args: &Args) -> Result<String, CliError> {
 /// runs one (app, paradigm) with a ring collector attached and exports
 /// the recorded lifecycle events and time-series samples.
 pub(crate) fn trace(args: &Args) -> Result<String, CliError> {
-    args.expect_only(&[
-        "app",
-        "payload",
-        "msg-dist",
-        "paradigm",
-        "gpus",
-        "pcie",
-        "iterations",
-        "scale-down",
-        "seed",
-        "windows",
-        "flow-control",
-        "ber",
-        "fault-profile",
-        "run-budget",
-        "format",
-        "out",
-        "sample-interval",
-        "capacity",
-    ])?;
     let app = find_app(args, args.get_or("app", "jacobi"))?;
-    let spec = spec_from(args)?;
+    let spec = spec_from(args, 4)?;
     let cfg = system_from(args, &spec)?;
     let paradigm = find_paradigm(args.get_or("paradigm", "finepack"))?;
     let format = args.get_or("format", "chrome");
     if !matches!(format, "chrome" | "csv") {
-        return Err(CliError::Usage(format!(
-            "--format must be chrome or csv, got `{format}`"
-        )));
+        return Err(ArgError::invalid("format", format, "chrome or csv").into());
     }
     let sample_ns: u64 = args.get_parsed(
         "sample-interval",
         100u64,
         "nanoseconds (0 disables sampling)",
     )?;
-    let capacity: usize = args.get_parsed("capacity", 1usize << 20, "positive ring capacity")?;
-    if capacity == 0 {
-        return Err(CliError::Usage("--capacity must be positive".into()));
-    }
+    let capacity: usize = args.get_in_range(
+        "capacity",
+        1 << 20,
+        1..=usize::MAX,
+        "positive ring capacity",
+    )?;
     let out_path = args.get_or(
         "out",
         if format == "chrome" {
@@ -995,18 +1079,8 @@ pub(crate) fn trace(args: &Args) -> Result<String, CliError> {
 /// — and fails (non-zero exit) with a per-law report if any run
 /// violates a conservation law.
 pub(crate) fn audit(args: &Args) -> Result<String, CliError> {
-    args.expect_only(&[
-        "app",
-        "payload",
-        "msg-dist",
-        "paradigm",
-        "gpus",
-        "iterations",
-        "scale-down",
-        "seed",
-    ])?;
     let app = find_app(args, args.get_or("app", "jacobi"))?;
-    let spec = spec_from(args)?;
+    let spec = spec_from(args, 4)?;
     let paradigms: Vec<Paradigm> = match args.get("paradigm") {
         Some(name) => vec![find_paradigm(name)?],
         None => Paradigm::ALL.to_vec(),
@@ -1104,21 +1178,9 @@ pub(crate) fn audit(args: &Args) -> Result<String, CliError> {
 
 /// `record --app <name> --out <dir> ...`
 pub(crate) fn record(args: &Args) -> Result<String, CliError> {
-    args.expect_only(&[
-        "app",
-        "payload",
-        "msg-dist",
-        "out",
-        "gpus",
-        "iterations",
-        "scale-down",
-        "seed",
-    ])?;
     let app = find_app(args, args.get_or("app", "pagerank"))?;
-    let out_dir = args
-        .get("out")
-        .ok_or_else(|| CliError::Usage("record needs --out <dir>".into()))?;
-    let spec = spec_from(args)?;
+    let out_dir = args.get("out").expect("execute checks required options");
+    let spec = spec_from(args, 4)?;
     std::fs::create_dir_all(out_dir).map_err(|e| CliError::io(out_dir, e))?;
     let mut report = String::new();
     for iter in 0..spec.iterations {
@@ -1140,9 +1202,7 @@ pub(crate) fn record(args: &Args) -> Result<String, CliError> {
 }
 
 fn load_trace(args: &Args) -> Result<gpu_model::KernelTrace, CliError> {
-    let path = args
-        .get("trace")
-        .ok_or_else(|| CliError::Usage("needs --trace <file>".into()))?;
+    let path = args.get("trace").expect("execute checks required options");
     let bytes = std::fs::read(path).map_err(|e| CliError::io(path, e))?;
     read_trace(&bytes).map_err(|e| CliError::Failed(format!("{path}: {e}")))
 }
@@ -1167,7 +1227,6 @@ fn replay_gpu(args: &Args, trace: &gpu_model::KernelTrace) -> Result<Gpu, CliErr
 
 /// `replay --trace <file> [--gpus N]`
 pub(crate) fn replay(args: &Args) -> Result<String, CliError> {
-    args.expect_only(&["trace", "gpus"])?;
     let trace = load_trace(args)?;
     let gpu = replay_gpu(args, &trace)?;
     let run = gpu.execute_kernel(&trace);
@@ -1199,13 +1258,10 @@ pub(crate) fn replay(args: &Args) -> Result<String, CliError> {
 
 /// `analyze --trace <file> [--gpus N] [--window-bytes B]`
 pub(crate) fn analyze(args: &Args) -> Result<String, CliError> {
-    args.expect_only(&["trace", "gpus", "window-bytes"])?;
     let trace = load_trace(args)?;
     let window: u64 = args.get_parsed("window-bytes", 1u64 << 30, "power-of-two bytes")?;
     if !window.is_power_of_two() {
-        return Err(CliError::Usage(
-            "--window-bytes must be a power of two".into(),
-        ));
+        return Err(ArgError::invalid("window-bytes", window, "power-of-two bytes").into());
     }
     let gpu = replay_gpu(args, &trace)?;
     let run = gpu.execute_kernel(&trace);
@@ -1251,7 +1307,6 @@ pub(crate) fn analyze(args: &Args) -> Result<String, CliError> {
 /// `reproduce [--experiment <name>|all]`: renders one registered
 /// experiment, or all of them, at paper scale.
 pub(crate) fn reproduce(args: &Args) -> Result<String, CliError> {
-    args.expect_only(&["experiment"])?;
     let spec = RunSpec::paper(4);
     let name = args.get_or("experiment", "all");
     if name == "all" {
@@ -1277,7 +1332,6 @@ pub(crate) fn reproduce(args: &Args) -> Result<String, CliError> {
 
 /// `inspect --trace <file>`
 pub(crate) fn inspect(args: &Args) -> Result<String, CliError> {
-    args.expect_only(&["trace"])?;
     let trace = load_trace(args)?;
     let mut out = String::new();
     let _ = writeln!(out, "trace `{}`:", trace.name);
@@ -1293,181 +1347,95 @@ pub(crate) fn inspect(args: &Args) -> Result<String, CliError> {
 mod tests {
     use super::*;
 
+    /// Runs the words of `line`, then `tail` unsplit (paths may hold
+    /// spaces), through [`crate::execute`], which checks the options
+    /// against the command's table entry before the handler runs.
+    fn cli(line: &str, tail: &[&str]) -> Result<CmdOut, CliError> {
+        crate::execute(line.split_whitespace().chain(tail.iter().copied()))
+    }
+
     #[test]
     fn record_replay_inspect_roundtrip() {
         let dir = std::env::temp_dir().join("finepack-sim-test");
         let dir_s = dir.to_str().expect("utf-8 temp dir");
-        let rec = record(
-            &Args::parse([
-                "record",
-                "--app",
-                "jacobi",
-                "--out",
-                dir_s,
-                "--gpus",
-                "2",
-                "--iterations",
-                "1",
-                "--scale-down",
-                "16",
-            ])
-            .unwrap(),
-        )
-        .unwrap();
-        assert!(rec.contains("jacobi.g0.i0.fpkt"));
+        let shape = "--gpus 2 --iterations 1 --scale-down 16";
+        let rec = cli(&format!("record --app jacobi {shape} --out"), &[dir_s]).unwrap();
+        assert!(rec.text.contains("jacobi.g0.i0.fpkt"));
         let path = format!("{dir_s}/jacobi.g0.i0.fpkt");
-        let rep =
-            replay(&Args::parse(["replay", "--trace", &path, "--gpus", "2"]).unwrap()).unwrap();
-        assert!(rep.contains("remote stores"));
-        let ins = inspect(&Args::parse(["inspect", "--trace", &path]).unwrap()).unwrap();
-        assert!(ins.contains("warp stores"));
-        let ana =
-            analyze(&Args::parse(["analyze", "--trace", &path, "--gpus", "2"]).unwrap()).unwrap();
-        assert!(ana.contains("rewrite factor"));
-        assert!(ana.contains("-> GPU1"));
-        let bad =
-            analyze(&Args::parse(["analyze", "--trace", &path, "--window-bytes", "1000"]).unwrap());
-        assert!(bad.is_err());
+        let rep = cli("replay --gpus 2 --trace", &[&path]).unwrap();
+        assert!(rep.text.contains("remote stores"));
+        let ins = cli("inspect --trace", &[&path]).unwrap();
+        assert!(ins.text.contains("warp stores"));
+        let ana = cli("analyze --gpus 2 --trace", &[&path]).unwrap();
+        assert!(ana.text.contains("rewrite factor"));
+        assert!(ana.text.contains("-> GPU1"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn replay_missing_file_errors() {
-        let e =
-            replay(&Args::parse(["replay", "--trace", "/nonexistent.fpkt"]).unwrap()).unwrap_err();
+        let e = cli("replay --trace /nonexistent.fpkt", &[]).unwrap_err();
         assert!(e.to_string().contains("nonexistent"));
         assert!(matches!(e, CliError::Io { .. }));
     }
 
     #[test]
     fn suite_runs_tiny() {
-        let out = suite_table(
-            &Args::parse([
-                "suite",
-                "--gpus",
-                "2",
-                "--scale-down",
-                "16",
-                "--iterations",
-                "1",
-            ])
-            .unwrap(),
-        )
-        .unwrap();
+        let out = cli("suite --gpus 2 --scale-down 16 --iterations 1", &[]).unwrap();
         assert!(!out.partial);
         assert!(out.text.contains("jacobi") && out.text.contains("hit"));
     }
 
     #[test]
     fn faults_sweep_runs_tiny() {
-        let out = faults(
-            &Args::parse([
-                "faults",
-                "--app",
-                "jacobi",
-                "--gpus",
-                "2",
-                "--scale-down",
-                "16",
-                "--iterations",
-                "1",
-            ])
-            .unwrap(),
-        )
-        .unwrap();
+        let line = "faults --app jacobi --gpus 2 --scale-down 16 --iterations 1";
+        let out = cli(line, &[]).unwrap().text;
         assert!(out.contains("BER"), "{out}");
         assert!(out.contains("replay"), "{out}");
     }
 
     #[test]
     fn run_with_stuck_link_reports_dead_paradigms() {
-        let out = run_app(
-            &Args::parse([
-                "run",
-                "--app",
-                "jacobi",
-                "--gpus",
-                "2",
-                "--scale-down",
-                "16",
-                "--iterations",
-                "1",
-                "--fault-profile",
-                "stuck",
-            ])
-            .unwrap(),
-        )
-        .unwrap();
+        let line = "run --app jacobi --gpus 2 --scale-down 16 --iterations 1 --fault-profile stuck";
+        let out = cli(line, &[]).unwrap().text;
         assert!(out.contains("dead"), "{out}");
         assert!(out.contains("no forward progress"), "{out}");
     }
 
     #[test]
     fn flow_control_flag_selects_regime() {
-        let base = [
-            "run",
-            "--app",
-            "jacobi",
-            "--gpus",
-            "2",
-            "--scale-down",
-            "16",
-            "--iterations",
-            "1",
-        ];
-        let credited = run_app(&Args::parse(base).unwrap()).unwrap();
+        let base = "run --app jacobi --gpus 2 --scale-down 16 --iterations 1";
+        let credited = cli(base, &[]).unwrap().text;
         assert!(credited.contains("stall"), "{credited}");
-        let mut open_args: Vec<&str> = base.to_vec();
-        open_args.extend(["--flow-control", "open"]);
-        let open = run_app(&Args::parse(open_args).unwrap()).unwrap();
+        let open = cli(base, &["--flow-control", "open"]).unwrap().text;
         assert!(open.contains("stall"), "{open}");
-        let bad = run_app(&Args::parse(["run", "--flow-control", "throttled"]).unwrap());
-        assert!(bad.is_err());
+        assert!(cli("run --flow-control throttled", &[]).is_err());
     }
 
     #[test]
     fn bad_fault_options_are_rejected() {
-        let bad_profile = run_app(&Args::parse(["run", "--fault-profile", "gremlins"]).unwrap());
-        assert!(bad_profile.is_err());
-        let bad_ber = run_app(&Args::parse(["run", "--ber", "2.0"]).unwrap());
-        assert!(bad_ber.is_err());
-        let unparsed = run_app(&Args::parse(["run", "--ber", "lots"]).unwrap());
-        assert!(unparsed.is_err());
+        for line in [
+            "run --fault-profile gremlins",
+            "run --ber 2.0",
+            "run --ber lots",
+        ] {
+            assert!(cli(line, &[]).is_err(), "accepted {line}");
+        }
     }
 
     #[test]
     fn suite_jobs_flag_is_output_invariant() {
-        let base = [
-            "suite",
-            "--gpus",
-            "2",
-            "--scale-down",
-            "16",
-            "--iterations",
-            "1",
-        ];
-        let serial = {
-            let mut a: Vec<&str> = base.to_vec();
-            a.extend(["--jobs", "1"]);
-            suite_table(&Args::parse(a).unwrap()).unwrap()
-        };
-        let parallel = {
-            let mut a: Vec<&str> = base.to_vec();
-            a.extend(["--jobs", "3"]);
-            suite_table(&Args::parse(a).unwrap()).unwrap()
-        };
-        assert_eq!(serial, parallel);
+        let base = "suite --gpus 2 --scale-down 16 --iterations 1 --jobs";
+        assert_eq!(cli(base, &["1"]).unwrap(), cli(base, &["3"]).unwrap());
     }
 
     #[test]
     fn supervision_flags_are_validated() {
-        for bad in [
-            vec!["suite", "--run-budget", "0"],
-            vec!["suite", "--run-budget", "events=ten"],
-            vec!["suite", "--run-budget", "cycles=5"],
-        ] {
-            let a = Args::parse(bad.clone()).unwrap();
-            assert!(suite_table(&a).is_err(), "accepted {bad:?}");
+        for spec in ["0", "events=ten", "cycles=5"] {
+            assert!(
+                cli("suite --run-budget", &[spec]).is_err(),
+                "accepted {spec}"
+            );
         }
     }
 
@@ -1487,21 +1455,8 @@ mod tests {
 
     #[test]
     fn suite_with_tiny_budget_reports_partial_and_failed_points() {
-        let out = suite_table(
-            &Args::parse([
-                "suite",
-                "--gpus",
-                "2",
-                "--scale-down",
-                "16",
-                "--iterations",
-                "1",
-                "--run-budget",
-                "3",
-            ])
-            .unwrap(),
-        )
-        .unwrap();
+        let line = "suite --gpus 2 --scale-down 16 --iterations 1 --run-budget 3";
+        let out = cli(line, &[]).unwrap();
         assert!(out.partial, "{}", out.text);
         assert_eq!(out.exit_code(), crate::EXIT_PARTIAL);
         assert!(out.text.contains("failed points"), "{}", out.text);
@@ -1511,56 +1466,24 @@ mod tests {
 
     #[test]
     fn run_with_tiny_budget_reports_dead_paradigms() {
-        let out = run_app(
-            &Args::parse([
-                "run",
-                "--app",
-                "jacobi",
-                "--gpus",
-                "2",
-                "--scale-down",
-                "16",
-                "--iterations",
-                "1",
-                "--run-budget",
-                "3",
-            ])
-            .unwrap(),
-        )
-        .unwrap();
+        let line = "run --app jacobi --gpus 2 --scale-down 16 --iterations 1 --run-budget 3";
+        let out = cli(line, &[]).unwrap().text;
         assert!(out.contains("dead"), "{out}");
         assert!(out.contains("run budget exceeded"), "{out}");
     }
 
     #[test]
     fn jobs_zero_is_rejected() {
-        let a = Args::parse(["suite", "--jobs", "0"]).unwrap();
-        assert!(suite_table(&a).is_err());
-        let a = Args::parse(["suite", "--jobs", "many"]).unwrap();
-        assert!(suite_table(&a).is_err());
+        assert!(cli("suite --jobs 0", &[]).is_err());
+        assert!(cli("suite --jobs many", &[]).is_err());
     }
 
     #[test]
     fn trace_writes_chrome_json_and_csv() {
+        let base = "trace --app jacobi --gpus 2 --scale-down 16 --iterations 1";
         let json_file = std::env::temp_dir().join("finepack-trace-test.json");
         let json_s = json_file.to_str().expect("utf-8 temp path");
-        let rendered = trace(
-            &Args::parse([
-                "trace",
-                "--app",
-                "jacobi",
-                "--gpus",
-                "2",
-                "--scale-down",
-                "16",
-                "--iterations",
-                "1",
-                "--out",
-                json_s,
-            ])
-            .unwrap(),
-        )
-        .unwrap();
+        let rendered = cli(base, &["--out", json_s]).unwrap().text;
         // The flush-count self-check passed and events were recorded.
         assert!(rendered.contains("flush"), "{rendered}");
         assert!(rendered.contains("wire-transmit"), "{rendered}");
@@ -1577,25 +1500,9 @@ mod tests {
 
         let csv_file = std::env::temp_dir().join("finepack-trace-test.csv");
         let csv_s = csv_file.to_str().expect("utf-8 temp path");
-        let rendered = trace(
-            &Args::parse([
-                "trace",
-                "--app",
-                "jacobi",
-                "--gpus",
-                "2",
-                "--scale-down",
-                "16",
-                "--iterations",
-                "1",
-                "--format",
-                "csv",
-                "--out",
-                csv_s,
-            ])
-            .unwrap(),
-        )
-        .unwrap();
+        let rendered = cli(base, &["--format", "csv", "--out", csv_s])
+            .unwrap()
+            .text;
         assert!(rendered.contains("(csv)"), "{rendered}");
         let csv = std::fs::read_to_string(csv_s).unwrap();
         assert!(csv.starts_with("time_ps,gpu,rwq_entries"), "{}", &csv[..60]);
@@ -1604,30 +1511,11 @@ mod tests {
             "no samples at the default interval"
         );
         let _ = std::fs::remove_file(&csv_file);
-
-        let bad = trace(&Args::parse(["trace", "--format", "xml"]).unwrap());
-        assert!(bad.is_err());
-        let bad = trace(&Args::parse(["trace", "--capacity", "0"]).unwrap());
-        assert!(bad.is_err());
     }
 
     #[test]
     fn sweep_runs_tiny_single_app() {
-        let out = sweep_subheader(
-            &Args::parse([
-                "sweep-subheader",
-                "--app",
-                "pagerank",
-                "--gpus",
-                "2",
-                "--scale-down",
-                "16",
-                "--iterations",
-                "1",
-            ])
-            .unwrap(),
-        )
-        .unwrap();
-        assert!(out.contains("5B"));
+        let line = "sweep-subheader --app pagerank --gpus 2 --scale-down 16 --iterations 1";
+        assert!(cli(line, &[]).unwrap().text.contains("5B"));
     }
 }

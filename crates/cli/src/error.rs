@@ -109,9 +109,9 @@ mod tests {
 
     #[test]
     fn arg_errors_convert_to_usage() {
-        let e: CliError = ArgError::NoSubcommand.into();
+        let e: CliError = ArgError::Unexpected("extra".into()).into();
         assert!(matches!(e, CliError::Usage(_)));
-        assert!(e.to_string().contains("no subcommand"));
+        assert!(e.to_string().contains("unexpected argument `extra`"));
         assert_eq!(e.exit_code(), EXIT_ERROR);
     }
 

@@ -59,27 +59,24 @@ where
         return Ok(CmdOut::clean(commands::version()));
     }
     let args = Args::parse(argv)?;
-    match args.subcommand() {
-        None | Some("help") => Ok(CmdOut::clean(commands::help())),
-        Some("version") => Ok(CmdOut::clean(commands::version())),
-        Some("goodput") => commands::goodput(&args).map(CmdOut::clean),
-        Some("run") => commands::run_app(&args).map(CmdOut::clean),
-        Some("suite") => commands::suite_table(&args),
-        Some("collectives") => commands::collectives(&args).map(CmdOut::clean),
-        Some("sweep-subheader") => commands::sweep_subheader(&args).map(CmdOut::clean),
-        Some("faults") => commands::faults(&args).map(CmdOut::clean),
-        Some("trace") => commands::trace(&args).map(CmdOut::clean),
-        Some("audit") => commands::audit(&args).map(CmdOut::clean),
-        Some("area") => commands::area(&args).map(CmdOut::clean),
-        Some("record") => commands::record(&args).map(CmdOut::clean),
-        Some("replay") => commands::replay(&args).map(CmdOut::clean),
-        Some("inspect") => commands::inspect(&args).map(CmdOut::clean),
-        Some("analyze") => commands::analyze(&args).map(CmdOut::clean),
-        Some("reproduce") => commands::reproduce(&args).map(CmdOut::clean),
-        Some(other) => Err(CliError::Usage(format!(
-            "unknown command `{other}` (try `help`)"
-        ))),
+    let name = args.subcommand().unwrap_or("help");
+    let Some(cmd) = commands::COMMANDS.iter().find(|c| c.name == name) else {
+        return Err(CliError::Usage(format!(
+            "unknown command `{name}` (try `help`)"
+        )));
+    };
+    let accepted: Vec<&str> = cmd.accepted().map(|o| o.name).collect();
+    args.expect_only(&accepted)?;
+    if let Some(o) = cmd
+        .accepted()
+        .find(|o| o.required && args.get(o.name).is_none())
+    {
+        return Err(CliError::Usage(format!(
+            "{name} needs --{} {}",
+            o.name, o.value
+        )));
     }
+    (cmd.run)(&args)
 }
 
 /// [`execute`] reduced to strings: the report text, or a human-readable
@@ -109,24 +106,40 @@ where
 mod tests {
     use super::*;
 
+    /// Each command's `help` block is its name on a two-space line,
+    /// then the deeper lines under it, and names every option it takes.
     #[test]
     fn help_lists_commands() {
         let h = run(["help"]).unwrap();
-        for cmd in [
-            "run",
-            "suite",
-            "goodput",
-            "record",
-            "replay",
-            "area",
-            "analyze",
-            "trace",
-            "audit",
-            "reproduce",
-        ] {
-            assert!(h.contains(cmd), "help missing {cmd}");
+        for cmd in &commands::COMMANDS {
+            let block: Vec<&str> = h
+                .lines()
+                .skip_while(|line| !line.starts_with(&format!("  {} ", cmd.name)))
+                .enumerate()
+                .take_while(|(i, line)| *i == 0 || line.starts_with("   "))
+                .map(|(_, line)| line)
+                .collect();
+            assert!(!block.is_empty(), "help missing {}", cmd.name);
+            let block = block.join(" ");
+            for o in cmd.accepted() {
+                let shown = format!("--{} {}", o.name, o.value);
+                assert!(block.contains(&shown), "{}: help misses {shown}", cmd.name);
+            }
         }
         assert_eq!(run(Vec::<String>::new()).unwrap(), h);
+    }
+
+    #[test]
+    fn every_command_rejects_unknown_options() {
+        let mut argvs: Vec<Vec<&str>> = commands::COMMANDS.iter().map(|c| vec![c.name]).collect();
+        // The bare invocation answers like `help`.
+        argvs.push(vec![]);
+        for mut argv in argvs {
+            argv.extend(["--no-such-option", "1"]);
+            let e = execute(argv.clone()).expect_err(&format!("accepted {argv:?}"));
+            assert_eq!(e.to_string(), "unknown option --no-such-option", "{argv:?}");
+            assert_eq!(e.exit_code(), EXIT_ERROR, "{argv:?}");
+        }
     }
 
     #[test]
@@ -225,6 +238,24 @@ mod tests {
             vec!["reproduce", "--experiment", "nope"],
             // `reproduce` always runs at paper scale.
             vec!["reproduce", "--scale-down", "8"],
+            // The default sweep is the suite apps, which take no tuning.
+            vec![
+                "sweep-subheader",
+                "--payload",
+                "4096",
+                "--scale-down",
+                "256",
+            ],
+            vec![
+                "sweep-subheader",
+                "--msg-dist",
+                "nonsense",
+                "--scale-down",
+                "256",
+            ],
+            vec!["trace", "--capacity", "0"],
+            vec!["trace", "--format", "xml"],
+            vec!["analyze", "--window-bytes", "1000", "--trace", &trace],
         ];
         // (command, options it needs, builds a SystemConfig, takes --windows)
         let commands: [(&str, &[&str], bool, bool); 8] = [

@@ -8,9 +8,9 @@ use gpu_model::{profile_run, read_trace, write_trace, AddressMap, Gpu, GpuId};
 use protocol::{fig2_sizes, FramingModel, PcieGen};
 use sim_engine::{SimTime, Table, WorkerPool};
 use system::{
-    audit_run, fault_sweep, run_suite_prepared, run_suite_supervised, scaling_curve,
-    single_gpu_time, subheader_sweep, CreditConfig, FaultProfile, FlowControlMode, Paradigm,
-    PreparedWorkload, RunBudget, RunReport, SystemConfig, REPORT_SCHEMA_VERSION,
+    audit_run, fault_sweep, run_suite, run_suite_supervised, scaling_curve, single_gpu_time,
+    subheader_sweep, CreditConfig, FaultProfile, FlowControlMode, Paradigm, PreparedWorkload,
+    RunBudget, RunReport, SystemConfig, REPORT_SCHEMA_VERSION,
 };
 use telemetry::{EventKind, Law, Sample, TraceEvent, TraceHandle, CHROME_TRACE_SCHEMA_VERSION};
 use workloads::{
@@ -796,8 +796,7 @@ pub(crate) fn collectives(args: &Args) -> Result<String, CliError> {
                     .expect("registry name")
             })
             .collect();
-        let prepared = system::prepare_apps(&apps, &cfg, &spec, &pool);
-        let res = run_suite_prepared(&prepared, &cfg, &paradigms, &pool);
+        let res = run_suite(&apps, &cfg, &spec, &paradigms, &pool);
         total_events += res.sim_events;
         let mut t = Table::new(
             format!(
@@ -1426,6 +1425,12 @@ mod tests {
     #[test]
     fn suite_jobs_flag_is_output_invariant() {
         let base = "suite --gpus 2 --scale-down 16 --iterations 1 --jobs";
+        assert_eq!(cli(base, &["1"]).unwrap(), cli(base, &["3"]).unwrap());
+    }
+
+    #[test]
+    fn collectives_jobs_flag_is_output_invariant() {
+        let base = "collectives --gpus 2 --max-gpus 4 --scale-down 256 --iterations 1 --jobs";
         assert_eq!(cli(base, &["1"]).unwrap(), cli(base, &["3"]).unwrap());
     }
 

@@ -118,9 +118,7 @@ pub fn audit_run(
         TraceHandle::new(audit.clone() as Arc<Mutex<dyn TraceCollector>>),
         Some(SAMPLE_EVERY),
     );
-    for iter_runs in prep.runs() {
-        runner.try_run_iteration(iter_runs, prep.dma_plan())?;
-    }
+    prep.run_iterations(&mut runner)?;
     // The ledger and images must be read before `finish` consumes the
     // runner. The images move out, so the diff below holds no copy.
     let fc_totals = runner.fc_totals();
@@ -250,6 +248,16 @@ mod tests {
         audit(&Jacobi::default(), &open, Paradigm::FinePack).assert_clean();
         let faulty = SystemConfig::paper(2).with_faults(crate::FaultProfile::new(1e-6));
         audit(&Jacobi::default(), &faulty, Paradigm::FinePack).assert_clean();
+        // At 1e-5 the bulk-DMA legs replay too, and their replays must
+        // reach the stream like the store paradigms' do.
+        let replaying = SystemConfig::paper(2).with_faults(crate::FaultProfile::new(1e-5));
+        for paradigm in Paradigm::ALL {
+            let outcome = audit(&Jacobi::default(), &replaying, paradigm);
+            outcome.assert_clean();
+            if paradigm == Paradigm::BulkDma {
+                assert!(outcome.report.replayed_bytes > 0, "no DMA replays at 1e-5");
+            }
+        }
     }
 
     #[test]

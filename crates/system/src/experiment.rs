@@ -6,7 +6,8 @@
 //! out over a [`WorkerPool`] and return results in input order: output
 //! is byte-identical for any worker count. Kernel traces are replayed
 //! once per app into a [`PreparedWorkload`] and shared (by `Arc` in
-//! [`PreparedApp`]) across paradigms and sweep points.
+//! [`PreparedApp`]) across paradigms and sweep points; one per-app
+//! loop, [`PreparedApp::speedups`], turns them into speedup rows.
 
 use std::sync::Arc;
 
@@ -14,6 +15,7 @@ use finepack::{FinePackConfig, SubheaderFormat};
 use gpu_model::{AddressMap, Gpu, GpuId, KernelRun, KernelStats};
 use protocol::PcieGen;
 use sim_engine::{geomean, run_isolated, SimTime, TaskFailure, WorkerPool};
+use telemetry::TraceHandle;
 use workloads::{CommPattern, RunSpec, Workload};
 
 use crate::config::SystemConfig;
@@ -141,11 +143,7 @@ impl PreparedWorkload {
     ///
     /// Propagates [`RunError`] from the first failing iteration.
     pub fn try_run(&self, cfg: &SystemConfig, paradigm: Paradigm) -> Result<RunReport, RunError> {
-        let mut runner = Runner::new(*cfg, paradigm, self.gps_unsubscribed, false);
-        for (iter_runs, &unique) in self.runs.iter().zip(&self.unique_per_iter) {
-            runner.try_run_iteration_precomputed(iter_runs, &self.dma_plan, unique)?;
-        }
-        Ok(runner.finish(&self.name, self.read_fraction))
+        self.try_run_traced(cfg, paradigm, TraceHandle::off(), None)
     }
 
     /// [`PreparedWorkload::try_run`] with a trace attached: lifecycle
@@ -162,15 +160,24 @@ impl PreparedWorkload {
         &self,
         cfg: &SystemConfig,
         paradigm: Paradigm,
-        trace: telemetry::TraceHandle,
-        sample_every: Option<sim_engine::SimTime>,
+        trace: TraceHandle,
+        sample_every: Option<SimTime>,
     ) -> Result<RunReport, RunError> {
         let mut runner = Runner::new(*cfg, paradigm, self.gps_unsubscribed, false);
         runner.attach_trace(trace, sample_every);
+        self.run_iterations(&mut runner)?;
+        Ok(runner.finish(&self.name, self.read_fraction))
+    }
+
+    /// Runs every iteration through `runner`, taking each iteration's
+    /// unique-byte count from preparation instead of re-aggregating it
+    /// store by store. The caller reads what it needs and calls
+    /// [`Runner::finish`].
+    pub(crate) fn run_iterations(&self, runner: &mut Runner) -> Result<(), RunError> {
         for (iter_runs, &unique) in self.runs.iter().zip(&self.unique_per_iter) {
             runner.try_run_iteration_precomputed(iter_runs, &self.dma_plan, unique)?;
         }
-        Ok(runner.finish(&self.name, self.read_fraction))
+        Ok(())
     }
 }
 
@@ -311,75 +318,89 @@ impl SpeedupRow {
 }
 
 /// Computes one application's speedups for the given paradigms.
+///
+/// # Panics
+///
+/// Panics if injected faults or a run budget kill a run.
 pub fn speedup_row(
     app: &dyn Workload,
     cfg: &SystemConfig,
     spec: &RunSpec,
     paradigms: &[Paradigm],
 ) -> SpeedupRow {
-    let t1 = single_gpu_time(app, cfg, spec);
-    let prepared = PreparedWorkload::new(app, cfg, spec);
-    let speedups = paradigms
-        .iter()
-        .map(|p| {
-            let tn = prepared.run(cfg, *p).total_time;
-            (*p, t1.as_secs_f64() / tn.as_secs_f64())
-        })
-        .collect();
-    SpeedupRow {
-        app: app.name().to_string(),
-        speedups,
-    }
+    speedup_row_prepared(&PreparedApp::new(app, cfg, spec), cfg, paradigms)
 }
 
 /// A workload prepared for sweeping: its traces (shared, replayed once)
 /// plus its single-GPU baseline time. Both are independent of the
 /// sweep parameters — sub-header format, PCIe generation, paradigm —
 /// so one `PreparedApp` serves every point of a sweep.
-#[derive(Debug, Clone)]
-pub struct PreparedApp {
+#[derive(Debug)]
+struct PreparedApp {
     /// The replayed traces, shared across sweep points.
-    pub prepared: Arc<PreparedWorkload>,
+    prepared: Arc<PreparedWorkload>,
     /// Simulated single-GPU baseline time (speedup denominator).
-    pub single_gpu: SimTime,
+    single_gpu: SimTime,
+}
+
+impl PreparedApp {
+    fn new(app: &dyn Workload, cfg: &SystemConfig, spec: &RunSpec) -> Self {
+        PreparedApp {
+            prepared: Arc::new(PreparedWorkload::new(app, cfg, spec)),
+            single_gpu: single_gpu_time(app, cfg, spec),
+        }
+    }
+
+    /// Runs the app under each of `paradigms` on `cfg`: its speedup row
+    /// over the single-GPU baseline, plus the discrete events and the
+    /// simulated time those runs covered. Every speedup row in this
+    /// module comes from here.
+    fn speedups(
+        &self,
+        cfg: &SystemConfig,
+        paradigms: &[Paradigm],
+    ) -> Result<(SpeedupRow, u64, SimTime), RunError> {
+        let t1 = self.single_gpu.as_secs_f64();
+        let mut events = 0u64;
+        let mut sim_time = SimTime::ZERO;
+        let mut speedups = Vec::with_capacity(paradigms.len());
+        for &p in paradigms {
+            let report = self.prepared.try_run(cfg, p)?;
+            events += report.sim_events;
+            sim_time += report.total_time;
+            speedups.push((p, t1 / report.total_time.as_secs_f64()));
+        }
+        let row = SpeedupRow {
+            app: self.prepared.name().to_string(),
+            speedups,
+        };
+        Ok((row, events, sim_time))
+    }
 }
 
 /// Prepares every app exactly once (trace replay + single-GPU baseline),
 /// fanning the preparation itself out over `pool`.
-pub fn prepare_apps(
+fn prepare_apps(
     apps: &[Box<dyn Workload>],
     cfg: &SystemConfig,
     spec: &RunSpec,
     pool: &WorkerPool,
 ) -> Vec<PreparedApp> {
     pool.map((0..apps.len()).collect(), |i| {
-        let app = apps[i].as_ref();
-        PreparedApp {
-            prepared: Arc::new(PreparedWorkload::new(app, cfg, spec)),
-            single_gpu: single_gpu_time(app, cfg, spec),
-        }
+        PreparedApp::new(apps[i].as_ref(), cfg, spec)
     })
 }
 
 /// [`speedup_row`] over an already-prepared app: no trace replay, no
 /// baseline re-simulation.
-pub fn speedup_row_prepared(
+fn speedup_row_prepared(
     app: &PreparedApp,
     cfg: &SystemConfig,
     paradigms: &[Paradigm],
 ) -> SpeedupRow {
-    let t1 = app.single_gpu;
-    let speedups = paradigms
-        .iter()
-        .map(|p| {
-            let tn = app.prepared.run(cfg, *p).total_time;
-            (*p, t1.as_secs_f64() / tn.as_secs_f64())
-        })
-        .collect();
-    SpeedupRow {
-        app: app.prepared.name().to_string(),
-        speedups,
-    }
+    app.speedups(cfg, paradigms)
+        .unwrap_or_else(|e| panic!("{e}"))
+        .0
 }
 
 /// The Fig 9 suite's result: per-app speedup rows plus harness
@@ -398,6 +419,11 @@ pub struct SuiteResult {
 /// Runs the Fig 9 suite — every app under every paradigm — fanning one
 /// task per app (preparation + baseline + all paradigm runs) over
 /// `pool`. Rows come back in app order regardless of worker count.
+///
+/// # Panics
+///
+/// Panics if injected faults or a run budget kill a run; use
+/// [`run_suite_supervised`] to get per-app failures instead.
 pub fn run_suite(
     apps: &[Box<dyn Workload>],
     cfg: &SystemConfig,
@@ -406,68 +432,9 @@ pub fn run_suite(
     pool: &WorkerPool,
 ) -> SuiteResult {
     let results = pool.map((0..apps.len()).collect(), |i| {
-        let app = apps[i].as_ref();
-        let t1 = single_gpu_time(app, cfg, spec);
-        let prepared = PreparedWorkload::new(app, cfg, spec);
-        let mut events = 0u64;
-        let mut sim_time = SimTime::ZERO;
-        let speedups = paradigms
-            .iter()
-            .map(|p| {
-                let report = prepared.run(cfg, *p);
-                events += report.sim_events;
-                sim_time += report.total_time;
-                (*p, t1.as_secs_f64() / report.total_time.as_secs_f64())
-            })
-            .collect();
-        let row = SpeedupRow {
-            app: app.name().to_string(),
-            speedups,
-        };
-        (row, events, sim_time)
-    });
-    let mut suite = SuiteResult {
-        rows: Vec::with_capacity(results.len()),
-        sim_events: 0,
-        sim_time: SimTime::ZERO,
-    };
-    for (row, events, sim_time) in results {
-        suite.rows.push(row);
-        suite.sim_events += events;
-        suite.sim_time += sim_time;
-    }
-    suite
-}
-
-/// [`run_suite`] over already-prepared apps: no trace replay and no
-/// single-GPU baseline re-simulation inside the measured region, so a
-/// timed pass over this function measures the event core alone. Rows
-/// are byte-identical to [`run_suite`]'s on the same inputs.
-pub fn run_suite_prepared(
-    apps: &[PreparedApp],
-    cfg: &SystemConfig,
-    paradigms: &[Paradigm],
-    pool: &WorkerPool,
-) -> SuiteResult {
-    let results = pool.map((0..apps.len()).collect(), |i| {
-        let app = &apps[i];
-        let t1 = app.single_gpu;
-        let mut events = 0u64;
-        let mut sim_time = SimTime::ZERO;
-        let speedups = paradigms
-            .iter()
-            .map(|p| {
-                let report = app.prepared.run(cfg, *p);
-                events += report.sim_events;
-                sim_time += report.total_time;
-                (*p, t1.as_secs_f64() / report.total_time.as_secs_f64())
-            })
-            .collect();
-        let row = SpeedupRow {
-            app: app.prepared.name().to_string(),
-            speedups,
-        };
-        (row, events, sim_time)
+        PreparedApp::new(apps[i].as_ref(), cfg, spec)
+            .speedups(cfg, paradigms)
+            .unwrap_or_else(|e| panic!("{e}"))
     });
     let mut suite = SuiteResult {
         rows: Vec::with_capacity(results.len()),
@@ -498,8 +465,8 @@ pub struct ScalingPoint {
 /// Sweeps the given apps across GPU counts — the weak-scaling curves of
 /// the collectives study, or strong-scaling curves when `base_spec`
 /// says so. `make_cfg` maps each GPU count to its system configuration
-/// (the topology grows with the cluster). Each point goes through the
-/// prepared path, so rows are pool-invariant and byte-stable.
+/// (the topology grows with the cluster). Each point is one
+/// [`run_suite`], so rows are pool-invariant and byte-stable.
 pub fn scaling_curve(
     apps: &[Box<dyn Workload>],
     base_spec: &RunSpec,
@@ -514,8 +481,7 @@ pub fn scaling_curve(
             let mut spec = *base_spec;
             spec.num_gpus = n;
             let cfg = make_cfg(n);
-            let prepared = prepare_apps(apps, &cfg, &spec, pool);
-            let res = run_suite_prepared(&prepared, &cfg, paradigms, pool);
+            let res = run_suite(apps, &cfg, &spec, paradigms, pool);
             ScalingPoint {
                 num_gpus: n,
                 rows: res.rows,
@@ -600,23 +566,9 @@ pub fn run_suite_supervised(
 ) -> SupervisedSuite {
     let outcomes = pool.map((0..apps.len()).collect(), |i| {
         run_isolated(|| {
-            let app = apps[i].as_ref();
-            let t1 = single_gpu_time(app, cfg, spec);
-            let prepared = PreparedWorkload::new(app, cfg, spec);
-            let mut events = 0u64;
-            let mut sim_time = SimTime::ZERO;
-            let mut speedups = Vec::with_capacity(paradigms.len());
-            for p in paradigms {
-                let report = prepared.try_run(cfg, *p).map_err(task_failure_from)?;
-                events += report.sim_events;
-                sim_time += report.total_time;
-                speedups.push((*p, t1.as_secs_f64() / report.total_time.as_secs_f64()));
-            }
-            let row = SpeedupRow {
-                app: app.name().to_string(),
-                speedups,
-            };
-            Ok((row, events, sim_time))
+            PreparedApp::new(apps[i].as_ref(), cfg, spec)
+                .speedups(cfg, paradigms)
+                .map_err(task_failure_from)
         })
     });
     let mut suite = SupervisedSuite {
@@ -967,6 +919,36 @@ mod tests {
             assert!(msg.contains("event ceiling"), "{msg}");
         }
         assert_eq!(sup.sim_events, 0);
+    }
+
+    /// Prepared runs take each iteration's unique bytes from
+    /// preparation; a runner fed the same iterations store by store must
+    /// report the same.
+    #[test]
+    fn per_store_unique_bytes_match_the_prepared_run() {
+        let (cfg, mut spec) = tiny_cfg();
+        spec.iterations = 2;
+        let cfg = cfg.with_faults(crate::FaultProfile::new(1e-5));
+        let apps: [&dyn Workload; 2] = [&Jacobi::default(), &Pagerank::default()];
+        for app in apps {
+            let prep = PreparedWorkload::new(app, &cfg, &spec);
+            for paradigm in Paradigm::ALL {
+                let mut runner = Runner::new(cfg, paradigm, prep.gps_unsubscribed(), false);
+                for iter_runs in prep.runs() {
+                    runner
+                        .try_run_iteration(iter_runs, prep.dma_plan())
+                        .expect("per-store run");
+                }
+                let per_store = runner.finish(prep.name(), prep.read_fraction());
+                let prepared = prep.try_run(&cfg, paradigm).expect("prepared run");
+                assert_eq!(
+                    per_store.canonical_json(),
+                    prepared.canonical_json(),
+                    "{} under {paradigm}",
+                    prep.name()
+                );
+            }
+        }
     }
 
     #[test]

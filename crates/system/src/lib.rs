@@ -9,8 +9,8 @@
 //! traces; [`gpu_model`] replays them into timed remote-store egress
 //! streams; a [`Runner`] pushes those streams through a [`Paradigm`]'s
 //! egress path (FinePack, raw P2P, write-combining, GPS) or through the
-//! DMA model, over a [`Fabric`] of per-GPU full-duplex links; iteration
-//! barriers enforce the bulk-synchronous release semantics.
+//! DMA model, over a [`RoutedFabric`] of per-GPU full-duplex links;
+//! iteration barriers enforce the bulk-synchronous release semantics.
 //!
 //! # Examples
 //!
@@ -44,13 +44,12 @@ pub use audit::{audit_config_for, audit_run, AuditOutcome};
 pub use budget::{BudgetKind, BudgetTrip, RunBudget, RunnerDiag};
 pub use config::{CreditConfig, FlowControlMode, SystemConfig};
 pub use experiment::{
-    bandwidth_sweep, dma_plan, fault_sweep, geomean_speedup, prepare_apps, run_suite,
-    run_suite_prepared, run_suite_supervised, scaling_curve, single_gpu_time, speedup_row,
-    speedup_row_prepared, subheader_sweep, FaultSweepPoint, PreparedApp, PreparedWorkload,
-    ScalingPoint, SpeedupRow, SuitePoint, SuiteResult, SupervisedSuite,
+    bandwidth_sweep, dma_plan, fault_sweep, geomean_speedup, run_suite, run_suite_supervised,
+    scaling_curve, single_gpu_time, speedup_row, subheader_sweep, FaultSweepPoint,
+    PreparedWorkload, ScalingPoint, SpeedupRow, SuitePoint, SuiteResult, SupervisedSuite,
 };
 pub use fault::{FabricFault, FaultProfile, Outage, RunError};
-pub use link::{Fabric, FcStats, Link, LinkDelivery};
+pub use link::{FcStats, Link, LinkDelivery};
 pub use paradigm::Paradigm;
 pub use report::{RunReport, TrafficBreakdown, UniqueTracker, REPORT_SCHEMA_VERSION};
 pub use runner::{DmaPlan, Runner};

@@ -1,9 +1,9 @@
-//! The switched interconnect fabric: one full-duplex link per GPU to the
-//! switch, modeled with per-direction serialization and a fixed hop
-//! latency. Ingress links are shared by all sources targeting the same
-//! GPU, which is where all-to-all patterns contend.
+//! One link direction of the switched fabric: it serializes transfers
+//! in arrival order and, when attached, runs the data link layer's
+//! replay loop and posted-write credit flow control. The
+//! [`crate::RoutedFabric`] composes these into per-GPU egress and
+//! ingress links plus the switch hops between them.
 
-use gpu_model::GpuId;
 use protocol::{CreditTimeline, DataLinkEndpoint, ReplayError, ReplayStats};
 use sim_engine::{Bandwidth, SimTime};
 
@@ -233,149 +233,6 @@ impl Link {
     }
 }
 
-/// The full fabric: per-GPU egress and ingress links plus the switch hop.
-#[derive(Debug, Clone)]
-pub struct Fabric {
-    egress: Vec<Link>,
-    ingress: Vec<Link>,
-    hop_latency: SimTime,
-}
-
-impl Fabric {
-    /// Creates a fabric for `num_gpus` GPUs with `bandwidth` per link
-    /// direction and `hop_latency` through the switch.
-    pub fn new(num_gpus: u8, bandwidth: Bandwidth, hop_latency: SimTime) -> Self {
-        Fabric {
-            egress: (0..num_gpus).map(|_| Link::new(bandwidth)).collect(),
-            ingress: (0..num_gpus).map(|_| Link::new(bandwidth)).collect(),
-            hop_latency,
-        }
-    }
-
-    /// Attaches fault injection to every link direction, each with an
-    /// independent deterministic RNG stream derived from `seed`. An
-    /// outage in the profile lands on the nominated GPU's egress link.
-    pub fn with_faults(mut self, profile: crate::FaultProfile, seed: u64) -> Self {
-        profile.validate();
-        let ber = protocol::BitErrorModel::new(profile.ber);
-        for (dir, links) in [("egress", &mut self.egress), ("ingress", &mut self.ingress)] {
-            for (i, link) in links.iter_mut().enumerate() {
-                let rng = sim_engine::DetRng::new(seed, &format!("dll-{dir}{i}"));
-                link.attach_dll(
-                    DataLinkEndpoint::new(profile.replay, ber, rng),
-                    profile.degrade,
-                );
-            }
-        }
-        if let Some(o) = profile.outage {
-            self.egress[usize::from(o.gpu)].set_outage(o.from, o.until);
-        }
-        self
-    }
-
-    /// Sends `bytes` from `src` to `dst` starting no earlier than `at`;
-    /// returns the time the last byte lands at the destination.
-    ///
-    /// The switch is cut-through: the ingress link starts receiving one
-    /// hop latency after the egress link starts sending, so an
-    /// uncontended transfer is serialized once, not twice. Contention on
-    /// the destination's ingress link still queues.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src == dst` (local traffic never enters the fabric),
-    /// or if fault injection is attached (use [`Fabric::try_send`]).
-    pub fn send(&mut self, at: SimTime, src: GpuId, dst: GpuId, bytes: u64) -> SimTime {
-        assert_ne!(src, dst, "local traffic must not enter the fabric");
-        let start = at.max(self.egress[src.index()].busy_until());
-        self.egress[src.index()].transmit(at, bytes);
-        self.ingress[dst.index()].transmit(start + self.hop_latency, bytes)
-    }
-
-    /// [`Fabric::send`] through the data link layer: replayed TLPs cost
-    /// wire bytes and delay; a stuck link surfaces as an error.
-    ///
-    /// # Errors
-    ///
-    /// [`crate::FabricFault`] naming the dead link direction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src == dst`.
-    pub fn try_send(
-        &mut self,
-        at: SimTime,
-        src: GpuId,
-        dst: GpuId,
-        bytes: u64,
-    ) -> Result<SimTime, Box<crate::FabricFault>> {
-        assert_ne!(src, dst, "local traffic must not enter the fabric");
-        let start = at.max(self.egress[src.index()].busy_until());
-        let out = self.egress[src.index()]
-            .try_transmit(at, bytes)
-            .map_err(|error| {
-                Box::new(crate::FabricFault {
-                    link: format!("egress{}", src.index()),
-                    at,
-                    error,
-                    stats: self.egress[src.index()].dll_stats().unwrap_or_default(),
-                })
-            })?;
-        let head = start + self.hop_latency + out.penalty;
-        // The last byte cannot land before it has left the egress link
-        // (matters when a degraded egress is slower than the ingress).
-        let floor = out.done + self.hop_latency;
-        self.ingress[dst.index()]
-            .try_transmit(head, bytes)
-            .map(|d| d.done.max(floor))
-            .map_err(|error| {
-                Box::new(crate::FabricFault {
-                    link: format!("ingress{}", dst.index()),
-                    at,
-                    error,
-                    stats: self.ingress[dst.index()].dll_stats().unwrap_or_default(),
-                })
-            })
-    }
-
-    /// Total bytes retransmitted across all link directions.
-    pub fn replayed_bytes_total(&self) -> u64 {
-        self.egress
-            .iter()
-            .chain(self.ingress.iter())
-            .filter_map(Link::dll_stats)
-            .map(|s| s.replayed_bytes)
-            .sum()
-    }
-
-    /// Total link retrains across all link directions.
-    pub fn retrains_total(&self) -> u64 {
-        self.egress
-            .iter()
-            .chain(self.ingress.iter())
-            .filter_map(Link::dll_stats)
-            .map(|s| s.retrains)
-            .sum()
-    }
-
-    /// Total bytes each GPU sent.
-    pub fn egress_bytes(&self, gpu: GpuId) -> u64 {
-        self.egress[gpu.index()].bytes_carried()
-    }
-
-    /// Total bytes each GPU received.
-    pub fn ingress_bytes(&self, gpu: GpuId) -> u64 {
-        self.ingress[gpu.index()].bytes_carried()
-    }
-
-    /// Quiesces all link timing at an iteration barrier.
-    pub fn reset_time(&mut self) {
-        for l in self.egress.iter_mut().chain(self.ingress.iter_mut()) {
-            l.reset_time();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -400,126 +257,5 @@ mod tests {
         l.transmit(SimTime::ZERO, 32_000);
         let t = l.transmit(SimTime::from_us(10), 32_000);
         assert_eq!(t, SimTime::from_us(11));
-    }
-
-    #[test]
-    fn fabric_couples_ingress() {
-        let mut f = Fabric::new(4, bw(), SimTime::ZERO);
-        // Two sources target GPU3 simultaneously; ingress serializes.
-        let a = f.send(SimTime::ZERO, GpuId::new(0), GpuId::new(3), 32_000);
-        let b = f.send(SimTime::ZERO, GpuId::new(1), GpuId::new(3), 32_000);
-        assert_eq!(a, SimTime::from_us(1));
-        assert_eq!(b, SimTime::from_us(2));
-        assert_eq!(f.ingress_bytes(GpuId::new(3)), 64_000);
-    }
-
-    #[test]
-    fn hop_latency_added_once() {
-        let mut f = Fabric::new(2, bw(), SimTime::from_ns(500));
-        let done = f.send(SimTime::ZERO, GpuId::new(0), GpuId::new(1), 32_000);
-        assert_eq!(done, SimTime::from_us(1) + SimTime::from_ns(500));
-    }
-
-    #[test]
-    #[should_panic(expected = "local traffic")]
-    fn self_send_panics() {
-        let mut f = Fabric::new(2, bw(), SimTime::ZERO);
-        f.send(SimTime::ZERO, GpuId::new(0), GpuId::new(0), 1);
-    }
-
-    #[test]
-    fn fault_free_dll_is_transparent() {
-        use crate::FaultProfile;
-        let mut plain = Fabric::new(2, bw(), SimTime::from_ns(500));
-        let mut faulty =
-            Fabric::new(2, bw(), SimTime::from_ns(500)).with_faults(FaultProfile::new(0.0), 42);
-        for i in 0..4u64 {
-            let at = SimTime::from_us(i);
-            let a = plain.send(at, GpuId::new(0), GpuId::new(1), 32_000);
-            let b = faulty
-                .try_send(at, GpuId::new(0), GpuId::new(1), 32_000)
-                .unwrap();
-            assert_eq!(a, b, "transfer {i} diverged");
-        }
-        assert_eq!(faulty.replayed_bytes_total(), 0);
-        assert_eq!(
-            plain.egress_bytes(GpuId::new(0)),
-            faulty.egress_bytes(GpuId::new(0))
-        );
-    }
-
-    #[test]
-    fn bit_errors_add_wire_bytes_and_delay() {
-        use crate::FaultProfile;
-        let mut faulty =
-            Fabric::new(2, bw(), SimTime::ZERO).with_faults(FaultProfile::new(1e-6), 7);
-        let mut clean_total = SimTime::ZERO;
-        let mut landed = SimTime::ZERO;
-        for _ in 0..50 {
-            let at = landed;
-            landed = faulty
-                .try_send(at, GpuId::new(0), GpuId::new(1), 32_000)
-                .unwrap();
-            clean_total += bw().transfer_time(32_000);
-        }
-        assert!(faulty.replayed_bytes_total() > 0, "no replays at 1e-6 BER");
-        assert!(landed > clean_total, "replays added no time");
-        assert_eq!(
-            faulty.egress_bytes(GpuId::new(0)),
-            50 * 32_000
-                + faulty.egress[0]
-                    .dll_stats()
-                    .map(|s| s.replayed_bytes)
-                    .unwrap_or(0)
-        );
-    }
-
-    #[test]
-    fn stuck_link_reports_link_down() {
-        use crate::FaultProfile;
-        let mut faulty = Fabric::new(2, bw(), SimTime::ZERO)
-            .with_faults(FaultProfile::new(0.0).stuck_link(0, SimTime::ZERO), 7);
-        let err = faulty
-            .try_send(SimTime::ZERO, GpuId::new(0), GpuId::new(1), 4096)
-            .unwrap_err();
-        assert_eq!(err.link, "egress0");
-        assert!(matches!(err.error, protocol::ReplayError::LinkDown { .. }));
-        // The reverse direction still works.
-        assert!(faulty
-            .try_send(SimTime::ZERO, GpuId::new(1), GpuId::new(0), 4096)
-            .is_ok());
-    }
-
-    #[test]
-    fn degraded_link_slows_after_retrain() {
-        use crate::FaultProfile;
-        let profile = FaultProfile::new(0.0)
-            .with_outage(0, SimTime::ZERO, SimTime::from_us(100))
-            .with_degrade(0.25);
-        let mut faulty = Fabric::new(2, bw(), SimTime::ZERO).with_faults(profile, 7);
-        // The outage forces timer recoveries and eventually a retrain;
-        // the link comes back at quarter width.
-        let first = faulty
-            .try_send(SimTime::ZERO, GpuId::new(0), GpuId::new(1), 32_000)
-            .unwrap();
-        assert!(faulty.egress[0].is_degraded());
-        let second = faulty
-            .try_send(first, GpuId::new(0), GpuId::new(1), 32_000)
-            .unwrap();
-        // Post-retrain: 32KB at 8 GB/s is 4us of egress serialization.
-        assert!(
-            second - first >= SimTime::from_us(4),
-            "second={second} first={first}"
-        );
-    }
-
-    #[test]
-    fn reset_clears_time_not_counters() {
-        let mut f = Fabric::new(2, bw(), SimTime::ZERO);
-        f.send(SimTime::ZERO, GpuId::new(0), GpuId::new(1), 32_000);
-        f.reset_time();
-        let done = f.send(SimTime::ZERO, GpuId::new(0), GpuId::new(1), 32_000);
-        assert_eq!(done, SimTime::from_us(1));
-        assert_eq!(f.egress_bytes(GpuId::new(0)), 64_000);
     }
 }

@@ -622,6 +622,7 @@ impl Runner {
                     let start = runs[src.index()].kernel_time + self.cfg.dma_sw_overhead;
                     self.check_budget(start, 0, &[])?;
                     let wire = self.cfg.framing.bulk_wire_bytes(*bytes);
+                    let replayed_before = self.replayed_total();
                     let landed = self
                         .fabric
                         .try_send(start, *src, *dst, wire)
@@ -638,6 +639,14 @@ impl Runner {
                             done: landed,
                         },
                     });
+                    let replayed = self.replayed_total() - replayed_before;
+                    if replayed > 0 {
+                        self.trace.record(TraceEvent {
+                            time: start,
+                            gpu: src.index() as u8,
+                            kind: EventKind::DllReplay { bytes: replayed },
+                        });
+                    }
                     last_delivery = last_delivery.max(landed);
                     self.dma_wire_bytes += wire;
                     self.dma_data_bytes += bytes;

@@ -166,35 +166,15 @@ impl RoutedFabric {
         gpu.index() / self.gpus_per_leaf
     }
 
-    /// Sends `bytes` from `src` to `dst`; returns the delivery time.
-    /// Cut-through at every stage: each link adds its own serialization
-    /// under contention but an uncontended transfer is serialized once.
+    /// Sends `bytes` from `src` to `dst` starting no earlier than `at`;
+    /// returns the time the last byte lands at the destination.
     ///
-    /// # Panics
-    ///
-    /// Panics if `src == dst`.
-    pub fn send(&mut self, at: SimTime, src: GpuId, dst: GpuId, bytes: u64) -> SimTime {
-        assert_ne!(src, dst, "local traffic must not enter the fabric");
-        let start = at.max(self.egress[src.index()].busy_until());
-        self.egress[src.index()].transmit(at, bytes);
-        let mut head = start + self.hop_latency;
-        let (src_leaf, dst_leaf) = (self.leaf_of(src), self.leaf_of(dst));
-        if matches!(self.topology, Topology::TwoLevel { .. }) && src_leaf != dst_leaf {
-            let up = &mut self.up[src_leaf];
-            let up_start = head.max(up.busy_until());
-            up.transmit(head, bytes);
-            head = up_start + self.hop_latency;
-            let down = &mut self.down[dst_leaf];
-            let down_start = head.max(down.busy_until());
-            down.transmit(head, bytes);
-            head = down_start + self.hop_latency;
-        }
-        self.ingress[dst.index()].transmit(head, bytes)
-    }
-
-    /// [`RoutedFabric::send`] through the data link layer: replayed
-    /// TLPs cost wire bytes and delay at every stage; a stuck link
-    /// surfaces as an error naming the dead direction.
+    /// The switches are cut-through: each link starts receiving one hop
+    /// latency after the link before it starts sending, so an
+    /// uncontended transfer is serialized once, while contention on any
+    /// traversed link still queues. Through the data link layer,
+    /// replayed TLPs cost wire bytes and delay at every stage, and a
+    /// stuck link surfaces as an error naming the dead direction.
     ///
     /// # Errors
     ///
@@ -462,6 +442,140 @@ mod tests {
         Bandwidth::from_gbps(32.0)
     }
 
+    fn single(num_gpus: u8, hop_latency: SimTime) -> RoutedFabric {
+        RoutedFabric::new(Topology::SingleSwitch, num_gpus, bw(), hop_latency)
+    }
+
+    #[test]
+    fn fabric_couples_ingress() {
+        let mut f = single(4, SimTime::ZERO);
+        // Two sources target GPU3 simultaneously; ingress serializes.
+        let a = f
+            .try_send(SimTime::ZERO, GpuId::new(0), GpuId::new(3), 32_000)
+            .unwrap();
+        let b = f
+            .try_send(SimTime::ZERO, GpuId::new(1), GpuId::new(3), 32_000)
+            .unwrap();
+        assert_eq!(a, SimTime::from_us(1));
+        assert_eq!(b, SimTime::from_us(2));
+        assert_eq!(f.ingress[3].bytes_carried(), 64_000);
+    }
+
+    #[test]
+    fn hop_latency_added_once() {
+        let mut f = single(2, SimTime::from_ns(500));
+        let done = f
+            .try_send(SimTime::ZERO, GpuId::new(0), GpuId::new(1), 32_000)
+            .unwrap();
+        assert_eq!(done, SimTime::from_us(1) + SimTime::from_ns(500));
+    }
+
+    #[test]
+    #[should_panic(expected = "local traffic")]
+    fn self_send_panics() {
+        let mut f = single(2, SimTime::ZERO);
+        let _ = f.try_send(SimTime::ZERO, GpuId::new(0), GpuId::new(0), 1);
+    }
+
+    #[test]
+    fn fault_free_dll_is_transparent() {
+        use crate::FaultProfile;
+        let mut plain = single(2, SimTime::from_ns(500));
+        let mut faulty = single(2, SimTime::from_ns(500)).with_faults(FaultProfile::new(0.0), 42);
+        for i in 0..4u64 {
+            let at = SimTime::from_us(i);
+            let a = plain
+                .try_send(at, GpuId::new(0), GpuId::new(1), 32_000)
+                .unwrap();
+            let b = faulty
+                .try_send(at, GpuId::new(0), GpuId::new(1), 32_000)
+                .unwrap();
+            assert_eq!(a, b, "transfer {i} diverged");
+        }
+        assert_eq!(faulty.replayed_bytes_total(), 0);
+        assert_eq!(
+            plain.egress_bytes(GpuId::new(0)),
+            faulty.egress_bytes(GpuId::new(0))
+        );
+    }
+
+    #[test]
+    fn bit_errors_add_wire_bytes_and_delay() {
+        use crate::FaultProfile;
+        let mut faulty = single(2, SimTime::ZERO).with_faults(FaultProfile::new(1e-6), 7);
+        let mut clean_total = SimTime::ZERO;
+        let mut landed = SimTime::ZERO;
+        for _ in 0..50 {
+            let at = landed;
+            landed = faulty
+                .try_send(at, GpuId::new(0), GpuId::new(1), 32_000)
+                .unwrap();
+            clean_total += bw().transfer_time(32_000);
+        }
+        assert!(faulty.replayed_bytes_total() > 0, "no replays at 1e-6 BER");
+        assert!(landed > clean_total, "replays added no time");
+        assert_eq!(
+            faulty.egress_bytes(GpuId::new(0)),
+            50 * 32_000
+                + faulty.egress[0]
+                    .dll_stats()
+                    .map(|s| s.replayed_bytes)
+                    .unwrap_or(0)
+        );
+    }
+
+    #[test]
+    fn stuck_link_reports_link_down() {
+        use crate::FaultProfile;
+        let mut faulty = single(2, SimTime::ZERO)
+            .with_faults(FaultProfile::new(0.0).stuck_link(0, SimTime::ZERO), 7);
+        let err = faulty
+            .try_send(SimTime::ZERO, GpuId::new(0), GpuId::new(1), 4096)
+            .unwrap_err();
+        assert_eq!(err.link, "egress0");
+        assert!(matches!(err.error, protocol::ReplayError::LinkDown { .. }));
+        // The reverse direction still works.
+        assert!(faulty
+            .try_send(SimTime::ZERO, GpuId::new(1), GpuId::new(0), 4096)
+            .is_ok());
+    }
+
+    #[test]
+    fn degraded_link_slows_after_retrain() {
+        use crate::FaultProfile;
+        let profile = FaultProfile::new(0.0)
+            .with_outage(0, SimTime::ZERO, SimTime::from_us(100))
+            .with_degrade(0.25);
+        let mut faulty = single(2, SimTime::ZERO).with_faults(profile, 7);
+        // The outage forces timer recoveries and eventually a retrain;
+        // the link comes back at quarter width.
+        let first = faulty
+            .try_send(SimTime::ZERO, GpuId::new(0), GpuId::new(1), 32_000)
+            .unwrap();
+        assert!(faulty.egress[0].is_degraded());
+        let second = faulty
+            .try_send(first, GpuId::new(0), GpuId::new(1), 32_000)
+            .unwrap();
+        // Post-retrain: 32KB at 8 GB/s is 4us of egress serialization.
+        assert!(
+            second - first >= SimTime::from_us(4),
+            "second={second} first={first}"
+        );
+    }
+
+    #[test]
+    fn reset_clears_time_not_counters() {
+        let mut f = single(2, SimTime::ZERO);
+        f.try_send(SimTime::ZERO, GpuId::new(0), GpuId::new(1), 32_000)
+            .unwrap();
+        f.reset_time();
+        let done = f
+            .try_send(SimTime::ZERO, GpuId::new(0), GpuId::new(1), 32_000)
+            .unwrap();
+        assert_eq!(done, SimTime::from_us(1));
+        assert_eq!(f.egress_bytes(GpuId::new(0)), 64_000);
+    }
+
     #[test]
     fn hop_counts() {
         let t = Topology::TwoLevel { gpus_per_leaf: 4 };
@@ -479,8 +593,12 @@ mod tests {
             bw(),
             SimTime::ZERO,
         );
-        let a = single.send(SimTime::ZERO, GpuId::new(0), GpuId::new(1), 32_000);
-        let b = two.send(SimTime::ZERO, GpuId::new(0), GpuId::new(1), 32_000);
+        let a = single
+            .try_send(SimTime::ZERO, GpuId::new(0), GpuId::new(1), 32_000)
+            .unwrap();
+        let b = two
+            .try_send(SimTime::ZERO, GpuId::new(0), GpuId::new(1), 32_000)
+            .unwrap();
         assert_eq!(a, b);
     }
 
@@ -496,7 +614,9 @@ mod tests {
         );
         let mut last = SimTime::ZERO;
         for i in 0..4u8 {
-            let done = f.send(SimTime::ZERO, GpuId::new(i), GpuId::new(4 + i), 32_000);
+            let done = f
+                .try_send(SimTime::ZERO, GpuId::new(i), GpuId::new(4 + i), 32_000)
+                .unwrap();
             last = last.max(done);
         }
         // One transfer takes 1us; four through one uplink take ~4us.
@@ -508,9 +628,13 @@ mod tests {
     fn inter_leaf_pays_extra_hops() {
         let hop = SimTime::from_ns(500);
         let mut f = RoutedFabric::new(Topology::TwoLevel { gpus_per_leaf: 2 }, 4, bw(), hop);
-        let intra = f.send(SimTime::ZERO, GpuId::new(0), GpuId::new(1), 32_000);
+        let intra = f
+            .try_send(SimTime::ZERO, GpuId::new(0), GpuId::new(1), 32_000)
+            .unwrap();
         f.reset_time();
-        let inter = f.send(SimTime::ZERO, GpuId::new(0), GpuId::new(2), 32_000);
+        let inter = f
+            .try_send(SimTime::ZERO, GpuId::new(0), GpuId::new(2), 32_000)
+            .unwrap();
         assert_eq!(inter - intra, SimTime::from_ns(1000)); // two extra hops
     }
 

@@ -1,8 +1,9 @@
-//! Golden-output gate: every suite app and collective under each
-//! transport paradigm and both flow-control regimes, plus one faulted
-//! point, must reproduce its committed `RunReport::canonical_json` byte
-//! for byte, and every registered experiment its rendered report. A
-//! refactor that claims "no result moves" is held to it here.
+//! Golden-output gate: every suite app and collective under every
+//! paradigm and both flow-control regimes, plus jacobi and pagerank
+//! under every store paradigm at a bit-error rate, must reproduce its
+//! committed `RunReport::canonical_json` byte for byte, and every
+//! registered experiment its rendered report. A refactor that claims
+//! "no result moves" is held to it here.
 //!
 //! On a mismatch the test writes what it got under
 //! `target/golden-actual/` and its failure message prints the `cp` that
@@ -19,13 +20,6 @@ const ITERATIONS: u32 = 2;
 /// Small enough that the whole gate stays a few seconds in a debug
 /// build, large enough that credits block and RWQs flush every way.
 const SCALE_DOWN: u32 = 64;
-
-const PARADIGMS: [Paradigm; 4] = [
-    Paradigm::BulkDma,
-    Paradigm::P2pStores,
-    Paradigm::Gps,
-    Paradigm::FinePack,
-];
 
 fn spec() -> RunSpec {
     let mut spec = RunSpec::paper(GPUS);
@@ -48,7 +42,7 @@ fn render(apps: &[Box<dyn Workload>]) -> String {
         // Trace replay depends only on the GPU count, not on the flow
         // control regime: prepare once per app.
         let prep = PreparedWorkload::new(app.as_ref(), &regimes()[0].1, &spec);
-        for p in PARADIGMS {
+        for p in Paradigm::ALL {
             for (fc, cfg) in regimes() {
                 let report = prep.run(&cfg, p);
                 let _ = writeln!(out, "{}/{p}/{fc} {}", app.name(), report.canonical_json());
@@ -102,21 +96,32 @@ fn collective_reports_match_golden() {
     );
 }
 
+/// Jacobi and pagerank under every store paradigm and both regimes at
+/// BER 1e-5: the data-link replay path, and under credits (pagerank)
+/// stalls, credit blocks and replays together.
 #[test]
 fn faulted_report_matches_golden() {
-    let cfg = SystemConfig::paper(GPUS)
-        .open_loop()
-        .with_faults(FaultProfile::new(1e-5));
-    let app = workloads::Jacobi::default();
-    let report = PreparedWorkload::new(&app, &cfg, &spec()).run(&cfg, Paradigm::FinePack);
-    check(
-        "faulted.txt",
-        &format!(
-            "jacobi/{}/open/ber=1e-5 {}\n",
-            Paradigm::FinePack,
-            report.canonical_json()
-        ),
-    );
+    let fault = FaultProfile::new(1e-5);
+    let apps: [Box<dyn Workload>; 2] = [
+        Box::new(workloads::Jacobi::default()),
+        Box::new(workloads::Pagerank::default()),
+    ];
+    let mut out = String::new();
+    for app in &apps {
+        let prep = PreparedWorkload::new(app.as_ref(), &regimes()[0].1, &spec());
+        for p in Paradigm::ALL.into_iter().filter(|p| p.uses_stores()) {
+            for (fc, cfg) in regimes() {
+                let report = prep.run(&cfg.with_faults(fault), p);
+                let _ = writeln!(
+                    out,
+                    "{}/{p}/{fc}/ber=1e-5 {}",
+                    app.name(),
+                    report.canonical_json()
+                );
+            }
+        }
+    }
+    check("faulted.txt", &out);
 }
 
 /// Every experiment `finepack-sim reproduce` renders, shrunk to one

@@ -451,6 +451,14 @@ fn run_budget_from(args: &Args) -> Result<Option<RunBudget>, ArgError> {
         }
         match key.trim() {
             "events" => budget = budget.with_max_events(n),
+            // Simulated time is u64 picoseconds: a longer ceiling would wrap.
+            "sim-ms" if n > u64::MAX / 1_000_000_000 => {
+                return Err(ArgError::invalid(
+                    "run-budget",
+                    part,
+                    "sim-ms at most 18446744073",
+                ))
+            }
             "sim-ms" => budget = budget.with_max_sim_time(SimTime::from_ms(n)),
             "stall" => budget = budget.with_progress_watchdog(n),
             _ => return Err(invalid(part)),
@@ -972,10 +980,12 @@ pub(crate) fn trace(args: &Args) -> Result<String, CliError> {
     if !matches!(format, "chrome" | "csv") {
         return Err(ArgError::invalid("format", format, "chrome or csv").into());
     }
-    let sample_ns: u64 = args.get_parsed(
+    // Simulated time is u64 picoseconds: a longer interval would wrap.
+    let sample_ns: u64 = args.get_in_range(
         "sample-interval",
         100u64,
-        "nanoseconds (0 disables sampling)",
+        0..=u64::MAX / 1_000,
+        "nanoseconds, at most 18446744073709551 (0 disables sampling)",
     )?;
     let capacity: usize = args.get_in_range(
         "capacity",

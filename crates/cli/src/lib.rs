@@ -255,6 +255,9 @@ mod tests {
             ],
             vec!["trace", "--capacity", "0"],
             vec!["trace", "--format", "xml"],
+            // Simulated time is u64 picoseconds: these would wrap.
+            vec!["trace", "--sample-interval", "18446744073709552"],
+            vec!["run", "--run-budget", "sim-ms=18446744074"],
             vec!["analyze", "--window-bytes", "1000", "--trace", &trace],
         ];
         // (command, options it needs, builds a SystemConfig, takes --windows)

@@ -1,14 +1,16 @@
-//! Baseline egress paths the paper compares against:
+//! Baseline egress paths the paper compares against, both built on
+//! [`WriteCombiningEgress`]:
 //!
-//! - [`WriteCombiningEgress`]: cacheline-granularity write combining with
-//!   no FinePack repacketization — each combined line leaves as ordinary
-//!   memory-write TLPs. FinePack's §VI-A reports a further 24% wire-data
-//!   reduction over this.
-//! - [`GpsEgress`]: a GPS-like model (§VI-B): the same cacheline
-//!   write combining, plus a publish–subscribe filter that drops stores
-//!   to unsubscribed replicas. GPS wins where unsubscription removes
-//!   enough traffic to offset its per-line TLP inefficiency; FinePack
-//!   wins elsewhere — and needs no application porting.
+//! - [`WriteCombiningEgress::new`]: cacheline-granularity write combining
+//!   with no FinePack repacketization — each combined line leaves as
+//!   ordinary memory-write TLPs. FinePack's §VI-A reports a further 24%
+//!   wire-data reduction over this.
+//! - [`WriteCombiningEgress::gps`]: a GPS-like model (§VI-B): the same
+//!   cacheline write combining, plus a publish–subscribe filter that
+//!   drops stores to unsubscribed replicas. GPS wins where
+//!   unsubscription removes enough traffic to offset its per-line TLP
+//!   inefficiency; FinePack wins elsewhere — and needs no application
+//!   porting.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -18,9 +20,9 @@ use sim_engine::{DetRng, SimTime};
 
 use crate::config::FinePackError;
 use crate::egress::{
-    EgressMetrics, EgressPath, OutputBuffer, PacketStores, PayloadMode, WirePacket,
+    store_share, EgressMetrics, EgressPath, PacketStores, PayloadMode, WirePacket,
 };
-use crate::rwq::FlushedEntry;
+use crate::rwq::{span_mask, FlushedEntry};
 
 /// Per-destination cacheline combining buffer with FIFO eviction.
 #[derive(Debug, Default)]
@@ -29,18 +31,11 @@ struct LineBuffer {
     fifo: VecDeque<u64>,
 }
 
-fn span_mask(offset: u32, len: u32) -> u128 {
-    if len == 128 {
-        u128::MAX
-    } else {
-        ((1u128 << len) - 1) << offset
-    }
-}
-
 impl LineBuffer {
-    /// Inserts a store; returns an evicted line if capacity was exceeded.
-    /// With `buffer_payloads` off (timing-only runs) lines hold masks
-    /// only and flushed entries carry empty `data`.
+    /// Inserts a store; returns an evicted line and its merged-store
+    /// count if capacity was exceeded. With `buffer_payloads` off
+    /// (timing-only runs) lines hold masks only and flushed entries
+    /// carry empty `data`.
     fn insert(
         &mut self,
         addr: u64,
@@ -48,7 +43,7 @@ impl LineBuffer {
         capacity: usize,
         overwritten: &mut u64,
         buffer_payloads: bool,
-    ) -> Option<(u64, FlushedEntry, u64)> {
+    ) -> Option<(FlushedEntry, u64)> {
         let line_addr = addr & !127;
         let off = (addr - line_addr) as u32;
         let incoming = span_mask(off, data.len() as u32);
@@ -57,7 +52,6 @@ impl LineBuffer {
             let victim = self.fifo.pop_front().expect("fifo tracks lines");
             let (mask, vdata, merged) = self.lines.remove(&victim).expect("line present");
             evicted = Some((
-                victim,
                 FlushedEntry {
                     line_addr: victim,
                     mask,
@@ -108,7 +102,7 @@ impl LineBuffer {
     }
 }
 
-fn validate(store: &RemoteStore) -> Result<(u64, u32), FinePackError> {
+fn validate(store: &RemoteStore) -> Result<(), FinePackError> {
     let len = store.len();
     if len == 0 || len > 128 {
         return Err(FinePackError::StoreTooLarge { len, max: 128 });
@@ -120,11 +114,22 @@ fn validate(store: &RemoteStore) -> Result<(u64, u32), FinePackError> {
             len,
         });
     }
-    Ok((store.addr & !127, off))
+    Ok(())
+}
+
+/// GPS's publish–subscribe filter: each store targets an unsubscribed
+/// replica, and is dropped, with probability `unsubscribed`.
+#[derive(Debug)]
+struct Subscription {
+    unsubscribed: f64,
+    rng: DetRng,
+    filtered: u64,
 }
 
 /// Write combining at cacheline granularity, emitting plain memory-write
-/// TLPs (one per contiguous valid-byte run).
+/// TLPs (one per contiguous valid-byte run). Built with
+/// [`WriteCombiningEgress::gps`], the same path also filters stores by
+/// subscription.
 #[derive(Debug)]
 pub struct WriteCombiningEgress {
     src: GpuId,
@@ -132,8 +137,9 @@ pub struct WriteCombiningEgress {
     capacity: usize,
     buffers: BTreeMap<GpuId, LineBuffer>,
     metrics: EgressMetrics,
-    out: OutputBuffer,
     payload_mode: PayloadMode,
+    /// GPS's subscription filter; `None` for plain write combining.
+    subscription: Option<Subscription>,
 }
 
 impl WriteCombiningEgress {
@@ -146,25 +152,53 @@ impl WriteCombiningEgress {
             framing,
             capacity,
             buffers: BTreeMap::new(),
-            metrics: new_metrics(),
-            out: OutputBuffer::default(),
+            metrics: EgressMetrics::default(),
             payload_mode: PayloadMode::Full,
+            subscription: None,
         }
+    }
+
+    /// Creates a GPS-like egress (§VI-B): write combining behind a
+    /// publish–subscribe filter. Each store targets an unsubscribed
+    /// replica, and is dropped, with probability `unsubscribed` (GPS's
+    /// dynamic-unsubscription benefit). Combined lines leave as
+    /// memory-write TLPs covering each dirty byte run, DW-padded on the
+    /// wire: GPS's "unneeded transfers within a cacheline".
+    ///
+    /// # Panics
+    ///
+    /// Panics if `unsubscribed` is outside `[0, 1]` or `capacity` is
+    /// zero.
+    pub fn gps(
+        src: GpuId,
+        framing: FramingModel,
+        capacity: usize,
+        unsubscribed: f64,
+        seed: u64,
+    ) -> Self {
+        assert!((0.0..=1.0).contains(&unsubscribed));
+        WriteCombiningEgress {
+            subscription: Some(Subscription {
+                unsubscribed,
+                rng: DetRng::new(seed, &format!("gps-{}", src.index())),
+                filtered: 0,
+            }),
+            ..WriteCombiningEgress::new(src, framing, capacity)
+        }
+    }
+
+    /// Stores dropped by the subscription filter; zero without one.
+    pub fn stores_filtered(&self) -> u64 {
+        self.subscription.as_ref().map_or(0, |s| s.filtered)
     }
 
     fn emit_entry(&mut self, dst: GpuId, entry: FlushedEntry, merged: u64) -> Vec<WirePacket> {
         let runs = entry.runs();
-        let n = runs.len() as u64;
+        let n = runs.len();
         runs.into_iter()
             .enumerate()
             .map(|(i, (off, len))| {
                 let addr = entry.line_addr + u64::from(off);
-                let wire = self.framing.wire_bytes(len);
-                self.metrics.packets += 1;
-                self.metrics.wire_bytes += wire;
-                self.metrics.data_bytes += u64::from(len);
-                let share = merged / n + u64::from((i as u64) < merged % n);
-                self.metrics.stores_per_packet.record(share);
                 let stores = match self.payload_mode {
                     PayloadMode::Extents => PacketStores::Extents(vec![(addr, len)]),
                     PayloadMode::Full => PacketStores::Full(vec![RemoteStore {
@@ -174,23 +208,18 @@ impl WriteCombiningEgress {
                         data: entry.data[off as usize..(off + len) as usize].to_vec(),
                     }]),
                 };
-                WirePacket {
+                let packet = WirePacket {
                     dst,
-                    wire_bytes: wire,
+                    wire_bytes: self.framing.wire_bytes(len),
                     data_bytes: u64::from(len),
                     payload_bytes: len,
                     reason: None,
                     stores,
-                }
+                };
+                self.metrics.emit(packet, store_share(merged, n, i))
             })
             .collect()
     }
-}
-
-fn new_metrics() -> EgressMetrics {
-    // EgressMetrics has no public constructor by design; clone a fresh one
-    // through the egress paths' shared helper.
-    EgressMetrics::default()
 }
 
 impl EgressPath for WriteCombiningEgress {
@@ -202,6 +231,12 @@ impl EgressPath for WriteCombiningEgress {
         validate(store)?;
         self.metrics.stores_in += 1;
         self.metrics.bytes_in += u64::from(store.len());
+        if let Some(sub) = &mut self.subscription {
+            if sub.rng.chance(sub.unsubscribed) {
+                sub.filtered += 1;
+                return Ok(Vec::new());
+            }
+        }
         let mut overwritten = 0u64;
         let buffer_payloads = matches!(self.payload_mode, PayloadMode::Full);
         let evicted = self.buffers.entry(store.dst).or_default().insert(
@@ -213,7 +248,7 @@ impl EgressPath for WriteCombiningEgress {
         );
         self.metrics.overwritten_bytes += overwritten;
         match evicted {
-            Some((_, entry, merged)) => Ok(self.emit_entry(store.dst, entry, merged)),
+            Some((entry, merged)) => Ok(self.emit_entry(store.dst, entry, merged)),
             None => Ok(Vec::new()),
         }
     }
@@ -235,173 +270,11 @@ impl EgressPath for WriteCombiningEgress {
     }
 
     fn name(&self) -> &'static str {
-        "write-combining"
-    }
-
-    fn output(&mut self) -> &mut OutputBuffer {
-        &mut self.out
-    }
-
-    fn output_ref(&self) -> &OutputBuffer {
-        &self.out
-    }
-
-    fn record_stall(&mut self, stalled: SimTime) {
-        self.metrics.stall_time += stalled;
-    }
-
-    fn set_payload_mode(&mut self, mode: PayloadMode) {
-        self.payload_mode = mode;
-    }
-}
-
-/// GPS-like egress: cacheline write combining plus publish–subscribe
-/// filtering. Combined lines leave as memory-write TLPs covering each
-/// dirty byte run (DW-padded on the wire — GPS's "unneeded transfers
-/// within a cacheline"), and a configurable fraction of stores targets
-/// unsubscribed replicas and is dropped entirely (GPS's dynamic
-/// unsubscription benefit).
-#[derive(Debug)]
-pub struct GpsEgress {
-    src: GpuId,
-    framing: FramingModel,
-    capacity: usize,
-    /// Probability an incoming store targets an unsubscribed replica and
-    /// is dropped (GPS's dynamic-unsubscription benefit).
-    unsubscribed_fraction: f64,
-    rng: DetRng,
-    buffers: BTreeMap<GpuId, LineBuffer>,
-    metrics: EgressMetrics,
-    out: OutputBuffer,
-    payload_mode: PayloadMode,
-    /// Stores filtered out by subscription.
-    pub stores_filtered: u64,
-}
-
-impl GpsEgress {
-    /// Creates a GPS-like egress.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `unsubscribed_fraction` is outside `[0, 1]` or
-    /// `capacity` is zero.
-    pub fn new(
-        src: GpuId,
-        framing: FramingModel,
-        capacity: usize,
-        unsubscribed_fraction: f64,
-        seed: u64,
-    ) -> Self {
-        assert!((0.0..=1.0).contains(&unsubscribed_fraction));
-        assert!(capacity > 0);
-        GpsEgress {
-            src,
-            framing,
-            capacity,
-            unsubscribed_fraction,
-            rng: DetRng::new(seed, &format!("gps-{}", src.index())),
-            buffers: BTreeMap::new(),
-            metrics: new_metrics(),
-            out: OutputBuffer::default(),
-            payload_mode: PayloadMode::Full,
-            stores_filtered: 0,
+        if self.subscription.is_some() {
+            "gps"
+        } else {
+            "write-combining"
         }
-    }
-
-    fn emit_entry(&mut self, dst: GpuId, entry: FlushedEntry, merged: u64) -> Vec<WirePacket> {
-        let runs = entry.runs();
-        let n = runs.len() as u64;
-        runs.into_iter()
-            .enumerate()
-            .map(|(i, (off, len))| {
-                let addr = entry.line_addr + u64::from(off);
-                let wire = self.framing.wire_bytes(len);
-                self.metrics.packets += 1;
-                self.metrics.wire_bytes += wire;
-                self.metrics.data_bytes += u64::from(len);
-                let share = merged / n + u64::from((i as u64) < merged % n);
-                self.metrics.stores_per_packet.record(share);
-                let stores = match self.payload_mode {
-                    PayloadMode::Extents => PacketStores::Extents(vec![(addr, len)]),
-                    PayloadMode::Full => PacketStores::Full(vec![RemoteStore {
-                        src: self.src,
-                        dst,
-                        addr,
-                        data: entry.data[off as usize..(off + len) as usize].to_vec(),
-                    }]),
-                };
-                WirePacket {
-                    dst,
-                    wire_bytes: wire,
-                    data_bytes: u64::from(len),
-                    payload_bytes: len,
-                    reason: None,
-                    stores,
-                }
-            })
-            .collect()
-    }
-}
-
-impl EgressPath for GpsEgress {
-    fn push(
-        &mut self,
-        store: &RemoteStore,
-        _now: SimTime,
-    ) -> Result<Vec<WirePacket>, FinePackError> {
-        validate(store)?;
-        self.metrics.stores_in += 1;
-        self.metrics.bytes_in += u64::from(store.len());
-        if self.rng.chance(self.unsubscribed_fraction) {
-            self.stores_filtered += 1;
-            return Ok(Vec::new());
-        }
-        let mut overwritten = 0u64;
-        let buffer_payloads = matches!(self.payload_mode, PayloadMode::Full);
-        let evicted = self.buffers.entry(store.dst).or_default().insert(
-            store.addr,
-            &store.data,
-            self.capacity,
-            &mut overwritten,
-            buffer_payloads,
-        );
-        self.metrics.overwritten_bytes += overwritten;
-        match evicted {
-            Some((_, entry, merged)) => Ok(self.emit_entry(store.dst, entry, merged)),
-            None => Ok(Vec::new()),
-        }
-    }
-
-    fn release(&mut self) -> Vec<WirePacket> {
-        let mut out = Vec::new();
-        let dsts: Vec<GpuId> = self.buffers.keys().copied().collect();
-        for dst in dsts {
-            let drained = self.buffers.get_mut(&dst).expect("dst present").drain();
-            for (entry, merged) in drained {
-                out.extend(self.emit_entry(dst, entry, merged));
-            }
-        }
-        out
-    }
-
-    fn metrics(&self) -> &EgressMetrics {
-        &self.metrics
-    }
-
-    fn name(&self) -> &'static str {
-        "gps"
-    }
-
-    fn output(&mut self) -> &mut OutputBuffer {
-        &mut self.out
-    }
-
-    fn output_ref(&self) -> &OutputBuffer {
-        &self.out
-    }
-
-    fn record_stall(&mut self, stalled: SimTime) {
-        self.metrics.stall_time += stalled;
     }
 
     fn set_payload_mode(&mut self, mode: PayloadMode) {
@@ -465,7 +338,8 @@ mod tests {
 
     #[test]
     fn gps_ships_dirty_runs_without_subscription_loss() {
-        let mut gps = GpsEgress::new(GpuId::new(0), FramingModel::pcie_gen4(), 64, 0.0, 1);
+        let mut gps =
+            WriteCombiningEgress::gps(GpuId::new(0), FramingModel::pcie_gen4(), 64, 0.0, 1);
         gps.push(&store(1, 0x1000, 4, 1), SimTime::ZERO).unwrap();
         let pkts = gps.release();
         assert_eq!(pkts.len(), 1);
@@ -476,10 +350,66 @@ mod tests {
 
     #[test]
     fn gps_subscription_drops_stores() {
-        let mut gps = GpsEgress::new(GpuId::new(0), FramingModel::pcie_gen4(), 64, 1.0, 1);
+        let mut gps =
+            WriteCombiningEgress::gps(GpuId::new(0), FramingModel::pcie_gen4(), 64, 1.0, 1);
         gps.push(&store(1, 0x1000, 4, 1), SimTime::ZERO).unwrap();
         assert!(gps.release().is_empty());
-        assert_eq!(gps.stores_filtered, 1);
+        assert_eq!(gps.stores_filtered(), 1);
+    }
+
+    #[test]
+    fn gps_without_unsubscription_is_write_combining() {
+        let mut rng = DetRng::new(0x6A5, "gps-vs-wc");
+        let stores: Vec<RemoteStore> = (0..2000)
+            .map(|_| {
+                let off = rng.next_u64_below(128) as u32;
+                let len = (rng.next_in_range(1, 33) as u32).min(128 - off);
+                RemoteStore {
+                    src: GpuId::new(0),
+                    dst: GpuId::new(rng.next_in_range(1, 4) as u8),
+                    addr: 0x1000_0000 + rng.next_u64_below(512) * 128 + u64::from(off),
+                    data: vec![rng.next_u64() as u8; len as usize],
+                }
+            })
+            .collect();
+        let framing = FramingModel::pcie_gen4();
+        let mut wc = WriteCombiningEgress::new(GpuId::new(0), framing, 64);
+        let mut gps = WriteCombiningEgress::gps(GpuId::new(0), framing, 64, 0.0, 0x6A5);
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        for s in &stores {
+            a.extend(wc.push(s, SimTime::ZERO).unwrap());
+            b.extend(gps.push(s, SimTime::ZERO).unwrap());
+        }
+        a.extend(wc.release());
+        b.extend(gps.release());
+        assert!(!a.is_empty());
+        let key = |p: &WirePacket| (p.dst, p.wire_bytes, p.data_bytes, p.payload_bytes);
+        assert_eq!(
+            a.iter().map(key).collect::<Vec<_>>(),
+            b.iter().map(key).collect::<Vec<_>>()
+        );
+        assert!(a.iter().zip(&b).all(|(x, y)| x.stores == y.stores));
+        let (m, n) = (wc.metrics(), gps.metrics());
+        assert_eq!(
+            (
+                m.packets,
+                m.wire_bytes,
+                m.data_bytes,
+                m.stores_in,
+                m.bytes_in
+            ),
+            (
+                n.packets,
+                n.wire_bytes,
+                n.data_bytes,
+                n.stores_in,
+                n.bytes_in
+            )
+        );
+        assert_eq!(m.overwritten_bytes, n.overwritten_bytes);
+        assert_eq!(m.stores_per_packet, n.stores_per_packet);
+        assert_eq!(gps.stores_filtered(), 0);
+        assert_eq!((wc.name(), gps.name()), ("write-combining", "gps"));
     }
 
     #[test]
@@ -512,7 +442,8 @@ mod tests {
     fn invalid_stores_rejected() {
         let mut wc = WriteCombiningEgress::new(GpuId::new(0), FramingModel::pcie_gen4(), 64);
         assert!(wc.push(&store(1, 0x7c, 8, 0), SimTime::ZERO).is_err()); // crosses block
-        let mut gps = GpsEgress::new(GpuId::new(0), FramingModel::pcie_gen4(), 64, 0.0, 1);
+        let mut gps =
+            WriteCombiningEgress::gps(GpuId::new(0), FramingModel::pcie_gen4(), 64, 0.0, 1);
         assert!(gps.push(&store(1, 0, 129, 0), SimTime::ZERO).is_err());
     }
 }

@@ -12,8 +12,6 @@
 //! The DMA/memcpy paradigm does not flow through an egress path; it is
 //! modeled at the system level from workload buffer metadata.
 
-use std::collections::VecDeque;
-
 use gpu_model::{GpuId, RemoteStore};
 use protocol::FramingModel;
 use sim_engine::{Histogram, SimTime};
@@ -48,16 +46,6 @@ pub enum PacketStores {
 }
 
 impl PacketStores {
-    /// Wraps a single borrowed store: clones the payload only under
-    /// [`PayloadMode::Full`] — extents-mode packets cost zero payload
-    /// allocation.
-    fn from_store_ref(store: &RemoteStore, mode: PayloadMode) -> PacketStores {
-        match mode {
-            PayloadMode::Full => PacketStores::Full(vec![store.clone()]),
-            PayloadMode::Extents => PacketStores::Extents(vec![(store.addr, store.len())]),
-        }
-    }
-
     /// Number of stores in the packet.
     pub fn len(&self) -> usize {
         match self {
@@ -125,87 +113,33 @@ impl WirePacket {
     }
 }
 
-/// Finite FIFO between an egress path and its PCIe port.
-///
-/// `capacity` is an *admission* threshold, not a hard cap: a single
-/// flush may emit several packets and transiently overshoot, but the SM
-/// must not offer new stores while [`OutputBuffer::has_room`] is false —
-/// that is the backpressure the closed-loop runner turns into stall
-/// time.
-#[derive(Debug, Clone)]
-pub struct OutputBuffer {
-    queue: VecDeque<WirePacket>,
-    capacity: usize,
-}
-
-impl Default for OutputBuffer {
-    fn default() -> Self {
-        OutputBuffer::new(OutputBuffer::DEFAULT_CAPACITY)
+/// One store travelling alone as a memory-write TLP of `payload` bytes
+/// (raw P2P stores and atomics). The payload is cloned only under
+/// [`PayloadMode::Full`]: extents-mode packets allocate no payload.
+fn single_store_packet(
+    framing: &FramingModel,
+    store: &RemoteStore,
+    payload: u32,
+    mode: PayloadMode,
+) -> WirePacket {
+    WirePacket {
+        dst: store.dst,
+        wire_bytes: framing.wire_bytes(payload),
+        data_bytes: u64::from(store.len()),
+        payload_bytes: payload,
+        reason: None,
+        stores: match mode {
+            PayloadMode::Full => PacketStores::Full(vec![store.clone()]),
+            PayloadMode::Extents => PacketStores::Extents(vec![(store.addr, store.len())]),
+        },
     }
 }
 
-impl OutputBuffer {
-    /// Default admission threshold, packets.
-    pub const DEFAULT_CAPACITY: usize = 8;
-
-    /// Creates a buffer admitting new work while under `capacity`
-    /// packets.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "output buffer capacity must be positive");
-        OutputBuffer {
-            queue: VecDeque::new(),
-            capacity,
-        }
-    }
-
-    /// Changes the admission threshold.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn set_capacity(&mut self, capacity: usize) {
-        assert!(capacity > 0, "output buffer capacity must be positive");
-        self.capacity = capacity;
-    }
-
-    /// The admission threshold, packets.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// True while the buffer admits new upstream work.
-    pub fn has_room(&self) -> bool {
-        self.queue.len() < self.capacity
-    }
-
-    /// Buffered packets.
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// True if nothing is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
-
-    /// Queues packets for transmission (never rejects; see type docs).
-    pub fn extend(&mut self, packets: impl IntoIterator<Item = WirePacket>) {
-        self.queue.extend(packets);
-    }
-
-    /// The packet next in line for the port.
-    pub fn front(&self) -> Option<&WirePacket> {
-        self.queue.front()
-    }
-
-    /// Removes and returns the packet at the head of the queue.
-    pub fn pop_front(&mut self) -> Option<WirePacket> {
-        self.queue.pop_front()
-    }
+/// Packet `i`'s share of `merged` stores flushed together as `packets`
+/// packets: an even split, the remainder going to the first packets.
+pub(crate) fn store_share(merged: u64, packets: usize, i: usize) -> u64 {
+    let n = packets as u64;
+    merged / n + u64::from((i as u64) < merged % n)
 }
 
 /// Cumulative egress metrics (the inputs to Figs 10 and 11).
@@ -229,10 +163,6 @@ pub struct EgressMetrics {
     pub flushes_by_reason: [u64; FlushReason::ALL.len()],
     /// Distribution of GPU stores aggregated per emitted packet (Fig 11).
     pub stores_per_packet: Histogram,
-    /// Time this GPU's store stream spent stalled on backpressure (a
-    /// full output buffer or an out-of-credits link). Zero under
-    /// open-loop flow control.
-    pub stall_time: SimTime,
 }
 
 impl Default for EgressMetrics {
@@ -253,17 +183,23 @@ impl EgressMetrics {
             atomics_sent: 0,
             flushes_by_reason: [0; FlushReason::ALL.len()],
             stores_per_packet: Histogram::new("stores_per_packet"),
-            stall_time: SimTime::ZERO,
         }
     }
 
+    /// Accounts one emitted packet that aggregates `stores` of the GPU's
+    /// stores, and hands it back for the port. Every path emits through
+    /// here, so the totals and the Fig 11 histogram cannot drift apart.
+    pub(crate) fn emit(&mut self, packet: WirePacket, stores: u64) -> WirePacket {
+        self.packets += 1;
+        self.wire_bytes += packet.wire_bytes;
+        self.data_bytes += packet.data_bytes;
+        self.stores_per_packet.record(stores);
+        packet
+    }
+
     /// Flush count for `reason` (non-zero only on the FinePack path).
-    pub fn flushes_for(&self, reason: crate::FlushReason) -> u64 {
-        let idx = crate::FlushReason::ALL
-            .iter()
-            .position(|r| *r == reason)
-            .expect("reason in ALL");
-        self.flushes_by_reason[idx]
+    pub fn flushes_for(&self, reason: FlushReason) -> u64 {
+        self.flushes_by_reason[reason.index()]
     }
 
     /// Total protocol (non-data) bytes.
@@ -293,7 +229,6 @@ impl EgressMetrics {
             *a += b;
         }
         self.stores_per_packet.merge(&other.stores_per_packet);
-        self.stall_time += other.stall_time;
     }
 }
 
@@ -358,27 +293,6 @@ pub trait EgressPath: std::fmt::Debug + Send {
     /// Short name for reports.
     fn name(&self) -> &'static str;
 
-    /// The finite FIFO between this path and its PCIe port.
-    fn output(&mut self) -> &mut OutputBuffer;
-
-    /// Read-only view of the output FIFO.
-    fn output_ref(&self) -> &OutputBuffer;
-
-    /// True while the path admits new stores: backpressure starts when
-    /// the output buffer is at capacity.
-    fn can_accept(&self) -> bool {
-        self.output_ref().has_room()
-    }
-
-    /// Packets queued at the port, waiting for link credits.
-    fn occupancy(&self) -> usize {
-        self.output_ref().len()
-    }
-
-    /// Accounts time the upstream store stream spent blocked on this
-    /// path (accumulates [`EgressMetrics::stall_time`]).
-    fn record_stall(&mut self, stalled: SimTime);
-
     /// Selects whether emitted packets carry full store payloads or
     /// bare `(addr, len)` extents (see [`PayloadMode`]).
     fn set_payload_mode(&mut self, mode: PayloadMode);
@@ -389,8 +303,8 @@ pub trait EgressPath: std::fmt::Debug + Send {
     fn set_trace(&mut self, _trace: TraceHandle) {}
 
     /// Entries buffered *inside* the path (e.g. RWQ occupancy), as
-    /// opposed to packets queued at the port ([`EgressPath::occupancy`]).
-    /// Zero for paths that never buffer.
+    /// opposed to packets the runner holds at the port. Zero for paths
+    /// that never buffer.
     fn queue_depth(&self) -> usize {
         0
     }
@@ -409,7 +323,6 @@ pub struct FinePackEgress {
     flush_timeout: Option<SimTime>,
     /// Last insert time per destination, for timeout flushes.
     last_activity: std::collections::BTreeMap<GpuId, SimTime>,
-    out: OutputBuffer,
     payload_mode: PayloadMode,
     trace: TraceHandle,
 }
@@ -425,7 +338,6 @@ impl FinePackEgress {
             metrics: EgressMetrics::new(),
             flush_timeout: None,
             last_activity: std::collections::BTreeMap::new(),
-            out: OutputBuffer::default(),
             payload_mode: PayloadMode::Full,
             trace: TraceHandle::off(),
         }
@@ -440,41 +352,18 @@ impl FinePackEgress {
         self
     }
 
-    /// Access to the underlying queue (e.g. for load probes).
-    pub fn rwq_mut(&mut self) -> &mut RemoteWriteQueue {
-        &mut self.rwq
-    }
-
-    /// The queue's cumulative statistics.
-    pub fn rwq_stats(&self) -> &crate::RwqStats {
-        self.rwq.stats()
-    }
-
     fn emit_batch(&mut self, batch: crate::rwq::FlushedBatch) -> Vec<WirePacket> {
         // Layout pass only: payload bytes are copied at most once (Full
         // mode) and never under Extents — timing-only runs pay zero
         // payload allocation per TLP.
         let layouts = packetize_layout(&batch, &self.config);
-        let n = layouts.len() as u64;
+        let n = layouts.len();
         self.metrics.overwritten_bytes += batch.overwritten_bytes;
-        let reason_idx = crate::FlushReason::ALL
-            .iter()
-            .position(|r| *r == batch.reason)
-            .expect("reason in ALL");
-        self.metrics.flushes_by_reason[reason_idx] += 1;
+        self.metrics.flushes_by_reason[batch.reason.index()] += 1;
         let subheader = self.config.subheader;
-        let mut out = Vec::with_capacity(layouts.len());
+        let mut out = Vec::with_capacity(n);
         for (i, layout) in layouts.into_iter().enumerate() {
-            // Attribute the batch's merged-store count across its packets
-            // (nearly always a single packet per batch).
-            let share = batch.stores_merged / n + u64::from((i as u64) < batch.stores_merged % n);
-            self.metrics.stores_per_packet.record(share);
-            self.metrics.packets += 1;
             let payload_bytes = layout.payload_bytes(subheader);
-            let wire = self.framing.wire_bytes(payload_bytes);
-            let data = u64::from(layout.data_bytes());
-            self.metrics.wire_bytes += wire;
-            self.metrics.data_bytes += data;
             let stores = match self.payload_mode {
                 PayloadMode::Full => PacketStores::Full(
                     layout
@@ -498,14 +387,18 @@ impl FinePackEgress {
                         .collect(),
                 ),
             };
-            out.push(WirePacket {
+            let packet = WirePacket {
                 dst: batch.dst,
-                wire_bytes: wire,
-                data_bytes: data,
+                wire_bytes: self.framing.wire_bytes(payload_bytes),
+                data_bytes: u64::from(layout.data_bytes()),
                 payload_bytes,
                 reason: Some(batch.reason),
                 stores,
-            });
+            };
+            // Split the batch's merged stores across its packets (nearly
+            // always one).
+            let share = store_share(batch.stores_merged, n, i);
+            out.push(self.metrics.emit(packet, share));
         }
         out
     }
@@ -559,21 +452,8 @@ impl EgressPath for FinePackEgress {
             out.extend(self.emit_batch(batch));
         }
         // The atomic itself travels as an ordinary, uncoalesced TLP.
-        let wire = self.framing.wire_bytes(store.len());
-        let data = u64::from(store.len());
-        self.metrics.packets += 1;
-        self.metrics.wire_bytes += wire;
-        self.metrics.data_bytes += data;
-        self.metrics.stores_per_packet.record(1);
-        let payload = store.len();
-        out.push(WirePacket {
-            dst: store.dst,
-            wire_bytes: wire,
-            data_bytes: data,
-            payload_bytes: payload,
-            reason: None,
-            stores: PacketStores::from_store_ref(store, self.payload_mode),
-        });
+        let packet = single_store_packet(&self.framing, store, store.len(), self.payload_mode);
+        out.push(self.metrics.emit(packet, 1));
         Ok(out)
     }
 
@@ -620,18 +500,6 @@ impl EgressPath for FinePackEgress {
         "finepack"
     }
 
-    fn output(&mut self) -> &mut OutputBuffer {
-        &mut self.out
-    }
-
-    fn output_ref(&self) -> &OutputBuffer {
-        &self.out
-    }
-
-    fn record_stall(&mut self, stalled: SimTime) {
-        self.metrics.stall_time += stalled;
-    }
-
     fn set_payload_mode(&mut self, mode: PayloadMode) {
         self.payload_mode = mode;
         // Timing-only runs never read payload bytes back: turn off the
@@ -658,7 +526,6 @@ pub struct RawP2pEgress {
     /// — hardware that transfers at sector granularity rather than using
     /// byte enables, producing Fig 1's "unread bytes at the receiver".
     sector_bytes: Option<u32>,
-    out: OutputBuffer,
     payload_mode: PayloadMode,
 }
 
@@ -670,7 +537,6 @@ impl RawP2pEgress {
             framing,
             metrics: EgressMetrics::new(),
             sector_bytes: None,
-            out: OutputBuffer::default(),
             payload_mode: PayloadMode::Full,
         }
     }
@@ -718,20 +584,8 @@ impl EgressPath for RawP2pEgress {
         self.metrics.stores_in += 1;
         self.metrics.bytes_in += u64::from(store.len());
         let payload = self.wire_payload(store.addr, store.len());
-        let wire = self.framing.wire_bytes(payload);
-        let data = u64::from(store.len());
-        self.metrics.packets += 1;
-        self.metrics.wire_bytes += wire;
-        self.metrics.data_bytes += data;
-        self.metrics.stores_per_packet.record(1);
-        Ok(vec![WirePacket {
-            dst: store.dst,
-            wire_bytes: wire,
-            data_bytes: data,
-            payload_bytes: payload,
-            reason: None,
-            stores: PacketStores::from_store_ref(store, self.payload_mode),
-        }])
+        let packet = single_store_packet(&self.framing, store, payload, self.payload_mode);
+        Ok(vec![self.metrics.emit(packet, 1)])
     }
 
     fn release(&mut self) -> Vec<WirePacket> {
@@ -744,18 +598,6 @@ impl EgressPath for RawP2pEgress {
 
     fn name(&self) -> &'static str {
         "p2p"
-    }
-
-    fn output(&mut self) -> &mut OutputBuffer {
-        &mut self.out
-    }
-
-    fn output_ref(&self) -> &OutputBuffer {
-        &self.out
-    }
-
-    fn record_stall(&mut self, stalled: SimTime) {
-        self.metrics.stall_time += stalled;
     }
 
     fn set_payload_mode(&mut self, mode: PayloadMode) {
@@ -908,26 +750,6 @@ mod tests {
         assert_eq!(full_pkts[0].wire_bytes, pkts[0].wire_bytes);
         assert_eq!(full_pkts[0].data_bytes, pkts[0].data_bytes);
         assert_eq!(full_pkts[0].payload_bytes, pkts[0].payload_bytes);
-    }
-
-    #[test]
-    fn output_buffer_admission_threshold() {
-        let mut buf = OutputBuffer::new(2);
-        assert!(buf.has_room() && buf.is_empty());
-        let mut p2p = RawP2pEgress::new(FramingModel::pcie_gen4());
-        let pkts = p2p.push(&store(1, 0x40, 4), SimTime::ZERO).unwrap();
-        buf.extend(pkts.clone());
-        assert!(buf.has_room());
-        buf.extend(pkts.clone());
-        assert!(!buf.has_room(), "at capacity: upstream must stall");
-        // Overshoot is tolerated (a flush may emit several packets)...
-        buf.extend(pkts);
-        assert_eq!(buf.len(), 3);
-        // ...and draining restores admission.
-        while buf.pop_front().is_some() {}
-        assert!(buf.has_room());
-        assert!(p2p.can_accept());
-        assert_eq!(p2p.occupancy(), 0);
     }
 
     #[test]

@@ -24,10 +24,14 @@
 //! ## Baselines
 //!
 //! [`RawP2pEgress`] (today's hardware), [`WriteCombiningEgress`]
-//! (cacheline combining without repacketization), [`GpsEgress`] (a
-//! GPS-like publish–subscribe model), and [`ConfigPacketModel`] (the
-//! stateful alternate design of §VI-B) — all compared in the paper's
-//! evaluation.
+//! (cacheline combining without repacketization; built with
+//! [`WriteCombiningEgress::gps`], the GPS-like publish–subscribe model),
+//! and [`ConfigPacketModel`] (the stateful alternate design of §VI-B) —
+//! all compared in the paper's evaluation.
+//!
+//! Every path does one job: turn stores into [`WirePacket`]s. Queueing
+//! those packets at the port, admission, and stall time belong to the
+//! system runner that drives the path.
 //!
 //! # Examples
 //!
@@ -72,14 +76,13 @@ mod rwq;
 
 pub use alt_design::ConfigPacketModel;
 pub use area::AreaModel;
-pub use baselines::{GpsEgress, WriteCombiningEgress};
+pub use baselines::WriteCombiningEgress;
 pub use config::{
     AllocationPolicy, FinePackConfig, FinePackError, SubheaderFormat, LENGTH_FIELD_BITS,
 };
 pub use depacketizer::Depacketizer;
 pub use egress::{
-    EgressMetrics, EgressPath, FinePackEgress, OutputBuffer, PacketStores, PayloadMode,
-    RawP2pEgress, WirePacket,
+    EgressMetrics, EgressPath, FinePackEgress, PacketStores, PayloadMode, RawP2pEgress, WirePacket,
 };
 pub use packet::{FinePackPacket, SubPacket};
 pub use packetizer::{packetize, packetize_layout, LayoutChunk, PacketLayout};

@@ -190,16 +190,6 @@ impl FinePackPacket {
         })
     }
 
-    /// The `(addr, len)` extent of every packed store, without cloning
-    /// payload bytes — what timing-only runs carry in place of
-    /// [`FinePackPacket::to_stores`].
-    pub fn store_extents(&self) -> Vec<(u64, u32)> {
-        self.subpackets
-            .iter()
-            .map(|s| (self.base_addr + s.offset, s.data.len() as u32))
-            .collect()
-    }
-
     /// Disaggregates the packet into individual stores, adding each
     /// sub-packet offset to the base address (the de-packetizer, §IV-B).
     pub fn to_stores(&self) -> Vec<RemoteStore> {

@@ -57,10 +57,7 @@ impl ReplayAmplification {
 
     fn slot(reason: Option<FlushReason>) -> usize {
         match reason {
-            Some(r) => FlushReason::ALL
-                .iter()
-                .position(|x| *x == r)
-                .expect("reason in ALL"),
+            Some(r) => r.index(),
             None => FlushReason::ALL.len(),
         }
     }

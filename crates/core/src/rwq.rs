@@ -53,6 +53,15 @@ impl FlushReason {
             FlushReason::Timeout => "timeout",
         }
     }
+
+    /// This reason's position in [`FlushReason::ALL`], which indexes
+    /// every per-reason counter table.
+    pub(crate) fn index(self) -> usize {
+        FlushReason::ALL
+            .iter()
+            .position(|r| *r == self)
+            .expect("reason in ALL")
+    }
 }
 
 /// One flushed queue entry: a cache-block-aligned line with a byte mask.
@@ -173,7 +182,7 @@ fn charge_payload(available_payload: u32, cost: u32) -> u32 {
 }
 
 /// Byte mask covering `[offset, offset + len)` within a 128B line.
-fn span_mask(offset: u32, len: u32) -> u128 {
+pub(crate) fn span_mask(offset: u32, len: u32) -> u128 {
     debug_assert!(offset + len <= 128);
     if len == 128 {
         u128::MAX
@@ -281,19 +290,11 @@ pub struct RwqStats {
 impl RwqStats {
     /// Flush count for `reason`.
     pub fn flushes_for(&self, reason: FlushReason) -> u64 {
-        let idx = FlushReason::ALL
-            .iter()
-            .position(|r| *r == reason)
-            .expect("reason in ALL");
-        self.flushes[idx]
+        self.flushes[reason.index()]
     }
 
     fn record_flush(&mut self, reason: FlushReason) {
-        let idx = FlushReason::ALL
-            .iter()
-            .position(|r| *r == reason)
-            .expect("reason in ALL");
-        self.flushes[idx] += 1;
+        self.flushes[reason.index()] += 1;
     }
 }
 

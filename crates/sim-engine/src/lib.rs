@@ -9,12 +9,13 @@
 //! - [`EventQueue`]: a deterministic, time-ordered event queue that domain
 //!   crates drive with their own event payload types.
 //! - [`Bandwidth`]: data-rate arithmetic for link serialization delays.
-//! - [`Counter`], [`Running`], [`Histogram`]: the statistics the paper's
-//!   figures are built from.
+//! - [`Histogram`]: the distributions the paper's figures are built
+//!   from.
 //! - [`DetRng`]: labeled deterministic random streams so every experiment
 //!   is exactly reproducible.
 //! - [`WorkerPool`] / [`par_map_deterministic`]: deterministic parallel
-//!   sweep execution — ordered results, index-derived task seeds.
+//!   sweep execution — results in input order, whatever the worker
+//!   count.
 //! - [`run_isolated`] / [`TaskFailure`]: panic isolation for one sweep
 //!   task, so a panicking point becomes a structured failure.
 //! - [`Table`] / [`geomean`]: plain-text result reporting for the
@@ -49,9 +50,9 @@ mod time;
 pub use bandwidth::Bandwidth;
 pub use chart::BarChart;
 pub use event::{Event, EventQueue};
-pub use par::{derive_task_seed, par_map_deterministic, TaskCtx, WorkerPool};
+pub use par::{par_map_deterministic, WorkerPool};
 pub use report::{geomean, Table};
 pub use rng::DetRng;
-pub use stats::{Counter, Histogram, Running};
+pub use stats::Histogram;
 pub use supervise::{run_isolated, TaskFailure};
 pub use time::{Frequency, SimTime};

@@ -9,10 +9,10 @@
 //! - [`par_map_deterministic`] / [`WorkerPool::map`]: results are
 //!   returned **in input order**, regardless of which worker finished
 //!   first or in what order tasks were claimed.
-//! - Each task receives a [`TaskCtx`] whose seed is derived from a root
-//!   seed plus the task *index* (see [`derive_task_seed`]) — never from
-//!   a shared mutable RNG — so a task's random streams are identical
-//!   whether it ran first on one thread or last on sixteen.
+//! - Tasks share no mutable state through the pool: a sweep point that
+//!   draws random numbers seeds its own streams from its config, so its
+//!   draws are identical whether it ran first on one thread or last on
+//!   sixteen.
 //! - With one worker the tasks run inline on the calling thread in input
 //!   order: `jobs = 1` reproduces the historical serial path exactly.
 //!
@@ -36,8 +36,6 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use crate::rng::DetRng;
-
 /// Locks a slot mutex, tolerating poison.
 ///
 /// Slot mutexes guard per-index cells that exactly one worker ever
@@ -49,73 +47,29 @@ fn lock_tolerant<T>(slot: &Mutex<T>) -> MutexGuard<'_, T> {
     slot.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Derives the seed for task `task_index` of a sweep rooted at
-/// `root_seed`.
-///
-/// A single splitmix64 finalizer over `root ^ f(index)`: cheap, stable
-/// across platforms, and avalanching enough that adjacent task indices
-/// get unrelated streams. Deriving from the *index* (not from a shared
-/// RNG) is what keeps a task's draws independent of execution order.
-pub fn derive_task_seed(root_seed: u64, task_index: u64) -> u64 {
-    let mut z = root_seed
-        ^ task_index
-            .wrapping_add(1)
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Per-task context handed to [`par_map_deterministic`] closures.
-#[derive(Debug, Clone, Copy)]
-pub struct TaskCtx {
-    /// Position of this task in the input vector (== position of its
-    /// result in the output vector).
-    pub index: usize,
-    /// Seed derived from the sweep's root seed and `index`.
-    pub seed: u64,
-}
-
-impl TaskCtx {
-    /// A deterministic RNG stream for this task, labeled like
-    /// [`DetRng::new`].
-    pub fn rng(&self, stream: &str) -> DetRng {
-        DetRng::new(self.seed, stream)
-    }
-}
-
 /// Maps `f` over `tasks` on up to `jobs` worker threads, returning
 /// results in input order.
 ///
-/// Determinism contract: the output vector is ordered by task index;
-/// each task's [`TaskCtx::seed`] depends only on `root_seed` and its
-/// index; and `jobs = 1` runs everything inline on the calling thread
-/// in input order. Provided `f` itself is a pure function of its
-/// arguments, the output is byte-identical for every `jobs` value.
+/// Determinism contract: the output vector is ordered by task index,
+/// and `jobs = 1` runs everything inline on the calling thread in input
+/// order. Provided `f` itself is a pure function of its argument, the
+/// output is byte-identical for every `jobs` value.
 ///
 /// # Panics
 ///
 /// Panics if `jobs == 0`, or propagates the first panic raised inside
 /// `f` (scoped-thread join semantics).
-pub fn par_map_deterministic<T, R, F>(jobs: usize, root_seed: u64, tasks: Vec<T>, f: F) -> Vec<R>
+pub fn par_map_deterministic<T, R, F>(jobs: usize, tasks: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
-    F: Fn(TaskCtx, T) -> R + Sync,
+    F: Fn(T) -> R + Sync,
 {
     assert!(jobs > 0, "worker pool needs at least one job slot");
     let n = tasks.len();
-    let ctx = |index: usize| TaskCtx {
-        index,
-        seed: derive_task_seed(root_seed, index as u64),
-    };
     if jobs == 1 || n <= 1 {
         // The historical serial path: inline, in order, no threads.
-        return tasks
-            .into_iter()
-            .enumerate()
-            .map(|(i, t)| f(ctx(i), t))
-            .collect();
+        return tasks.into_iter().map(f).collect();
     }
     let task_slots: Vec<Mutex<Option<T>>> =
         tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
@@ -131,7 +85,7 @@ where
                 let task = lock_tolerant(&task_slots[i])
                     .take()
                     .expect("each task index is claimed exactly once");
-                let result = f(ctx(i), task);
+                let result = f(task);
                 *lock_tolerant(&result_slots[i]) = Some(result);
             });
         }
@@ -188,26 +142,15 @@ impl WorkerPool {
         self.jobs
     }
 
-    /// [`par_map_deterministic`] with per-task seeds rooted at
-    /// `root_seed`.
-    pub fn map_seeded<T, R, F>(&self, root_seed: u64, tasks: Vec<T>, f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(TaskCtx, T) -> R + Sync,
-    {
-        par_map_deterministic(self.jobs, root_seed, tasks, f)
-    }
-
-    /// Ordered parallel map for tasks that need no per-task RNG (the
-    /// common case: sweep points are already seeded by their configs).
+    /// [`par_map_deterministic`] on this pool's workers: results in
+    /// input order.
     pub fn map<T, R, F>(&self, tasks: Vec<T>, f: F) -> Vec<R>
     where
         T: Send,
         R: Send,
         F: Fn(T) -> R + Sync,
     {
-        par_map_deterministic(self.jobs, 0, tasks, |_, t| f(t))
+        par_map_deterministic(self.jobs, tasks, f)
     }
 }
 
@@ -232,26 +175,15 @@ mod tests {
 
     #[test]
     fn parallel_matches_serial_bit_for_bit() {
-        let work = |ctx: TaskCtx, x: u64| {
-            let mut rng = ctx.rng("task");
-            x.wrapping_mul(rng.next_u64()) ^ ctx.seed
+        let work = |x: u64| {
+            let mut rng = crate::DetRng::new(x, "task");
+            x.wrapping_mul(rng.next_u64())
         };
-        let serial = par_map_deterministic(1, 42, (0..100).collect(), work);
+        let serial = par_map_deterministic(1, (0..100).collect(), work);
         for jobs in [2, 3, 4, 7] {
-            let par = par_map_deterministic(jobs, 42, (0..100).collect(), work);
+            let par = par_map_deterministic(jobs, (0..100).collect(), work);
             assert_eq!(serial, par, "jobs={jobs}");
         }
-    }
-
-    #[test]
-    fn task_seeds_depend_on_index_and_root() {
-        let a = derive_task_seed(1, 0);
-        let b = derive_task_seed(1, 1);
-        let c = derive_task_seed(2, 0);
-        assert_ne!(a, b);
-        assert_ne!(a, c);
-        // Stable: same inputs, same seed, forever.
-        assert_eq!(derive_task_seed(1, 0), a);
     }
 
     #[test]
@@ -264,32 +196,26 @@ mod tests {
 
     #[test]
     fn seeds_are_identical_across_task_count_edge_cases() {
-        let seed_of = |ctx: TaskCtx, _x: u64| ctx.seed;
+        // A task seeds its own stream from its input, as a sweep point
+        // seeds from its config; its draws must not depend on the pool.
+        let draw = |seed: u64| crate::DetRng::new(seed, "point").next_u64();
         // Zero tasks: nothing runs, nothing panics, for any jobs count.
         for jobs in [1, 4] {
-            assert!(par_map_deterministic(jobs, 77, Vec::<u64>::new(), seed_of).is_empty());
+            assert!(par_map_deterministic(jobs, Vec::<u64>::new(), draw).is_empty());
         }
-        // One task: inline fast path must derive the same seed the
-        // threaded path would (index 0 under the same root).
-        let one = par_map_deterministic(1, 77, vec![0u64], seed_of);
-        assert_eq!(one, vec![derive_task_seed(77, 0)]);
-        assert_eq!(one, par_map_deterministic(8, 77, vec![0u64], seed_of));
+        // One task: the inline path draws what a lone task should,
+        // whatever the pool size.
+        for jobs in [1, 8] {
+            assert_eq!(
+                par_map_deterministic(jobs, vec![77u64], draw),
+                vec![draw(77)]
+            );
+        }
         // More jobs than tasks: excess workers idle without claiming
-        // phantom indices, and seeds still track input position.
-        let few = par_map_deterministic(16, 77, (0..3u64).collect(), seed_of);
-        let expected: Vec<u64> = (0..3).map(|i| derive_task_seed(77, i)).collect();
-        assert_eq!(few, expected);
-    }
-
-    #[test]
-    fn map_seeded_threads_root_seed_through_pool() {
-        let work = |ctx: TaskCtx, x: u64| ctx.rng("stream").next_u64() ^ x;
-        let a = WorkerPool::serial().map_seeded(9, (0..5).collect(), work);
-        let b = WorkerPool::new(3).map_seeded(9, (0..5).collect(), work);
-        assert_eq!(a, b);
-        // A different root seed changes every task's stream.
-        let c = WorkerPool::serial().map_seeded(10, (0..5).collect(), work);
-        assert!(a.iter().zip(&c).all(|(x, y)| x != y));
+        // phantom indices, and each draw still sits at its task's index.
+        let few = par_map_deterministic(16, vec![77u64, 78, 79], draw);
+        assert_eq!(few, vec![draw(77), draw(78), draw(79)]);
+        assert_ne!(few[0], few[1]);
     }
 
     #[test]
@@ -307,7 +233,7 @@ mod tests {
     #[test]
     fn worker_panic_propagates() {
         let result = std::panic::catch_unwind(|| {
-            par_map_deterministic(4, 0, (0..16u32).collect(), |_, x| {
+            par_map_deterministic(4, (0..16u32).collect(), |x| {
                 assert!(x != 7, "boom");
                 x
             })
@@ -322,7 +248,7 @@ mod tests {
         // the propagated panic is the scope's, not a PoisonError cascade.
         let completed = AtomicUsize::new(0);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            par_map_deterministic(4, 0, (0..32u32).collect(), |_, x| {
+            par_map_deterministic(4, (0..32u32).collect(), |x| {
                 if x == 3 {
                     panic!("original task panic");
                 }

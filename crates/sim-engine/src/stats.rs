@@ -1,115 +1,7 @@
-//! Lightweight statistics: counters, running means, and histograms.
+//! Lightweight statistics: exact histograms.
 
 use std::collections::BTreeMap;
 use std::fmt;
-
-/// A monotonically increasing event counter.
-///
-/// # Examples
-///
-/// ```
-/// use sim_engine::Counter;
-///
-/// let mut stores = Counter::new("remote_stores");
-/// stores.add(3);
-/// stores.incr();
-/// assert_eq!(stores.value(), 4);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Counter {
-    name: String,
-    value: u64,
-}
-
-impl Counter {
-    /// Creates a counter at zero.
-    pub fn new(name: impl Into<String>) -> Self {
-        Counter {
-            name: name.into(),
-            value: 0,
-        }
-    }
-
-    /// Increments by one.
-    pub fn incr(&mut self) {
-        self.value += 1;
-    }
-
-    /// Adds `n`.
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-
-    /// Current value.
-    pub fn value(&self) -> u64 {
-        self.value
-    }
-
-    /// Counter name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}={}", self.name, self.value)
-    }
-}
-
-/// Running mean / min / max over a stream of samples, without storing them.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Running {
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Running {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Running {
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, sample: f64) {
-        self.count += 1;
-        self.sum += sample;
-        self.min = self.min.min(sample);
-        self.max = self.max.max(sample);
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all samples.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Arithmetic mean, or `None` if no samples were recorded.
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum / self.count as f64)
-    }
-
-    /// Smallest sample, or `None` if no samples were recorded.
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest sample, or `None` if no samples were recorded.
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-}
 
 /// An exact histogram over integer-valued samples (e.g. transfer sizes).
 ///
@@ -241,28 +133,6 @@ impl fmt::Display for Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_accumulates() {
-        let mut c = Counter::new("x");
-        c.incr();
-        c.add(9);
-        assert_eq!(c.value(), 10);
-        assert_eq!(c.to_string(), "x=10");
-    }
-
-    #[test]
-    fn running_tracks_extremes() {
-        let mut r = Running::new();
-        assert_eq!(r.mean(), None);
-        for s in [1.0, 2.0, 3.0] {
-            r.record(s);
-        }
-        assert_eq!(r.mean(), Some(2.0));
-        assert_eq!(r.min(), Some(1.0));
-        assert_eq!(r.max(), Some(3.0));
-        assert_eq!(r.count(), 3);
-    }
 
     #[test]
     fn histogram_counts_and_mean() {

@@ -3,7 +3,7 @@
 use std::fmt;
 use std::str::FromStr;
 
-use finepack::{EgressPath, FinePackEgress, GpsEgress, RawP2pEgress, WriteCombiningEgress};
+use finepack::{EgressPath, FinePackEgress, RawP2pEgress, WriteCombiningEgress};
 use gpu_model::GpuId;
 
 use crate::config::SystemConfig;
@@ -78,7 +78,7 @@ impl Paradigm {
                 cfg.framing,
                 cfg.combining_entries,
             ))),
-            Paradigm::Gps => Some(Box::new(GpsEgress::new(
+            Paradigm::Gps => Some(Box::new(WriteCombiningEgress::gps(
                 gpu,
                 cfg.framing,
                 cfg.combining_entries,

@@ -2,6 +2,8 @@
 //! streams through a paradigm's egress paths and the switched fabric,
 //! producing execution times and wire-traffic accounting.
 
+use std::collections::VecDeque;
+
 use finepack::{
     EgressMetrics, EgressPath, FlushReason, PayloadMode, ReplayAmplification, WirePacket,
 };
@@ -39,21 +41,11 @@ enum Ev {
     KernelEnd {
         gpu: usize,
     },
-    /// Credited mode only: the GPU's output buffer was blocked on link
-    /// credits; retry draining when the earliest `UpdateFC` lands.
+    /// Credited mode only: the GPU's port was blocked on link credits;
+    /// retry draining when the earliest `UpdateFC` lands.
     Retry {
         gpu: usize,
     },
-}
-
-/// What one output-buffer drain pass achieved.
-struct PumpOutcome {
-    /// Latest local-memory drain time among delivered packets
-    /// (`SimTime::ZERO` when nothing was delivered).
-    last_drained: SimTime,
-    /// Set when the head packet found a link out of credits: the
-    /// earliest time it can be admitted.
-    blocked_until: Option<SimTime>,
 }
 
 /// Builds the iteration's pre-scheduled event queue. The schedule order
@@ -146,6 +138,18 @@ pub struct Runner {
     cfg: SystemConfig,
     paradigm: Paradigm,
     paths: Vec<Option<Box<dyn EgressPath>>>,
+    /// Per GPU: the FIFO between its egress path and its PCIe port.
+    /// Packets wait here for link credits; open loop drains it within
+    /// the event that queued them.
+    ports: Vec<VecDeque<WirePacket>>,
+    /// The port's admission threshold, packets: a memory operation
+    /// that finds its port this full stalls the GPU until draining
+    /// frees a slot. A threshold, not a cap: one flush may emit several
+    /// packets and overshoot it.
+    port_capacity: usize,
+    /// Per GPU: cumulative time the store stream spent stalled on a
+    /// full port. Zero under open loop.
+    stall_time: Vec<SimTime>,
     fabric: RoutedFabric,
     unique: UniqueTracker,
     images: Option<Vec<MemoryImage>>,
@@ -198,6 +202,7 @@ impl Runner {
             fabric = fabric.with_faults(profile, cfg.seed);
         }
         let mut paths: Vec<Option<Box<dyn EgressPath>>> = paths;
+        let gpus = usize::from(cfg.num_gpus);
         let mode = if track_memory {
             PayloadMode::Full
         } else {
@@ -208,16 +213,20 @@ impl Runner {
         for path in paths.iter_mut().flatten() {
             path.set_payload_mode(mode);
         }
+        // Open loop is a fabric with no credits attached: its sends never
+        // block, so its ports never fill.
+        let mut port_capacity = usize::MAX;
         if let Some(credits) = cfg.flow_control.credits() {
             fabric = fabric.with_flow_control(credits);
-            for path in paths.iter_mut().flatten() {
-                path.output().set_capacity(credits.buffer_packets);
-            }
+            port_capacity = credits.buffer_packets;
         }
         Runner {
             cfg,
             paradigm,
             paths,
+            ports: vec![VecDeque::new(); gpus],
+            port_capacity,
+            stall_time: vec![SimTime::ZERO; gpus],
             fabric,
             unique: UniqueTracker::new(),
             images: track_memory.then(|| (0..cfg.num_gpus).map(|_| MemoryImage::new()).collect()),
@@ -298,11 +307,11 @@ impl Runner {
                 time: at,
                 gpu: g as u8,
                 rwq_entries: path.queue_depth() as u64,
-                egress_queue: path.occupancy() as u64,
+                egress_queue: self.ports[g].len() as u64,
                 egress_wire_bytes: self.fabric.egress_bytes(gid),
                 credit_hdrs_in_flight: hdrs,
                 credit_data_in_flight: data,
-                stall_ps: path.metrics().stall_time.as_ps(),
+                stall_ps: self.stall_time[g].as_ps(),
             });
         }
     }
@@ -361,31 +370,11 @@ impl Runner {
         }
     }
 
-    /// Delivers `packets` open-loop: every packet is sent at `at`
-    /// regardless of link occupancy. Returns the latest drain time.
-    fn deliver(
-        &mut self,
-        at: SimTime,
-        src: GpuId,
-        packets: Vec<WirePacket>,
-    ) -> Result<SimTime, RunError> {
-        let mut last = SimTime::ZERO;
-        for p in packets {
-            let replayed_before = self.replayed_total();
-            let landed = self
-                .fabric
-                .try_send(at, src, p.dst, p.wire_bytes)
-                .map_err(RunError::LinkDown)?;
-            last = last.max(self.land(at, src, &p, replayed_before, landed)?);
-        }
-        Ok(last)
-    }
-
-    /// Accounts one packet sent at `at` that landed at `landed`, whether
-    /// open-loop or credited: replay attribution, the stall bound, the
-    /// destination's local-memory drain, the trace, and the memory
-    /// image. `replayed_before` is [`Runner::replayed_total`] read just
-    /// before the send. Returns the time the packet's stores drained.
+    /// Accounts one packet sent at `at` that landed at `landed`: replay
+    /// attribution, the stall bound, the destination's local-memory
+    /// drain, the trace, and the memory image. `replayed_before` is
+    /// [`Runner::replayed_total`] read just before the send. Returns the
+    /// time the packet's stores drained.
     fn land(
         &mut self,
         at: SimTime,
@@ -466,18 +455,20 @@ impl Runner {
         });
     }
 
-    /// Drains `gpu`'s output buffer head-first through the credited
-    /// fabric: the head packet is admitted against link credits, popped
-    /// on delivery, and left in place when blocked.
-    fn pump(&mut self, gpu: usize, at: SimTime) -> Result<PumpOutcome, RunError> {
+    /// Drains `gpu`'s port head-first through the fabric: the head
+    /// packet is admitted against link credits, popped on delivery, and
+    /// left in place when blocked. With no credits attached nothing
+    /// blocks, so the port empties. Each delivery is progress for the
+    /// watchdog and raises `last_delivery` to its drain time. Returns
+    /// the earliest time a blocked head can be admitted.
+    fn pump(
+        &mut self,
+        gpu: usize,
+        at: SimTime,
+        last_delivery: &mut SimTime,
+    ) -> Result<Option<SimTime>, RunError> {
         let src = GpuId::new(gpu as u8);
-        let mut last = SimTime::ZERO;
-        loop {
-            let out = self.paths[gpu]
-                .as_ref()
-                .expect("store paradigm")
-                .output_ref();
-            let Some(head) = out.front() else { break };
+        while let Some(head) = self.ports[gpu].front() {
             let (dst, wire_bytes, payload_bytes) = (head.dst, head.wire_bytes, head.payload_bytes);
             let replayed_before = self.replayed_total();
             let outcome = self
@@ -493,24 +484,100 @@ impl Runner {
                         gpu: gpu as u8,
                         kind: EventKind::CreditBlocked { until },
                     });
-                    return Ok(PumpOutcome {
-                        last_drained: last,
-                        blocked_until: Some(until),
-                    });
+                    return Ok(Some(until));
                 }
             };
-            let p = self.paths[gpu]
-                .as_mut()
-                .expect("store paradigm")
-                .output()
-                .pop_front()
-                .expect("head just observed");
-            last = last.max(self.land(at, src, &p, replayed_before, landed)?);
+            let p = self.ports[gpu].pop_front().expect("head just observed");
+            let drained = self.land(at, src, &p, replayed_before, landed)?;
+            *last_delivery = (*last_delivery).max(drained);
+            self.events_since_progress = 0;
         }
-        Ok(PumpOutcome {
-            last_drained: last,
-            blocked_until: None,
-        })
+        Ok(None)
+    }
+
+    /// Holds a memory operation of `gpu` issuing at `at` until its port
+    /// is below the admission threshold: the port drains, and while its
+    /// head is blocked on credits the GPU stalls until they return.
+    /// Returns the time the operation issues.
+    fn admit(
+        &mut self,
+        gpu: usize,
+        mut at: SimTime,
+        stall: &mut [SimTime],
+        pending: usize,
+        last_delivery: &mut SimTime,
+    ) -> Result<SimTime, RunError> {
+        while self.ports[gpu].len() >= self.port_capacity {
+            let blocked = self.pump(gpu, at, last_delivery)?;
+            if self.ports[gpu].len() < self.port_capacity {
+                break;
+            }
+            let until = blocked.expect("a still-full port implies a blocked head");
+            // Each blocked wait advances simulated time without popping
+            // an event, so a stalled stream (e.g. credits that
+            // effectively never return) could spin here past every
+            // pop-time check: budget the wait itself.
+            self.events_since_progress += 1;
+            self.check_budget(until, pending, stall)?;
+            let waited = until.saturating_sub(at);
+            self.trace.record(TraceEvent {
+                time: at,
+                gpu: gpu as u8,
+                kind: EventKind::Stall { duration: waited },
+            });
+            self.stall_time[gpu] += waited;
+            stall[gpu] += waited;
+            at = until;
+        }
+        Ok(at)
+    }
+
+    /// Issues `op` from `gpu`'s stream at `at` to its egress path, plus
+    /// any inactivity-timeout flush, and queues the packets this forced
+    /// out at the port.
+    fn issue(&mut self, op: Ev, runs: &[KernelRun], gpu: usize, at: SimTime) {
+        let path = self.paths[gpu].as_mut().expect("store paradigm");
+        // Snapshot the per-reason flush counters so any flush this
+        // operation triggers (in push, probe, release, or the timeout
+        // advance below) becomes exactly one Flush trace event.
+        let flushes_before = self.trace.is_on().then(|| path.metrics().flushes_by_reason);
+        if self.trace.is_on() {
+            self.trace.record(TraceEvent {
+                time: at,
+                gpu: gpu as u8,
+                kind: issue_kind(op, runs),
+            });
+        }
+        let run = &runs[gpu];
+        let mut packets = match op {
+            // Borrow straight from the run's egress stream: zero
+            // payload allocation per event.
+            Ev::Store { idx, .. } => path
+                .push(&run.egress[idx].store, at)
+                .expect("valid L1-coalesced store"),
+            Ev::Atomic { idx, .. } => path
+                .push_atomic(&run.atomics[idx].store, at)
+                .expect("valid atomic"),
+            Ev::Probe { idx, .. } => {
+                let p = run.probes[idx];
+                path.load_probe(p.dst, p.addr, p.len, at)
+            }
+            Ev::Fence { .. } | Ev::KernelEnd { .. } => path.release(),
+            Ev::Retry { .. } => unreachable!("retries issue nothing"),
+        };
+        // Inactivity-timeout flushes piggyback on event processing for
+        // the same GPU.
+        packets.extend(path.advance(at));
+        if !packets.is_empty() {
+            // A flush advanced: the path packetized buffered stores.
+            // Progress for the watchdog even if the packets then wait on
+            // credits.
+            self.events_since_progress = 0;
+        }
+        if let Some(before) = flushes_before {
+            self.record_flush_delta(gpu, at, before);
+        }
+        self.ports[gpu].extend(packets);
     }
 
     /// Simulates one bulk-synchronous iteration. `runs` holds each GPU's
@@ -686,12 +753,11 @@ impl Runner {
         kernel_end: &mut SimTime,
         last_delivery: &mut SimTime,
     ) -> Result<(), RunError> {
-        let credited = self.cfg.flow_control.credits().is_some();
-        // Cumulative SM stall per GPU (credited mode). Every
-        // pre-scheduled event for a GPU shifts right by its
-        // accumulated stall, preserving program order; with
-        // zero stalls the replay — event order, timestamps,
-        // fabric call sequence — is identical to open loop.
+        // This iteration's SM stall per GPU. Every pre-scheduled event
+        // for a GPU shifts right by its accumulated stall, preserving
+        // program order; with zero stalls (always, under open loop) the
+        // replay — event order, timestamps, fabric call sequence — is
+        // identical to open loop.
         let mut stall = vec![SimTime::ZERO; runs.len()];
         let mut retry_at: Vec<Option<SimTime>> = vec![None; runs.len()];
         // The queue is recycled run to run; an errored iteration leaves
@@ -711,173 +777,41 @@ impl Runner {
                     next_sample += step;
                 }
             }
-            if let Ev::Retry { gpu } = ev.payload {
-                retry_at[gpu] = None;
-                let out = self.pump(gpu, now)?;
-                if out.last_drained > SimTime::ZERO {
-                    self.events_since_progress = 0;
+            let (gpu, at) = match ev.payload {
+                Ev::Retry { gpu } => {
+                    retry_at[gpu] = None;
+                    (gpu, now)
                 }
-                *last_delivery = (*last_delivery).max(out.last_drained);
-                if let Some(until) = out.blocked_until {
-                    if retry_at[gpu].is_none_or(|r| until < r) {
-                        retry_at[gpu] = Some(until);
-                        queue.schedule(until, Ev::Retry { gpu });
-                    }
-                }
-                continue;
-            }
-            let gpu = match ev.payload {
-                Ev::Store { gpu, .. }
-                | Ev::Atomic { gpu, .. }
-                | Ev::Probe { gpu, .. }
-                | Ev::Fence { gpu }
-                | Ev::KernelEnd { gpu } => gpu,
-                Ev::Retry { .. } => unreachable!("handled above"),
-            };
-            // The operation issues at its nominal time shifted
-            // by everything this GPU has already stalled.
-            let mut eff = now + stall[gpu];
-            // Closed loop: an SM memory operation that finds
-            // the egress output buffer at its admission
-            // threshold stalls the stream until draining —
-            // gated on link credits — frees a slot.
-            let is_mem_op = matches!(
-                ev.payload,
-                Ev::Store { .. } | Ev::Atomic { .. } | Ev::Probe { .. }
-            );
-            if credited && is_mem_op {
-                loop {
-                    if self.paths[gpu]
-                        .as_ref()
-                        .expect("store paradigm")
-                        .can_accept()
-                    {
-                        break;
-                    }
-                    let out = self.pump(gpu, eff)?;
-                    if out.last_drained > SimTime::ZERO {
-                        self.events_since_progress = 0;
-                    }
-                    *last_delivery = (*last_delivery).max(out.last_drained);
-                    if self.paths[gpu]
-                        .as_ref()
-                        .expect("store paradigm")
-                        .can_accept()
-                    {
-                        break;
-                    }
-                    let until = out
-                        .blocked_until
-                        .expect("a still-full buffer implies a blocked head");
-                    // Each blocked wait advances simulated time
-                    // without popping an event, so a stalled
-                    // stream (e.g. credits that effectively
-                    // never return) could spin here past every
-                    // pop-time check: budget the wait itself.
-                    self.events_since_progress += 1;
-                    self.check_budget(until, queue.len(), &stall)?;
-                    let waited = until.saturating_sub(eff);
-                    self.trace.record(TraceEvent {
-                        time: eff,
-                        gpu: gpu as u8,
-                        kind: EventKind::Stall { duration: waited },
-                    });
-                    let path = self.paths[gpu].as_mut().expect("store paradigm");
-                    path.record_stall(waited);
-                    stall[gpu] += waited;
-                    eff = until;
-                }
-            }
-            let flushes_before = self.trace.is_on().then(|| {
-                // Snapshot the per-reason flush counters so any
-                // flush this event triggers (in push, probe,
-                // release, or the timeout advance below) becomes
-                // exactly one Flush trace event.
-                self.paths[gpu]
-                    .as_ref()
-                    .expect("store paradigm")
-                    .metrics()
-                    .flushes_by_reason
-            });
-            if self.trace.is_on() {
-                self.trace.record(TraceEvent {
-                    time: eff,
-                    gpu: gpu as u8,
-                    kind: issue_kind(ev.payload, runs),
-                });
-            }
-            let mut packets = match ev.payload {
-                Ev::Store { gpu, idx } => {
-                    // Borrow straight from the run's egress
-                    // stream: zero payload allocation per event.
-                    let store = &runs[gpu].egress[idx].store;
-                    let path = self.paths[gpu].as_mut().expect("store paradigm");
-                    path.push(store, eff).expect("valid L1-coalesced store")
-                }
-                Ev::Atomic { gpu, idx } => {
-                    let store = &runs[gpu].atomics[idx].store;
-                    let path = self.paths[gpu].as_mut().expect("store paradigm");
-                    path.push_atomic(store, eff).expect("valid atomic")
-                }
-                Ev::Probe { gpu, idx } => {
-                    let p = runs[gpu].probes[idx];
-                    let path = self.paths[gpu].as_mut().expect("store paradigm");
-                    path.load_probe(p.dst, p.addr, p.len, eff)
+                // An operation issues at its nominal time shifted by
+                // everything its GPU has already stalled; a memory
+                // operation also waits for room at the port.
+                Ev::Store { gpu, .. } | Ev::Atomic { gpu, .. } | Ev::Probe { gpu, .. } => {
+                    let at = now + stall[gpu];
+                    let at = self.admit(gpu, at, &mut stall, queue.len(), last_delivery)?;
+                    self.issue(ev.payload, runs, gpu, at);
+                    (gpu, at)
                 }
                 Ev::Fence { gpu } | Ev::KernelEnd { gpu } => {
-                    let path = self.paths[gpu].as_mut().expect("store paradigm");
-                    path.release()
-                }
-                Ev::Retry { .. } => unreachable!("handled above"),
-            };
-            if matches!(ev.payload, Ev::KernelEnd { .. }) {
-                // The kernel is not done until its last
-                // operation has issued: stalls push it out.
-                *kernel_end = (*kernel_end).max(eff);
-            }
-            // Inactivity-timeout flushes piggyback on event
-            // processing for the same GPU.
-            let path = self.paths[gpu].as_mut().expect("store paradigm");
-            packets.extend(path.advance(eff));
-            if !packets.is_empty() {
-                // A flush advanced: the path packetized buffered
-                // stores. Progress for the watchdog even if the
-                // packets then wait on credits.
-                self.events_since_progress = 0;
-            }
-            if let Some(before) = flushes_before {
-                self.record_flush_delta(gpu, eff, before);
-            }
-            if credited {
-                if !packets.is_empty() {
-                    self.paths[gpu]
-                        .as_mut()
-                        .expect("store paradigm")
-                        .output()
-                        .extend(packets);
-                }
-                let out = self.pump(gpu, eff)?;
-                if out.last_drained > SimTime::ZERO {
-                    self.events_since_progress = 0;
-                }
-                *last_delivery = (*last_delivery).max(out.last_drained);
-                if let Some(until) = out.blocked_until {
-                    if retry_at[gpu].is_none_or(|r| until < r) {
-                        retry_at[gpu] = Some(until);
-                        queue.schedule(until, Ev::Retry { gpu });
+                    let at = now + stall[gpu];
+                    if matches!(ev.payload, Ev::KernelEnd { .. }) {
+                        // The kernel is not done until its last operation
+                        // has issued: stalls push it out.
+                        *kernel_end = (*kernel_end).max(at);
                     }
+                    self.issue(ev.payload, runs, gpu, at);
+                    (gpu, at)
                 }
-            } else if !packets.is_empty() {
-                let done = self.deliver(eff, GpuId::new(gpu as u8), packets)?;
-                *last_delivery = (*last_delivery).max(done);
+            };
+            if let Some(until) = self.pump(gpu, at, last_delivery)? {
+                if retry_at[gpu].is_none_or(|r| until < r) {
+                    retry_at[gpu] = Some(until);
+                    queue.schedule(until, Ev::Retry { gpu });
+                }
             }
         }
         debug_assert!(
-            self.paths
-                .iter()
-                .flatten()
-                .all(|p| p.output_ref().is_empty()),
-            "event queue drained with packets stranded in an output buffer"
+            self.ports.iter().all(VecDeque::is_empty),
+            "event queue drained with packets stranded in a port"
         );
         self.queue_scratch = queue;
         Ok(())
@@ -927,7 +861,7 @@ impl Runner {
             compute_time: self.compute_time,
             drain_tail: self.drain_tail,
             barrier_time: self.barrier_time,
-            stall_time: egress.stall_time,
+            stall_time: self.stall_time.iter().copied().sum(),
             fc_update_dllps: fc.update_dllps,
             fc_blocked_attempts: fc.blocked_attempts,
             traffic,

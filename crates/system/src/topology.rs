@@ -95,6 +95,9 @@ pub struct RoutedFabric {
     down: Vec<Link>,
     gpus_per_leaf: usize,
     hop_latency: SimTime,
+    /// Whether credit flow control is attached. Without it a credited
+    /// send never blocks.
+    credited: bool,
 }
 
 impl RoutedFabric {
@@ -131,6 +134,7 @@ impl RoutedFabric {
             down: (0..leaves).map(|_| Link::new(bandwidth)).collect(),
             gpus_per_leaf,
             hop_latency,
+            credited: false,
         }
     }
 
@@ -280,6 +284,7 @@ impl RoutedFabric {
                 credits.return_latency,
             ));
         }
+        self.credited = true;
         self
     }
 
@@ -290,6 +295,8 @@ impl RoutedFabric {
     /// time is exactly what `try_send` would return, and each link
     /// schedules its credit return one `UpdateFC` round trip after the
     /// TLP cleared it — so replayed TLPs hold credits until acked.
+    /// Without flow control attached this is `try_send`: it never
+    /// blocks.
     ///
     /// # Errors
     ///
@@ -307,6 +314,11 @@ impl RoutedFabric {
         bytes: u64,
         payload: u32,
     ) -> Result<SendOutcome, Box<crate::FabricFault>> {
+        if !self.credited {
+            return self
+                .try_send(at, src, dst, bytes)
+                .map(SendOutcome::Delivered);
+        }
         assert_ne!(src, dst, "local traffic must not enter the fabric");
         let (src_leaf, dst_leaf) = (self.leaf_of(src), self.leaf_of(dst));
         let crosses_spine =
@@ -652,6 +664,7 @@ mod tests {
     #[test]
     fn credited_send_with_generous_pool_matches_open_send() {
         let mut open = RoutedFabric::new(Topology::SingleSwitch, 4, bw(), SimTime::from_ns(500));
+        let mut uncredited = open.clone();
         let mut credited =
             RoutedFabric::new(Topology::SingleSwitch, 4, bw(), SimTime::from_ns(500))
                 .with_flow_control(CreditConfig::generous());
@@ -664,6 +677,11 @@ mod tests {
                 .try_send_credited(at, GpuId::new(0), GpuId::new(1), 4120, 4096)
                 .unwrap();
             assert_eq!(b, SendOutcome::Delivered(a), "transfer {i}");
+            // With no credits attached a credited send is an open one.
+            let c = uncredited
+                .try_send_credited(at, GpuId::new(0), GpuId::new(1), 4120, 4096)
+                .unwrap();
+            assert_eq!(c, SendOutcome::Delivered(a), "uncredited transfer {i}");
         }
         assert_eq!(credited.fc_stats_total().blocked_attempts, 0);
         // Quiescing (the iteration barrier) applies the in-flight

@@ -3,8 +3,8 @@
 //! payload-budget register never over-commits a packet.
 
 use finepack::{
-    EgressPath, FinePackConfig, FinePackEgress, FlushReason, GpsEgress, RawP2pEgress,
-    RemoteWriteQueue, WriteCombiningEgress,
+    EgressPath, FinePackConfig, FinePackEgress, FlushReason, RawP2pEgress, RemoteWriteQueue,
+    WriteCombiningEgress,
 };
 use gpu_model::{GpuId, RemoteStore};
 use protocol::FramingModel;
@@ -53,7 +53,13 @@ fn per_packet_and_cumulative_accounting_agree() {
             )),
             Box::new(RawP2pEgress::new(framing)),
             Box::new(WriteCombiningEgress::new(GpuId::new(0), framing, 64)),
-            Box::new(GpsEgress::new(GpuId::new(0), framing, 64, 0.3, 7)),
+            Box::new(WriteCombiningEgress::gps(
+                GpuId::new(0),
+                framing,
+                64,
+                0.3,
+                7,
+            )),
         ];
         for mut path in paths {
             let packets = drain(path.as_mut(), stores.clone());
@@ -152,7 +158,7 @@ fn gps_filtering_reduces_wire_monotonically() {
         .collect();
     let mut last = u64::MAX;
     for unsub in [0.0, 0.25, 0.5, 0.75, 1.0] {
-        let mut gps = GpsEgress::new(GpuId::new(0), framing, 64, unsub, 11);
+        let mut gps = WriteCombiningEgress::gps(GpuId::new(0), framing, 64, unsub, 11);
         for s in &stores {
             gps.push(s, SimTime::ZERO).expect("valid");
         }

@@ -1,8 +1,9 @@
 //! Golden-output gate: every suite app and collective under every
 //! paradigm and both flow-control regimes, plus jacobi and pagerank
 //! under every store paradigm at a bit-error rate, must reproduce its
-//! committed `RunReport::canonical_json` byte for byte, and every
-//! registered experiment its rendered report. A refactor that claims
+//! committed `RunReport::canonical_json` byte for byte, every budget
+//! trip its diagnostic, and every registered experiment its rendered
+//! report. A refactor that claims
 //! "no result moves" is held to it here.
 //!
 //! On a mismatch the test writes what it got under
@@ -12,7 +13,7 @@
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-use system::{FaultProfile, Paradigm, PreparedWorkload, SystemConfig};
+use system::{FaultProfile, Paradigm, PreparedWorkload, RunBudget, SystemConfig};
 use workloads::{CollectiveTuning, RunSpec, Workload};
 
 const GPUS: u8 = 4;
@@ -122,6 +123,36 @@ fn faulted_report_matches_golden() {
         }
     }
     check("faulted.txt", &out);
+}
+
+/// Pagerank on 2 GPUs, credited, under every store paradigm with an
+/// event ceiling of 3000 and with a progress watchdog of 2: a tripped
+/// budget prints the runner's diagnostic, including how many events
+/// were still pending, and a budget that holds prints the report.
+#[test]
+fn budget_trips_match_golden() {
+    let spec = RunSpec {
+        iterations: 1,
+        scale_down: 16,
+        ..RunSpec::paper(2)
+    };
+    let cfg = SystemConfig::paper(2);
+    let prep = PreparedWorkload::new(&workloads::Pagerank::default(), &cfg, &spec);
+    let budgets = [
+        ("events=3000", RunBudget::unlimited().with_max_events(3000)),
+        ("stall=2", RunBudget::unlimited().with_progress_watchdog(2)),
+    ];
+    let mut out = String::new();
+    for (name, budget) in budgets {
+        for p in Paradigm::ALL.into_iter().filter(|p| p.uses_stores()) {
+            let line = match prep.try_run(&cfg.with_run_budget(budget), p) {
+                Ok(report) => report.canonical_json(),
+                Err(e) => e.to_string(),
+            };
+            let _ = writeln!(out, "pagerank/{p}/credited/{name} {line}");
+        }
+    }
+    check("budget.txt", &out);
 }
 
 /// Every experiment `finepack-sim reproduce` renders, shrunk to one

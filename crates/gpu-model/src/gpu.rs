@@ -119,8 +119,10 @@ pub struct KernelRun {
     pub atomics: Vec<TimedStore>,
     /// Remote load probes in non-decreasing time order.
     pub probes: Vec<TimedProbe>,
-    /// Times of explicit system-scope fences inside the kernel (the
-    /// kernel end itself is an implicit release and is *not* listed).
+    /// Times of explicit system-scope fences inside the kernel, in
+    /// non-decreasing order: a fence raises every SM clock to their
+    /// maximum, and clocks never run back (the kernel end itself is an
+    /// implicit release and is *not* listed).
     pub fences: Vec<SimTime>,
     /// Replay statistics.
     pub stats: KernelStats,

@@ -3,20 +3,8 @@
 //! The engine is deliberately payload-generic: domain crates define their
 //! own event enum and drive the main loop, popping events in timestamp
 //! order and scheduling new ones. Ties are broken by insertion order so
-//! simulations are fully deterministic.
-//!
-//! # Backends
-//!
-//! The default backend is a *calendar queue* (Brown-style radix buckets
-//! keyed on the picosecond timestamp) with O(1) amortized schedule and
-//! pop: events hash into `time >> shift` "day" buckets on a power-of-two
-//! wheel, and the pop side promotes one day at a time into a small
-//! `due` min-heap drained by the pop side. The classic `BinaryHeap`
-//! backend (O(log n) per operation) is kept behind
-//! [`EventQueue::with_heap`] as the differential-testing oracle: both
-//! backends produce bit-identical pop sequences, including same-time
-//! tie-breaks, because ordering is always the total order on
-//! `(time, seq)`.
+//! simulations are fully deterministic: the queue is a `BinaryHeap` on
+//! the total order `(time, seq)`.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -57,253 +45,6 @@ impl<E> Ord for Event<E> {
     }
 }
 
-/// Fewest wheel buckets: keeps empty queues tiny.
-const MIN_BUCKETS: usize = 16;
-/// Most wheel buckets: bounds the wheel's memory at ~3 MB of `Vec`
-/// headers even for multi-million-event traces.
-const MAX_BUCKETS: usize = 1 << 17;
-/// Narrowest bucket: 16 ps days.
-const MIN_SHIFT: u32 = 4;
-/// Widest bucket: ~17.6 us days.
-const MAX_SHIFT: u32 = 44;
-/// Direct-search jumps tolerated before the wheel re-sizes its bucket
-/// width to the observed event spacing.
-const DIRECT_JUMPS_BEFORE_REBUILD: u32 = 8;
-/// A promoted day holding more events than this signals buckets far
-/// wider than the event spacing; the wheel narrows them at the next
-/// opportunity so `due` heap operations stay near O(1).
-const MAX_DUE_RUN: usize = 64;
-
-/// Calendar-queue state: a power-of-two wheel of unsorted day buckets
-/// plus the promoted `due` min-heap the pop side drains.
-///
-/// Invariants (outside method bodies):
-/// - every pending event with `time.as_ps() < horizon` is in `due`;
-/// - `due` is a min-heap on `(time, seq)` ([`Event`]'s `Ord` is
-///   inverted exactly for this);
-/// - whenever the queue is non-empty, `due` is non-empty, so `peek` is
-///   O(1) through `&self`.
-#[derive(Debug)]
-struct Calendar<E> {
-    buckets: Vec<Vec<Event<E>>>,
-    /// `buckets.len() - 1`; bucket index is `day & mask`.
-    mask: u64,
-    /// Bucket width is `1 << shift` picoseconds.
-    shift: u32,
-    /// The day (`time >> shift`) most recently promoted into `due`.
-    cur_day: u64,
-    /// Exclusive time bound of `due`: `(cur_day + 1) << shift`, saturated.
-    horizon: u64,
-    /// Promoted events, a min-heap on `(time, seq)`.
-    due: BinaryHeap<Event<E>>,
-    /// Events still sitting in wheel buckets.
-    bucket_len: usize,
-    /// Largest timestamp ever scheduled; sizes bucket width at rebuild.
-    max_ps: u64,
-    /// Direct-search jumps since the last rebuild.
-    direct_jumps: u32,
-    /// Capacity hint: rebuilds never shrink the wheel below this.
-    sized_for: usize,
-}
-
-fn day_end(day: u64, shift: u32) -> u64 {
-    u64::try_from(((u128::from(day) + 1) << shift).min(u128::from(u64::MAX))).unwrap_or(u64::MAX)
-}
-
-fn wheel_size_for(events: usize) -> usize {
-    events.next_power_of_two().clamp(MIN_BUCKETS, MAX_BUCKETS)
-}
-
-impl<E> Calendar<E> {
-    fn new(expected_events: usize) -> Self {
-        let nb = wheel_size_for(expected_events);
-        let shift = 16; // 65.5 ns days until the first data-driven rebuild
-        Calendar {
-            buckets: (0..nb).map(|_| Vec::new()).collect(),
-            mask: nb as u64 - 1,
-            shift,
-            cur_day: 0,
-            horizon: day_end(0, shift),
-            due: BinaryHeap::new(),
-            bucket_len: 0,
-            max_ps: 0,
-            direct_jumps: 0,
-            sized_for: expected_events,
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.bucket_len + self.due.len()
-    }
-
-    fn schedule(&mut self, ev: Event<E>) {
-        let t = ev.time.as_ps();
-        self.max_ps = self.max_ps.max(t);
-        if self.len() == 0 {
-            // Re-anchor the wheel on the first event of a fresh batch.
-            self.cur_day = t >> self.shift;
-            self.horizon = day_end(self.cur_day, self.shift);
-            self.due.push(ev);
-        } else if t < self.horizon {
-            // Equal-time entries pop first regardless of heap insertion
-            // order: the new event's `seq` is strictly the largest.
-            self.due.push(ev);
-        } else {
-            let idx = ((t >> self.shift) & self.mask) as usize;
-            self.buckets[idx].push(ev);
-            self.bucket_len += 1;
-            if self.len() > 2 * self.buckets.len() && self.buckets.len() < MAX_BUCKETS {
-                self.rebuild(SimTime::from_ps(self.horizon.saturating_sub(1)));
-            }
-        }
-    }
-
-    fn pop(&mut self) -> Option<Event<E>> {
-        let ev = self.due.pop()?;
-        if self.due.is_empty() && self.bucket_len > 0 {
-            self.refill_due();
-        }
-        Some(ev)
-    }
-
-    fn peek(&self) -> Option<&Event<E>> {
-        self.due.peek()
-    }
-
-    /// Promotes the next non-empty day from the wheel into `due`.
-    fn refill_due(&mut self) {
-        debug_assert!(self.due.is_empty() && self.bucket_len > 0);
-        if self.direct_jumps >= DIRECT_JUMPS_BEFORE_REBUILD {
-            // Bucket width is badly matched to the event spacing; re-size
-            // from the observed distribution. The rebuild may itself
-            // promote events, in which case the scan below is skipped.
-            self.rebuild(SimTime::from_ps(self.horizon.saturating_sub(1)));
-            if !self.due.is_empty() {
-                return;
-            }
-        }
-        let nb = self.buckets.len() as u64;
-        let mut scanned = 0u64;
-        while self.due.is_empty() {
-            scanned += 1;
-            if scanned > nb {
-                // A full wheel revolution found nothing due: every event
-                // is at least a year out. Jump straight to the earliest.
-                self.direct_jumps += 1;
-                let min_ps = self
-                    .buckets
-                    .iter()
-                    .flatten()
-                    .map(|e| e.time.as_ps())
-                    .min()
-                    .expect("bucket_len > 0");
-                self.cur_day = min_ps >> self.shift;
-                self.extract_day(self.cur_day);
-                break;
-            }
-            self.cur_day += 1;
-            self.extract_day(self.cur_day);
-        }
-        self.horizon = day_end(self.cur_day, self.shift);
-        if self.due.len() > MAX_DUE_RUN && self.shift > MIN_SHIFT {
-            // One day promoted far more events than a bucket should
-            // hold: the initial/previous bucket width is much wider than
-            // the live event spacing (a pre-sized wheel never triggers
-            // the growth rebuild). Narrow the buckets if the observed
-            // spacing says so.
-            let now = SimTime::from_ps(self.horizon.saturating_sub(1));
-            if self.target_shift(now) < self.shift {
-                self.rebuild(now);
-            }
-        }
-    }
-
-    /// Moves every event of `day` from its bucket into `due` (unsorted).
-    fn extract_day(&mut self, day: u64) {
-        let bucket = &mut self.buckets[(day & self.mask) as usize];
-        let mut i = 0;
-        let mut moved = 0;
-        while i < bucket.len() {
-            if bucket[i].time.as_ps() >> self.shift == day {
-                self.due.push(bucket.swap_remove(i));
-                moved += 1;
-            } else {
-                i += 1;
-            }
-        }
-        self.bucket_len -= moved;
-    }
-
-    /// Clears all events but keeps bucket capacities and the learned
-    /// bucket width, so a recycled wheel schedules allocation-free.
-    fn reset(&mut self) {
-        for b in &mut self.buckets {
-            b.clear();
-        }
-        self.due.clear();
-        self.bucket_len = 0;
-        self.cur_day = 0;
-        self.horizon = day_end(0, self.shift);
-        self.max_ps = 0;
-        self.direct_jumps = 0;
-    }
-
-    /// The bucket width the observed event distribution asks for:
-    /// ~2x the mean spacing, so ~1-2 events per day.
-    fn target_shift(&self, now: SimTime) -> u32 {
-        let n = self.len().max(1) as u64;
-        let span = self.max_ps.saturating_sub(now.as_ps()).max(1);
-        let spacing = (span / n).max(1);
-        (64 - spacing.leading_zeros()).clamp(MIN_SHIFT, MAX_SHIFT)
-    }
-
-    /// Re-sizes the wheel to the live event count and the observed time
-    /// span, then re-distributes every pending event. O(n), amortized
-    /// against the schedules/pops that triggered it.
-    fn rebuild(&mut self, now: SimTime) {
-        if self.len() > 0 {
-            // An empty rebuild (e.g. a reserve() growing a recycled
-            // wheel) has no distribution to learn from: keep the
-            // previously learned bucket width.
-            self.shift = self.target_shift(now);
-        }
-        // Drain every pending event off the wheel *before* re-sizing
-        // it: a shrinking resize would truncate tail buckets and drop
-        // whatever events they still hold.
-        let mut pending: Vec<Event<E>> = Vec::with_capacity(self.len());
-        pending.extend(self.due.drain());
-        for b in &mut self.buckets {
-            pending.append(b);
-        }
-        self.bucket_len = 0;
-        let nb = wheel_size_for(pending.len().max(self.sized_for));
-        if nb != self.buckets.len() {
-            self.buckets.resize_with(nb, Vec::new);
-        }
-        self.mask = nb as u64 - 1;
-        self.direct_jumps = 0;
-        self.cur_day = now.as_ps() >> self.shift;
-        self.horizon = day_end(self.cur_day, self.shift);
-        for ev in pending {
-            let t = ev.time.as_ps();
-            if t < self.horizon {
-                self.due.push(ev);
-            } else {
-                let idx = ((t >> self.shift) & self.mask) as usize;
-                self.buckets[idx].push(ev);
-                self.bucket_len += 1;
-            }
-        }
-    }
-}
-
-/// The pluggable priority-queue backend.
-#[derive(Debug)]
-enum Backend<E> {
-    Calendar(Calendar<E>),
-    Heap(BinaryHeap<Event<E>>),
-}
-
 /// A deterministic, time-ordered event queue.
 ///
 /// # Examples
@@ -320,12 +61,9 @@ enum Backend<E> {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    backend: Backend<E>,
+    heap: BinaryHeap<Event<E>>,
     next_seq: u64,
     now: SimTime,
-    /// Advisory capacity for the calendar backend (the heap backend
-    /// reports its buffer's real capacity).
-    cap: usize,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -335,123 +73,35 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue at time zero (calendar backend).
+    /// Creates an empty queue at time zero.
     pub fn new() -> Self {
         EventQueue {
-            backend: Backend::Calendar(Calendar::new(0)),
+            heap: BinaryHeap::new(),
             next_seq: 0,
             now: SimTime::ZERO,
-            cap: 0,
         }
     }
 
-    /// Creates an empty queue with room for `capacity` pending events.
-    ///
-    /// Pre-sizing is what makes [`EventQueue::schedule`] /
-    /// [`EventQueue::pop`] allocation-free in steady state: a caller
-    /// that knows its event count up front (the iteration runner
-    /// schedules one event per traced operation) never grows the wheel
-    /// inside the hot loop.
-    pub fn with_capacity(capacity: usize) -> Self {
-        EventQueue {
-            backend: Backend::Calendar(Calendar::new(capacity)),
-            next_seq: 0,
-            now: SimTime::ZERO,
-            cap: capacity,
-        }
-    }
-
-    /// Creates an empty queue on the reference `BinaryHeap` backend.
-    ///
-    /// The heap is the differential-testing oracle for the calendar
-    /// backend: every schedule/pop sequence must produce bit-identical
-    /// output on both.
-    pub fn with_heap() -> Self {
-        EventQueue {
-            backend: Backend::Heap(BinaryHeap::new()),
-            next_seq: 0,
-            now: SimTime::ZERO,
-            cap: 0,
-        }
-    }
-
-    /// The active backend, for bench/telemetry reporting.
-    pub fn backend_name(&self) -> &'static str {
-        match &self.backend {
-            Backend::Calendar(_) => "calendar",
-            Backend::Heap(_) => "binary-heap",
-        }
-    }
-
-    /// Empties the queue and rewinds the clock to time zero, keeping
-    /// every allocation (wheel buckets, `due` heap buffer, learned
-    /// bucket width) for reuse.
-    ///
-    /// Recycling one queue across iterations is what keeps the runner's
-    /// hot loop allocation-free end to end: a freshly constructed queue
-    /// would grow every bucket `Vec` from zero capacity again. Pop order
-    /// is unaffected — it is always the total order on `(time, seq)`,
-    /// regardless of carried-over capacity or bucket width.
+    /// Empties the queue and rewinds the clock to time zero, keeping the
+    /// heap's buffer for reuse. Pop order is unaffected: it is always
+    /// the total order on `(time, seq)`.
     pub fn reset(&mut self) {
         self.next_seq = 0;
         self.now = SimTime::ZERO;
-        match &mut self.backend {
-            Backend::Calendar(c) => c.reset(),
-            Backend::Heap(h) => h.clear(),
-        }
+        self.heap.clear();
     }
 
     /// Reserves room for at least `additional` more pending events.
     pub fn reserve(&mut self, additional: usize) {
-        let want = self.len() + additional;
-        match &mut self.backend {
-            Backend::Calendar(c) => {
-                self.cap = self.cap.max(want);
-                c.sized_for = c.sized_for.max(self.cap);
-                if wheel_size_for(c.sized_for) > c.buckets.len() {
-                    // Re-home bucketed events onto the wider wheel.
-                    c.rebuild(SimTime::from_ps(c.horizon.saturating_sub(1)));
-                }
-            }
-            Backend::Heap(h) => h.reserve(additional),
-        }
+        self.heap.reserve(additional);
     }
 
-    /// [`EventQueue::reserve`], plus a spacing hint: `span` is the
-    /// expected time range of the next `additional` events. On an empty
-    /// calendar queue this seeds the bucket width to the implied mean
-    /// spacing and pre-reserves per-bucket capacity, so a bulk fill
-    /// lands ~1-2 events per day with no growth reallocations and no
-    /// corrective rebuild mid-drain. A batch whose real distribution
-    /// differs just rebuilds as usual; pop order never depends on the
-    /// hint.
+    /// [`EventQueue::reserve`], for a caller that also knows the time
+    /// range `span` the next `additional` events cover. The binary heap
+    /// needs no spacing hint and ignores `span`.
     pub fn reserve_for_span(&mut self, additional: usize, span: SimTime) {
+        let _ = span;
         self.reserve(additional);
-        let Backend::Calendar(c) = &mut self.backend else {
-            return;
-        };
-        if c.len() != 0 {
-            return;
-        }
-        let spacing = (span.as_ps() / additional.max(1) as u64).max(1);
-        c.shift = (64 - spacing.leading_zeros()).clamp(MIN_SHIFT, MAX_SHIFT);
-        c.cur_day = 0;
-        c.horizon = day_end(0, c.shift);
-        let nb = c.buckets.len();
-        let per_bucket = additional / nb + 2;
-        for b in &mut c.buckets {
-            if b.capacity() < per_bucket {
-                b.reserve(per_bucket - b.len());
-            }
-        }
-    }
-
-    /// Events the queue can hold without reallocating.
-    pub fn capacity(&self) -> usize {
-        match &self.backend {
-            Backend::Calendar(_) => self.cap.max(self.len()),
-            Backend::Heap(h) => h.capacity(),
-        }
     }
 
     /// The current simulated time: the timestamp of the most recently
@@ -474,20 +124,11 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        let ev = Event {
+        self.heap.push(Event {
             time: at,
             seq,
             payload,
-        };
-        match &mut self.backend {
-            Backend::Calendar(c) => {
-                c.schedule(ev);
-                if c.len() > self.cap {
-                    self.cap = (self.cap * 2).max(c.len());
-                }
-            }
-            Backend::Heap(h) => h.push(ev),
-        }
+        });
     }
 
     /// Schedules `payload` to fire `delay` after the current time.
@@ -498,10 +139,7 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest event, advancing the clock to its
     /// timestamp. Returns `None` when the queue is empty.
     pub fn pop(&mut self) -> Option<Event<E>> {
-        let ev = match &mut self.backend {
-            Backend::Calendar(c) => c.pop()?,
-            Backend::Heap(h) => h.pop()?,
-        };
+        let ev = self.heap.pop()?;
         debug_assert!(ev.time >= self.now);
         self.now = ev.time;
         Some(ev)
@@ -509,23 +147,17 @@ impl<E> EventQueue<E> {
 
     /// The timestamp of the next pending event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.backend {
-            Backend::Calendar(c) => c.peek().map(|e| e.time),
-            Backend::Heap(h) => h.peek().map(|e| e.time),
-        }
+        self.heap.peek().map(|e| e.time)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Calendar(c) => c.len(),
-            Backend::Heap(h) => h.len(),
-        }
+        self.heap.len()
     }
 
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.heap.is_empty()
     }
 }
 
@@ -612,33 +244,6 @@ mod tests {
     }
 
     #[test]
-    fn presized_queue_never_reallocates_in_steady_state() {
-        // The runner's usage pattern: schedule the whole trace up front,
-        // then pop/schedule retries. With capacity reserved, the wheel
-        // must never grow — schedule and pop stay allocation-free.
-        let mut q = EventQueue::with_capacity(128);
-        let cap = q.capacity();
-        assert!(cap >= 128);
-        for i in 0..128u64 {
-            q.schedule(SimTime::from_ns(i), i);
-        }
-        assert_eq!(q.capacity(), cap);
-        // Steady state: drain while re-scheduling (bounded occupancy).
-        for _ in 0..1000 {
-            let ev = q.pop().unwrap();
-            q.schedule(ev.time + SimTime::from_ns(1), ev.payload);
-            assert_eq!(q.capacity(), cap);
-        }
-    }
-
-    #[test]
-    fn reserve_grows_capacity() {
-        let mut q: EventQueue<u8> = EventQueue::new();
-        q.reserve(64);
-        assert!(q.capacity() >= 64);
-    }
-
-    #[test]
     fn len_and_empty() {
         let mut q: EventQueue<()> = EventQueue::new();
         assert!(q.is_empty());
@@ -649,8 +254,7 @@ mod tests {
 
     #[test]
     fn heap_backend_matches_reference_semantics() {
-        let mut q = EventQueue::with_heap();
-        assert_eq!(q.backend_name(), "binary-heap");
+        let mut q = EventQueue::new();
         q.schedule(SimTime::from_ns(2), "b");
         q.schedule(SimTime::from_ns(1), "a");
         q.schedule(SimTime::from_ns(2), "c");
@@ -659,15 +263,8 @@ mod tests {
     }
 
     #[test]
-    fn default_backend_is_calendar() {
-        let q: EventQueue<()> = EventQueue::new();
-        assert_eq!(q.backend_name(), "calendar");
-    }
-
-    #[test]
     fn sparse_far_future_events_pop_in_order() {
-        // Events spread over many wheel revolutions exercise the
-        // direct-search jump and the spacing-driven rebuild.
+        // Events milliseconds apart, scheduled latest first.
         let mut q = EventQueue::new();
         for i in (0..64u64).rev() {
             q.schedule(SimTime::from_ms(i * 7), i);
@@ -675,8 +272,7 @@ mod tests {
         let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
         assert_eq!(order, (0..64).collect::<Vec<_>>());
 
-        // Ascending schedule: events land on the wheel and every pop
-        // crosses many empty revolutions (direct-search path).
+        // The same events scheduled earliest first.
         let mut q = EventQueue::new();
         for i in 0..64u64 {
             q.schedule(SimTime::from_ms(i * 7), i);
@@ -698,48 +294,5 @@ mod tests {
         q.schedule_in(SimTime::ZERO, 100u32);
         let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
         assert_eq!(order, vec![1, 2, 3, 4, 5, 6, 7, 8, 9, 100]);
-    }
-
-    #[test]
-    fn calendar_matches_heap_on_mixed_schedule_pop_interleaving() {
-        // Deterministic pseudo-random interleaving of schedules and pops
-        // covering in-day inserts, wheel growth, and far-future jumps.
-        let mut cal = EventQueue::new();
-        let mut heap = EventQueue::with_heap();
-        let mut state = 0x9e3779b97f4a7c15u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let mut popped = 0u32;
-        for i in 0..5000u64 {
-            let r = next();
-            if r % 4 == 0 && !cal.is_empty() {
-                let a = cal.pop().unwrap();
-                let b = heap.pop().unwrap();
-                assert_eq!((a.time, a.seq, a.payload), (b.time, b.seq, b.payload));
-                popped += 1;
-            } else {
-                let base = cal.now().as_ps();
-                let delta = match r % 5 {
-                    0 => 0,
-                    1 => r % 100,
-                    2 => r % 10_000,
-                    _ => r % 10_000_000,
-                };
-                let at = SimTime::from_ps(base + delta);
-                cal.schedule(at, i);
-                heap.schedule(at, i);
-            }
-        }
-        while let Some(a) = cal.pop() {
-            let b = heap.pop().unwrap();
-            assert_eq!((a.time, a.seq, a.payload), (b.time, b.seq, b.payload));
-            popped += 1;
-        }
-        assert!(heap.is_empty());
-        assert!(popped > 1000);
     }
 }

@@ -2,7 +2,9 @@
 //! streams through a paradigm's egress paths and the switched fabric,
 //! producing execution times and wire-traffic accounting.
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BinaryHeap, VecDeque};
 
 use finepack::{
     EgressMetrics, EgressPath, FlushReason, PayloadMode, ReplayAmplification, WirePacket,
@@ -48,38 +50,141 @@ enum Ev {
     },
 }
 
-/// Builds the iteration's pre-scheduled event queue. The schedule order
-/// — per GPU: egress stores, atomics, probes, fences, kernel end — is
-/// load-bearing: it fixes the tie-break sequence numbers, and so the
-/// order in which same-time events pop.
-fn fill_queue(queue: &mut EventQueue<Ev>, runs: &[KernelRun]) {
-    // Pre-size for the whole trace (plus a Retry slot per GPU) so
-    // schedule/pop never reallocate in the hot loop.
-    let trace_events: usize = runs
-        .iter()
-        .map(|r| r.egress.len() + r.atomics.len() + r.probes.len() + r.fences.len() + 1)
-        .sum();
-    queue.reset();
-    let span = runs
-        .iter()
-        .map(|r| r.kernel_time)
-        .max()
-        .unwrap_or(SimTime::ZERO);
-    queue.reserve_for_span(trace_events + runs.len(), span);
-    for (g, run) in runs.iter().enumerate() {
-        for (idx, t) in run.egress.iter().enumerate() {
-            queue.schedule(t.time, Ev::Store { gpu: g, idx });
+/// One GPU's operation streams, declared in the order that breaks a
+/// time tie between them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Stream {
+    Stores,
+    Atomics,
+    Probes,
+    Fences,
+    KernelEnd,
+}
+
+impl Stream {
+    const ALL: [Stream; 5] = [
+        Stream::Stores,
+        Stream::Atomics,
+        Stream::Probes,
+        Stream::Fences,
+        Stream::KernelEnd,
+    ];
+
+    /// The time of this stream's operation `idx` in `run`, if it has one.
+    fn time(self, run: &KernelRun, idx: usize) -> Option<SimTime> {
+        match self {
+            Stream::Stores => run.egress.get(idx).map(|t| t.time),
+            Stream::Atomics => run.atomics.get(idx).map(|t| t.time),
+            Stream::Probes => run.probes.get(idx).map(|p| p.time),
+            Stream::Fences => run.fences.get(idx).copied(),
+            Stream::KernelEnd => (idx == 0).then_some(run.kernel_time),
         }
-        for (idx, t) in run.atomics.iter().enumerate() {
-            queue.schedule(t.time, Ev::Atomic { gpu: g, idx });
+    }
+
+    /// This stream's operation `idx` on `gpu`, as an event.
+    fn event(self, gpu: usize, idx: usize) -> Ev {
+        match self {
+            Stream::Stores => Ev::Store { gpu, idx },
+            Stream::Atomics => Ev::Atomic { gpu, idx },
+            Stream::Probes => Ev::Probe { gpu, idx },
+            Stream::Fences => Ev::Fence { gpu },
+            Stream::KernelEnd => Ev::KernelEnd { gpu },
         }
-        for (idx, p) in run.probes.iter().enumerate() {
-            queue.schedule(p.time, Ev::Probe { gpu: g, idx });
+    }
+}
+
+/// True when each of `run`'s operation streams is in non-decreasing
+/// time order, as [`Schedule`] requires.
+fn streams_sorted(run: &KernelRun) -> bool {
+    run.egress.is_sorted_by_key(|t| t.time)
+        && run.atomics.is_sorted_by_key(|t| t.time)
+        && run.probes.is_sorted_by_key(|p| p.time)
+        && run.fences.is_sorted()
+}
+
+/// One iteration's events in the order the store loop handles them:
+/// every GPU's operation streams, merged as they are drained, and the
+/// credit retries the loop schedules while draining them.
+///
+/// Operations pop in `(time, gpu, stream, index)` order. A retry pops
+/// after every operation of its time, and retries of one time pop in
+/// the order they were scheduled. This is the order of one queue filled
+/// GPU by GPU, stream by stream and index by index before the drain,
+/// with each retry scheduled as it is issued: every stream is sorted by
+/// time, so its next operation is also its first in that order.
+#[derive(Debug)]
+struct Schedule<'r> {
+    runs: &'r [KernelRun],
+    /// The next operation of every stream that has one left.
+    heads: BinaryHeap<Reverse<(SimTime, usize, Stream, usize)>>,
+    /// Operations not yet popped.
+    ops_left: usize,
+    retries: EventQueue<Ev>,
+}
+
+impl<'r> Schedule<'r> {
+    /// Schedules every operation of `runs`; `retries` is emptied and
+    /// reused for this iteration's retries.
+    fn new(runs: &'r [KernelRun], mut retries: EventQueue<Ev>) -> Self {
+        retries.reset();
+        let mut heads = BinaryHeap::with_capacity(runs.len() * Stream::ALL.len());
+        for (gpu, run) in runs.iter().enumerate() {
+            for stream in Stream::ALL {
+                if let Some(time) = stream.time(run, 0) {
+                    heads.push(Reverse((time, gpu, stream, 0)));
+                }
+            }
         }
-        for f in &run.fences {
-            queue.schedule(*f, Ev::Fence { gpu: g });
+        let ops_left = runs
+            .iter()
+            .map(|r| r.egress.len() + r.atomics.len() + r.probes.len() + r.fences.len() + 1)
+            .sum();
+        Schedule {
+            runs,
+            heads,
+            ops_left,
+            retries,
         }
-        queue.schedule(run.kernel_time, Ev::KernelEnd { gpu: g });
+    }
+
+    /// Removes and returns the next event, or `None` once every
+    /// operation and retry has popped.
+    fn pop(&mut self) -> Option<(SimTime, Ev)> {
+        let next_op = self.heads.peek().map(|Reverse((time, ..))| *time);
+        if let Some(retry) = self.retries.peek_time() {
+            // A retry loses every time tie to an operation.
+            if next_op.is_none_or(|op| retry < op) {
+                let ev = self.retries.pop().expect("a retry is pending");
+                return Some((ev.time, ev.payload));
+            }
+        }
+        let mut head = self.heads.peek_mut()?;
+        let Reverse((time, gpu, stream, idx)) = *head;
+        match stream.time(&self.runs[gpu], idx + 1) {
+            Some(next) => *head = Reverse((next, gpu, stream, idx + 1)),
+            None => {
+                PeekMut::pop(head);
+            }
+        }
+        self.ops_left -= 1;
+        Some((time, stream.event(gpu, idx)))
+    }
+
+    /// Schedules a retry of `gpu`'s port at `at`.
+    fn retry(&mut self, at: SimTime, gpu: usize) {
+        self.retries.schedule(at, Ev::Retry { gpu });
+    }
+
+    /// Events not yet popped: operations, plus retries, counting those
+    /// that a sooner retry of the same GPU, scheduled after them, made
+    /// stale.
+    fn len(&self) -> usize {
+        self.ops_left + self.retries.len()
+    }
+
+    /// Hands back the retry queue for the next iteration.
+    fn into_retries(self) -> EventQueue<Ev> {
+        self.retries
     }
 }
 
@@ -168,9 +273,8 @@ pub struct Runner {
     events_since_progress: u64,
     trace: TraceHandle,
     sample_every: Option<SimTime>,
-    /// The iteration event queue, recycled run to run so wheel buckets
-    /// and the learned bucket width survive between iterations (see
-    /// [`EventQueue::reset`]).
+    /// The iteration's credit retries (see [`Schedule`]), recycled
+    /// iteration to iteration so the queue keeps its buffer.
     queue_scratch: EventQueue<Ev>,
 }
 
@@ -586,9 +690,11 @@ impl Runner {
     ///
     /// # Panics
     ///
-    /// Panics if `runs.len()` differs from the configured GPU count, or
-    /// if injected faults kill the run — fault experiments should use
-    /// [`Runner::try_run_iteration`] and inspect the diagnostic.
+    /// Panics if `runs.len()` differs from the configured GPU count, if
+    /// a run's `egress`, `atomics`, `probes` or `fences` are not in
+    /// non-decreasing time order, or if injected faults kill the run —
+    /// fault experiments should use [`Runner::try_run_iteration`] and
+    /// inspect the diagnostic.
     pub fn run_iteration(&mut self, runs: &[KernelRun], dma_plan: &[(GpuId, GpuId, u64)]) {
         if let Err(e) = self.try_run_iteration(runs, dma_plan) {
             panic!("{e}");
@@ -609,7 +715,9 @@ impl Runner {
     ///
     /// # Panics
     ///
-    /// Panics if `runs.len()` differs from the configured GPU count.
+    /// Panics if `runs.len()` differs from the configured GPU count, or
+    /// if a run's `egress`, `atomics`, `probes` or `fences` are not in
+    /// non-decreasing time order.
     pub fn try_run_iteration(
         &mut self,
         runs: &[KernelRun],
@@ -630,7 +738,9 @@ impl Runner {
     ///
     /// # Panics
     ///
-    /// Panics if `runs.len()` differs from the configured GPU count.
+    /// Panics if `runs.len()` differs from the configured GPU count, or
+    /// if a run's `egress`, `atomics`, `probes` or `fences` are not in
+    /// non-decreasing time order.
     pub fn try_run_iteration_precomputed(
         &mut self,
         runs: &[KernelRun],
@@ -647,6 +757,12 @@ impl Runner {
         unique_bytes: Option<u64>,
     ) -> Result<(), RunError> {
         assert_eq!(runs.len(), usize::from(self.cfg.num_gpus));
+        for (g, run) in runs.iter().enumerate() {
+            assert!(
+                streams_sorted(run),
+                "GPU {g}'s kernel run has an operation stream out of time order"
+            );
+        }
         if self.trace.is_on() {
             // Iteration timelines restart at zero: shift this
             // iteration's events past everything already simulated, and
@@ -745,7 +861,8 @@ impl Runner {
         Ok(())
     }
 
-    /// The store-paradigm event loop: one global queue, every path
+    /// The store-paradigm event loop: every GPU's operations and the
+    /// credit retries in one time order (see [`Schedule`]), every path
     /// operation and fabric interaction inline.
     fn run_stores(
         &mut self,
@@ -753,31 +870,29 @@ impl Runner {
         kernel_end: &mut SimTime,
         last_delivery: &mut SimTime,
     ) -> Result<(), RunError> {
-        // This iteration's SM stall per GPU. Every pre-scheduled event
-        // for a GPU shifts right by its accumulated stall, preserving
-        // program order; with zero stalls (always, under open loop) the
-        // replay — event order, timestamps, fabric call sequence — is
-        // identical to open loop.
+        // This iteration's SM stall per GPU. Every operation of a GPU
+        // shifts right by its accumulated stall, preserving program
+        // order; with zero stalls (always, under open loop) the replay —
+        // event order, timestamps, fabric call sequence — is identical
+        // to open loop.
         let mut stall = vec![SimTime::ZERO; runs.len()];
         let mut retry_at: Vec<Option<SimTime>> = vec![None; runs.len()];
-        // The queue is recycled run to run; an errored iteration leaves
-        // an empty one behind (errored runs are abandoned anyway).
-        let mut queue = std::mem::take(&mut self.queue_scratch);
-        fill_queue(&mut queue, runs);
+        // The retry queue is recycled run to run; an errored iteration
+        // leaves an empty one behind (errored runs are abandoned anyway).
+        let mut schedule = Schedule::new(runs, std::mem::take(&mut self.queue_scratch));
         let sample_step = self.sample_every.filter(|_| self.trace.is_on());
         let mut next_sample = sample_step.unwrap_or(SimTime::ZERO);
-        while let Some(ev) = queue.pop() {
+        while let Some((now, ev)) = schedule.pop() {
             self.sim_events += 1;
             self.events_since_progress += 1;
-            let now = ev.time;
-            self.check_budget(now, queue.len(), &stall)?;
+            self.check_budget(now, schedule.len(), &stall)?;
             if let Some(step) = sample_step {
                 while next_sample <= now {
                     self.take_samples(next_sample);
                     next_sample += step;
                 }
             }
-            let (gpu, at) = match ev.payload {
+            let (gpu, at) = match ev {
                 Ev::Retry { gpu } => {
                     retry_at[gpu] = None;
                     (gpu, now)
@@ -787,33 +902,33 @@ impl Runner {
                 // operation also waits for room at the port.
                 Ev::Store { gpu, .. } | Ev::Atomic { gpu, .. } | Ev::Probe { gpu, .. } => {
                     let at = now + stall[gpu];
-                    let at = self.admit(gpu, at, &mut stall, queue.len(), last_delivery)?;
-                    self.issue(ev.payload, runs, gpu, at);
+                    let at = self.admit(gpu, at, &mut stall, schedule.len(), last_delivery)?;
+                    self.issue(ev, runs, gpu, at);
                     (gpu, at)
                 }
                 Ev::Fence { gpu } | Ev::KernelEnd { gpu } => {
                     let at = now + stall[gpu];
-                    if matches!(ev.payload, Ev::KernelEnd { .. }) {
+                    if matches!(ev, Ev::KernelEnd { .. }) {
                         // The kernel is not done until its last operation
                         // has issued: stalls push it out.
                         *kernel_end = (*kernel_end).max(at);
                     }
-                    self.issue(ev.payload, runs, gpu, at);
+                    self.issue(ev, runs, gpu, at);
                     (gpu, at)
                 }
             };
             if let Some(until) = self.pump(gpu, at, last_delivery)? {
                 if retry_at[gpu].is_none_or(|r| until < r) {
                     retry_at[gpu] = Some(until);
-                    queue.schedule(until, Ev::Retry { gpu });
+                    schedule.retry(until, gpu);
                 }
             }
         }
         debug_assert!(
             self.ports.iter().all(VecDeque::is_empty),
-            "event queue drained with packets stranded in a port"
+            "every event popped with packets stranded in a port"
         );
-        self.queue_scratch = queue;
+        self.queue_scratch = schedule.into_retries();
         Ok(())
     }
 
@@ -878,7 +993,8 @@ impl Runner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_model::{AddressMap, Gpu};
+    use gpu_model::{AddressMap, Gpu, GpuConfig, KernelTrace, RemoteStore, TimedProbe, TimedStore};
+    use sim_engine::DetRng;
     use workloads::{Jacobi, Pagerank, RunSpec, Workload};
 
     fn runs_for(app: &dyn Workload, cfg: &SystemConfig, spec: &RunSpec) -> Vec<KernelRun> {
@@ -976,6 +1092,159 @@ mod tests {
         assert_eq!(p2p.mean_stores_per_packet(), Some(1.0));
         // Same unique bytes either way (paradigm-independent).
         assert_eq!(fp.unique_bytes, p2p.unique_bytes);
+    }
+
+    /// A kernel run of random, time-sorted streams: times fall in a
+    /// span of a few picoseconds, so they tie within a stream, across
+    /// one GPU's streams and across GPUs. Payloads are empty: only times
+    /// matter to the merge.
+    fn random_run(rng: &mut DetRng, template: &KernelRun, span: u64) -> KernelRun {
+        let times = |rng: &mut DetRng, max: u64| {
+            let n = if rng.next_u64_below(3) == 0 {
+                0
+            } else {
+                rng.next_in_range(1, max)
+            };
+            let mut t: Vec<SimTime> = (0..n)
+                .map(|_| SimTime::from_ps(rng.next_u64_below(span)))
+                .collect();
+            t.sort();
+            t
+        };
+        let store = |time| TimedStore {
+            time,
+            store: RemoteStore {
+                src: GpuId::new(0),
+                dst: GpuId::new(1),
+                addr: 0,
+                data: Vec::new(),
+            },
+        };
+        let probe = |time| TimedProbe {
+            time,
+            dst: GpuId::new(1),
+            addr: 0,
+            len: 4,
+        };
+        let egress: Vec<_> = times(rng, 40).into_iter().map(store).collect();
+        let atomics: Vec<_> = times(rng, 8).into_iter().map(store).collect();
+        let probes: Vec<_> = times(rng, 8).into_iter().map(probe).collect();
+        let fences = times(rng, 4);
+        // The kernel ends with its last operation.
+        let kernel_time = [
+            egress.last().map(|t| t.time),
+            atomics.last().map(|t| t.time),
+            probes.last().map(|p| p.time),
+            fences.last().copied(),
+        ]
+        .into_iter()
+        .flatten()
+        .max()
+        .unwrap_or(SimTime::ZERO);
+        KernelRun {
+            kernel_time,
+            egress,
+            atomics,
+            probes,
+            fences,
+            ..template.clone()
+        }
+    }
+
+    /// The reference order: one queue filled GPU by GPU, stream by
+    /// stream, index by index before the drain.
+    fn filled_queue(runs: &[KernelRun]) -> EventQueue<Ev> {
+        let mut queue = EventQueue::new();
+        for (gpu, run) in runs.iter().enumerate() {
+            for (idx, t) in run.egress.iter().enumerate() {
+                queue.schedule(t.time, Ev::Store { gpu, idx });
+            }
+            for (idx, t) in run.atomics.iter().enumerate() {
+                queue.schedule(t.time, Ev::Atomic { gpu, idx });
+            }
+            for (idx, p) in run.probes.iter().enumerate() {
+                queue.schedule(p.time, Ev::Probe { gpu, idx });
+            }
+            for f in &run.fences {
+                queue.schedule(*f, Ev::Fence { gpu });
+            }
+            queue.schedule(run.kernel_time, Ev::KernelEnd { gpu });
+        }
+        queue
+    }
+
+    #[test]
+    fn schedule_pops_the_filled_queue_order() {
+        let mut rng = DetRng::new(0x5c4e_d01e, "schedule-merge");
+        let gpu = Gpu::new(
+            GpuConfig::tiny(),
+            GpuId::new(0),
+            AddressMap::new(2, 1 << 30),
+        );
+        let template = gpu.execute_kernel(&KernelTrace::new("merge"));
+        let mut retries = EventQueue::new();
+        for round in 0..300 {
+            let gpus = rng.next_in_range(2, 17) as usize;
+            let span = rng.next_in_range(1, 64);
+            let runs: Vec<KernelRun> = (0..gpus)
+                .map(|_| random_run(&mut rng, &template, span))
+                .collect();
+            let mut oracle = filled_queue(&runs);
+            // Recycled like the runner's, so `reset` is exercised too.
+            let mut merged = Schedule::new(&runs, retries);
+            assert_eq!(merged.len(), oracle.len(), "round {round}");
+            // Retries not yet popped: (time, gpu).
+            let mut pending: Vec<(SimTime, usize)> = Vec::new();
+            loop {
+                let want = oracle.pop().map(|e| (e.time, e.payload));
+                assert_eq!(merged.pop(), want, "round {round}");
+                assert_eq!(merged.len(), oracle.len(), "round {round}");
+                let Some((now, ev)) = want else { break };
+                if let Ev::Retry { gpu } = ev {
+                    let i = pending.iter().position(|&p| p == (now, gpu));
+                    pending.swap_remove(i.expect("a scheduled retry"));
+                }
+                let mut gpu = rng.next_u64_below(gpus as u64) as usize;
+                let pick = |rng: &mut DetRng, n: usize| rng.next_u64_below(n as u64) as usize;
+                let at = match rng.next_u64_below(6) {
+                    // At a pending operation's time.
+                    0 if !merged.heads.is_empty() => {
+                        let k = pick(&mut rng, merged.heads.len());
+                        merged.heads.iter().nth(k).map(|Reverse((t, ..))| *t)
+                    }
+                    // At another retry's time.
+                    1 if !pending.is_empty() => Some(pending[pick(&mut rng, pending.len())].0),
+                    // Earlier than a pending retry of the same GPU, which
+                    // stays queued, stale.
+                    2 if pending.iter().any(|&(t, _)| t > now) => {
+                        let later: Vec<_> = pending.iter().filter(|&&(t, _)| t > now).collect();
+                        let &(t, g) = later[pick(&mut rng, later.len())];
+                        gpu = g;
+                        Some(now + SimTime::from_ps(rng.next_u64_below((t - now).as_ps())))
+                    }
+                    3 => Some(now + SimTime::from_ps(rng.next_u64_below(span))),
+                    _ => None,
+                };
+                if let Some(at) = at {
+                    oracle.schedule(at, Ev::Retry { gpu });
+                    merged.retry(at, gpu);
+                    pending.push((at, gpu));
+                }
+            }
+            assert!(pending.is_empty(), "round {round}");
+            retries = merged.into_retries();
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of time order")]
+    fn unsorted_stream_panics() {
+        let cfg = SystemConfig::paper(2);
+        let mut runs = runs_for(&Pagerank::default(), &cfg, &RunSpec::tiny());
+        let last = runs[1].egress.last().expect("GPU 1 sends stores").time;
+        runs[1].egress[0].time = last + SimTime::from_ps(1);
+        let mut r = Runner::new(cfg, Paradigm::FinePack, 0.0, false);
+        r.run_iteration(&runs, &[]);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use system::{
     subheader_sweep, CreditConfig, FaultProfile, FlowControlMode, Paradigm, PreparedWorkload,
     RunBudget, RunReport, SystemConfig, REPORT_SCHEMA_VERSION,
 };
-use telemetry::{EventKind, Law, Sample, TraceEvent, TraceHandle, CHROME_TRACE_SCHEMA_VERSION};
+use telemetry::{EventKind, Law, RingCollector, Sample, TraceEvent, CHROME_TRACE_SCHEMA_VERSION};
 use workloads::{
     suite, CollectiveTuning, MsgDist, RunSpec, ScalingMode, Workload, COLLECTIVE_REGISTRY,
     SUITE_REGISTRY,
@@ -1003,22 +1003,15 @@ pub(crate) fn trace(args: &Args) -> Result<String, CliError> {
     );
 
     let prep = PreparedWorkload::new(app.as_ref(), &cfg, &spec);
-    let (handle, ring) = TraceHandle::ring(capacity, capacity);
+    let mut ring = RingCollector::new(capacity, capacity);
     let sample_every = (sample_ns > 0).then(|| SimTime::from_ns(sample_ns));
     let report = prep
-        .try_run_traced(&cfg, paradigm, handle, sample_every)
+        .try_run_traced(&cfg, paradigm, &mut ring, sample_every)
         .map_err(|e| CliError::Failed(e.to_string()))?;
 
-    let (events, samples, dropped): (Vec<TraceEvent>, Vec<Sample>, u64) = {
-        let collector = ring
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        (
-            collector.events().copied().collect(),
-            collector.samples().copied().collect(),
-            collector.dropped_events(),
-        )
-    };
+    let events: Vec<TraceEvent> = ring.events().copied().collect();
+    let samples: Vec<Sample> = ring.samples().copied().collect();
+    let dropped = ring.dropped_events();
 
     // Self-check: with nothing dropped, per-reason flush events must
     // equal the run's aggregate counters exactly.

@@ -19,9 +19,7 @@ use protocol::FramingModel;
 use sim_engine::{DetRng, SimTime};
 
 use crate::config::FinePackError;
-use crate::egress::{
-    store_share, EgressMetrics, EgressPath, PacketStores, PayloadMode, WirePacket,
-};
+use crate::egress::{store_share, EgressMetrics, EgressPath, PayloadMode, WirePacket};
 use crate::rwq::{span_mask, FlushedEntry};
 
 /// Per-destination cacheline combining buffer with FIFO eviction.
@@ -200,13 +198,13 @@ impl WriteCombiningEgress {
             .map(|(i, (off, len))| {
                 let addr = entry.line_addr + u64::from(off);
                 let stores = match self.payload_mode {
-                    PayloadMode::Extents => PacketStores::Extents(vec![(addr, len)]),
-                    PayloadMode::Full => PacketStores::Full(vec![RemoteStore {
+                    PayloadMode::Extents => Vec::new(),
+                    PayloadMode::Full => vec![RemoteStore {
                         src: self.src,
                         dst,
                         addr,
                         data: entry.data[off as usize..(off + len) as usize].to_vec(),
-                    }]),
+                    }],
                 };
                 let packet = WirePacket {
                     dst,
@@ -214,6 +212,7 @@ impl WriteCombiningEgress {
                     data_bytes: u64::from(len),
                     payload_bytes: len,
                     reason: None,
+                    store_count: 1,
                     stores,
                 };
                 self.metrics.emit(packet, store_share(merged, n, i))
@@ -322,7 +321,7 @@ mod tests {
         wc.push(&store(1, 128, 4, 2), SimTime::ZERO).unwrap();
         let evicted = wc.push(&store(1, 2 * 128, 4, 3), SimTime::ZERO).unwrap();
         assert_eq!(evicted.len(), 1);
-        assert_eq!(evicted[0].stores.full().unwrap()[0].addr, 0); // oldest line left first
+        assert_eq!(evicted[0].stores[0].addr, 0); // oldest line left first
     }
 
     #[test]
@@ -332,7 +331,7 @@ mod tests {
         wc.push(&store(1, 0x1000, 8, 9), SimTime::ZERO).unwrap();
         let pkts = wc.release();
         assert_eq!(pkts[0].data_bytes, 8);
-        assert_eq!(pkts[0].stores.full().unwrap()[0].data, vec![9; 8]);
+        assert_eq!(pkts[0].stores[0].data, vec![9; 8]);
         assert_eq!(wc.metrics().overwritten_bytes, 8);
     }
 

@@ -78,11 +78,6 @@ impl SubheaderFormat {
         1u64 << self.offset_bits()
     }
 
-    /// Maximum encodable sub-packet payload length in bytes.
-    pub fn max_subpacket_len(self) -> u32 {
-        (1 << LENGTH_FIELD_BITS) - 1
-    }
-
     /// Masks `addr` down to the window base containing it.
     pub fn window_base(self, addr: u64) -> u64 {
         addr & !(self.addressable_range() - 1)

@@ -16,72 +16,21 @@ use gpu_model::{GpuId, RemoteStore};
 use protocol::FramingModel;
 use sim_engine::{Histogram, SimTime};
 
-use telemetry::{EventKind, TraceEvent, TraceHandle};
-
 use crate::config::{FinePackConfig, FinePackError};
 use crate::packetizer::packetize_layout;
 use crate::rwq::{FlushReason, RemoteWriteQueue};
 
-/// How much of each constituent store a [`WirePacket`] carries.
+/// Whether a [`WirePacket`] carries its stores' payloads.
 ///
-/// Timing-only runs never read the payload bytes back, so cloning them
+/// Timing-only runs never read the payload bytes back, so copying them
 /// into every packet is pure allocation overhead; functional runs
 /// (`track_memory`) need the full data to build memory images.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PayloadMode {
-    /// Carry only each store's `(addr, len)` extent.
+    /// Carry no stores: a packet holds only their count.
     Extents,
     /// Carry the full store payloads.
     Full,
-}
-
-/// The stores a [`WirePacket`] delivers, in order — either full payloads
-/// (functional runs) or bare `(addr, len)` extents (timing-only runs).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PacketStores {
-    /// `(addr, len)` per store; payload bytes were never copied.
-    Extents(Vec<(u64, u32)>),
-    /// Full store payloads for functional memory delivery.
-    Full(Vec<RemoteStore>),
-}
-
-impl PacketStores {
-    /// Number of stores in the packet.
-    pub fn len(&self) -> usize {
-        match self {
-            PacketStores::Extents(v) => v.len(),
-            PacketStores::Full(v) => v.len(),
-        }
-    }
-
-    /// True if the packet carries no stores.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The full stores, if this packet was built under
-    /// [`PayloadMode::Full`].
-    pub fn full(&self) -> Option<&[RemoteStore]> {
-        match self {
-            PacketStores::Full(v) => Some(v),
-            PacketStores::Extents(_) => None,
-        }
-    }
-
-    /// `(addr, len)` extents, available in either mode.
-    pub fn extents(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
-        let full = match self {
-            PacketStores::Full(v) => &v[..],
-            PacketStores::Extents(_) => &[],
-        };
-        let ext = match self {
-            PacketStores::Extents(v) => &v[..],
-            PacketStores::Full(_) => &[],
-        };
-        ext.iter()
-            .copied()
-            .chain(full.iter().map(|s| (s.addr, s.len())))
-    }
 }
 
 /// A packet handed to the interconnect: sizes for timing/accounting plus
@@ -102,8 +51,11 @@ pub struct WirePacket {
     /// queue (`None` for uncoalesced paths and atomics). Lets the
     /// link layer attribute replay amplification to flush causes.
     pub reason: Option<crate::FlushReason>,
-    /// The stores this packet delivers, in order.
-    pub stores: PacketStores,
+    /// Stores the packet delivers.
+    pub store_count: u32,
+    /// The stores this packet delivers, in order, under
+    /// [`PayloadMode::Full`]; empty under [`PayloadMode::Extents`].
+    pub stores: Vec<RemoteStore>,
 }
 
 impl WirePacket {
@@ -114,8 +66,8 @@ impl WirePacket {
 }
 
 /// One store travelling alone as a memory-write TLP of `payload` bytes
-/// (raw P2P stores and atomics). The payload is cloned only under
-/// [`PayloadMode::Full`]: extents-mode packets allocate no payload.
+/// (raw P2P stores and atomics). The store is cloned only under
+/// [`PayloadMode::Full`]: extents-mode packets allocate nothing.
 fn single_store_packet(
     framing: &FramingModel,
     store: &RemoteStore,
@@ -128,9 +80,10 @@ fn single_store_packet(
         data_bytes: u64::from(store.len()),
         payload_bytes: payload,
         reason: None,
+        store_count: 1,
         stores: match mode {
-            PayloadMode::Full => PacketStores::Full(vec![store.clone()]),
-            PayloadMode::Extents => PacketStores::Extents(vec![(store.addr, store.len())]),
+            PayloadMode::Full => vec![store.clone()],
+            PayloadMode::Extents => Vec::new(),
         },
     }
 }
@@ -157,6 +110,9 @@ pub struct EgressMetrics {
     pub bytes_in: u64,
     /// Bytes elided by in-buffer overwrites (redundant-transfer savings).
     pub overwritten_bytes: u64,
+    /// Stores that merged into an entry already buffered in the remote
+    /// write queue (FinePack only).
+    pub rwq_merges: u64,
     /// Remote atomics sent (never coalesced, §IV-C).
     pub atomics_sent: u64,
     /// Flush counts by [`crate::FlushReason::ALL`] order (FinePack only).
@@ -180,6 +136,7 @@ impl EgressMetrics {
             stores_in: 0,
             bytes_in: 0,
             overwritten_bytes: 0,
+            rwq_merges: 0,
             atomics_sent: 0,
             flushes_by_reason: [0; FlushReason::ALL.len()],
             stores_per_packet: Histogram::new("stores_per_packet"),
@@ -220,6 +177,7 @@ impl EgressMetrics {
         self.stores_in += other.stores_in;
         self.bytes_in += other.bytes_in;
         self.overwritten_bytes += other.overwritten_bytes;
+        self.rwq_merges += other.rwq_merges;
         self.atomics_sent += other.atomics_sent;
         for (a, b) in self
             .flushes_by_reason
@@ -293,14 +251,9 @@ pub trait EgressPath: std::fmt::Debug + Send {
     /// Short name for reports.
     fn name(&self) -> &'static str;
 
-    /// Selects whether emitted packets carry full store payloads or
-    /// bare `(addr, len)` extents (see [`PayloadMode`]).
+    /// Selects whether emitted packets carry their stores' payloads
+    /// (see [`PayloadMode`]).
     fn set_payload_mode(&mut self, mode: PayloadMode);
-
-    /// Attaches a trace handle for structured event recording. The
-    /// default discards it — paths without internal buffering have
-    /// nothing to report beyond what the runner already records.
-    fn set_trace(&mut self, _trace: TraceHandle) {}
 
     /// Entries buffered *inside* the path (e.g. RWQ occupancy), as
     /// opposed to packets the runner holds at the port. Zero for paths
@@ -324,7 +277,6 @@ pub struct FinePackEgress {
     /// Last insert time per destination, for timeout flushes.
     last_activity: std::collections::BTreeMap<GpuId, SimTime>,
     payload_mode: PayloadMode,
-    trace: TraceHandle,
 }
 
 impl FinePackEgress {
@@ -339,7 +291,6 @@ impl FinePackEgress {
             flush_timeout: None,
             last_activity: std::collections::BTreeMap::new(),
             payload_mode: PayloadMode::Full,
-            trace: TraceHandle::off(),
         }
     }
 
@@ -365,27 +316,19 @@ impl FinePackEgress {
         for (i, layout) in layouts.into_iter().enumerate() {
             let payload_bytes = layout.payload_bytes(subheader);
             let stores = match self.payload_mode {
-                PayloadMode::Full => PacketStores::Full(
-                    layout
-                        .chunks
-                        .iter()
-                        .map(|c| RemoteStore {
-                            src: self.src,
-                            dst: batch.dst,
-                            addr: layout.base_addr + c.offset,
-                            data: batch.entries[c.entry_idx].data
-                                [c.data_off..c.data_off + c.len as usize]
-                                .to_vec(),
-                        })
-                        .collect(),
-                ),
-                PayloadMode::Extents => PacketStores::Extents(
-                    layout
-                        .chunks
-                        .iter()
-                        .map(|c| (layout.base_addr + c.offset, c.len))
-                        .collect(),
-                ),
+                PayloadMode::Full => layout
+                    .chunks
+                    .iter()
+                    .map(|c| RemoteStore {
+                        src: self.src,
+                        dst: batch.dst,
+                        addr: layout.base_addr + c.offset,
+                        data: batch.entries[c.entry_idx].data
+                            [c.data_off..c.data_off + c.len as usize]
+                            .to_vec(),
+                    })
+                    .collect(),
+                PayloadMode::Extents => Vec::new(),
             };
             let packet = WirePacket {
                 dst: batch.dst,
@@ -393,6 +336,7 @@ impl FinePackEgress {
                 data_bytes: u64::from(layout.data_bytes()),
                 payload_bytes,
                 reason: Some(batch.reason),
+                store_count: layout.chunks.len() as u32,
                 stores,
             };
             // Split the batch's merged stores across its packets (nearly
@@ -415,16 +359,7 @@ impl EgressPath for FinePackEgress {
         self.last_activity.insert(store.dst, now);
         let hits_before = self.rwq.stats().entry_hits;
         let flushed = self.rwq.insert(store)?;
-        if self.trace.is_on() {
-            self.trace.record(TraceEvent {
-                time: now,
-                gpu: self.src.index() as u8,
-                kind: EventKind::RwqInsert {
-                    dst: store.dst.index() as u8,
-                    merged: self.rwq.stats().entry_hits > hits_before,
-                },
-            });
-        }
+        self.metrics.rwq_merges += self.rwq.stats().entry_hits - hits_before;
         match flushed {
             Some(batch) => Ok(self.emit_batch(batch)),
             None => Ok(Vec::new()),
@@ -506,10 +441,6 @@ impl EgressPath for FinePackEgress {
         // queue's per-entry line buffering so inserts copy nothing.
         self.rwq
             .set_buffer_payloads(matches!(mode, PayloadMode::Full));
-    }
-
-    fn set_trace(&mut self, trace: TraceHandle) {
-        self.trace = trace;
     }
 
     fn queue_depth(&self) -> usize {
@@ -633,6 +564,7 @@ mod tests {
         }
         let pkts = fp.release();
         assert_eq!(pkts.len(), 1);
+        assert_eq!(pkts[0].store_count, 40);
         assert_eq!(pkts[0].stores.len(), 40);
         assert_eq!(fp.metrics().mean_stores_per_packet(), Some(40.0));
     }
@@ -715,8 +647,10 @@ mod tests {
             emitted.extend(fp.push(s, SimTime::ZERO).unwrap());
         }
         emitted.extend(fp.release());
+        // The second and third stores land in the first one's line.
+        assert_eq!(fp.metrics().rwq_merges, 2);
         for p in &emitted {
-            for s in p.stores.full().expect("default mode carries payloads") {
+            for s in &p.stores {
                 via_finepack.write(s.addr, &s.data);
             }
         }
@@ -724,7 +658,7 @@ mod tests {
     }
 
     #[test]
-    fn extents_mode_skips_payload_clones_but_keeps_extents() {
+    fn extents_mode_skips_payload_clones_but_keeps_store_count() {
         let mut fp = FinePackEgress::new(
             GpuId::new(0),
             FinePackConfig::paper(4),
@@ -735,9 +669,8 @@ mod tests {
         fp.push(&store(1, 0x1010, 4), SimTime::ZERO).unwrap();
         let pkts = fp.release();
         assert_eq!(pkts.len(), 1);
-        assert!(pkts[0].stores.full().is_none(), "no payload bytes carried");
-        let extents: Vec<_> = pkts[0].stores.extents().collect();
-        assert_eq!(extents, vec![(0x1000, 8), (0x1010, 4)]);
+        assert!(pkts[0].stores.is_empty(), "no stores carried");
+        assert_eq!(pkts[0].store_count, 2);
         // Accounting is identical to full mode.
         let mut full = FinePackEgress::new(
             GpuId::new(0),
@@ -750,6 +683,7 @@ mod tests {
         assert_eq!(full_pkts[0].wire_bytes, pkts[0].wire_bytes);
         assert_eq!(full_pkts[0].data_bytes, pkts[0].data_bytes);
         assert_eq!(full_pkts[0].payload_bytes, pkts[0].payload_bytes);
+        assert_eq!(full_pkts[0].stores.len(), 2);
     }
 
     #[test]
@@ -790,7 +724,7 @@ mod tests {
         let pkts = fp.push_atomic(&store(1, 0x1004, 4), SimTime::ZERO).unwrap();
         // One flush batch (same-address ordering) + the atomic itself.
         assert_eq!(pkts.len(), 2);
-        assert_eq!(pkts[1].stores.len(), 1);
+        assert_eq!(pkts[1].store_count, 1);
         assert_eq!(pkts[1].data_bytes, 4);
         assert_eq!(fp.metrics().atomics_sent, 1);
         assert_eq!(fp.metrics().flushes_for(crate::FlushReason::AtomicHit), 1);
@@ -822,13 +756,16 @@ mod tests {
         a.wire_bytes = 100;
         a.data_bytes = 60;
         a.stores_per_packet.record(5);
+        a.rwq_merges = 1;
         let mut b = EgressMetrics::new();
         b.packets = 2;
         b.wire_bytes = 50;
         b.data_bytes = 30;
         b.stores_per_packet.record(3);
+        b.rwq_merges = 2;
         a.merge(&b);
         assert_eq!(a.packets, 3);
+        assert_eq!(a.rwq_merges, 3);
         assert_eq!(a.protocol_bytes(), 60);
         assert_eq!(a.stores_per_packet.total(), 2);
     }

@@ -31,7 +31,10 @@
 //!
 //! Every path does one job: turn stores into [`WirePacket`]s. Queueing
 //! those packets at the port, admission, and stall time belong to the
-//! system runner that drives the path.
+//! system runner that drives the path, and so does tracing: no path
+//! records events, and this crate does not depend on `telemetry`. The
+//! runner reads what a path did from its [`EgressMetrics`] (flushes by
+//! reason, stores merged into the remote write queue).
 //!
 //! # Examples
 //!
@@ -82,7 +85,7 @@ pub use config::{
 };
 pub use depacketizer::Depacketizer;
 pub use egress::{
-    EgressMetrics, EgressPath, FinePackEgress, PacketStores, PayloadMode, RawP2pEgress, WirePacket,
+    EgressMetrics, EgressPath, FinePackEgress, PayloadMode, RawP2pEgress, WirePacket,
 };
 pub use packet::{FinePackPacket, SubPacket};
 pub use packetizer::{packetize, packetize_layout, LayoutChunk, PacketLayout};

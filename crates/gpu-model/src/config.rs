@@ -66,17 +66,6 @@ impl GpuConfig {
         }
     }
 
-    /// An NVIDIA GA100-class configuration (used by the §VI-B area
-    /// discussion): 108 SMs, 40 MB L2, 192 KB combined L1 per SM.
-    pub fn ga100() -> Self {
-        GpuConfig {
-            global_memory_bytes: 40 << 30,
-            num_sms: 108,
-            l2_bytes: 40 << 20,
-            ..GpuConfig::gv100()
-        }
-    }
-
     /// A scaled-down configuration for fast unit tests: 4 SMs, small
     /// memory, same cache geometry.
     pub fn tiny() -> Self {

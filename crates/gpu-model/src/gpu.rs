@@ -299,6 +299,13 @@ impl Gpu {
         egress.sort_by_key(|t| t.time);
         atomics.sort_by_key(|t| t.time);
         probes.sort_by_key(|t| t.time);
+        // A kernel run outlives its replay (a prepared workload keeps
+        // every run for all its paradigms): release the spare capacity,
+        // up to half of each stream, that growth by doubling left.
+        egress.shrink_to_fit();
+        atomics.shrink_to_fit();
+        probes.shrink_to_fit();
+        fences.shrink_to_fit();
         KernelRun {
             name: trace.name.clone(),
             kernel_time: self.config.clock.cycles_to_time(end_cycles),

@@ -5,8 +5,6 @@
 //! required), an additional byte-enable flit is sent — this is the cause
 //! of the goodput "spikes" the paper notes in Figure 2's footnote.
 
-use sim_engine::Bandwidth;
-
 /// NVLink flit size in bytes.
 pub const FLIT_BYTES: u32 = 16;
 
@@ -44,13 +42,6 @@ impl Default for NvlinkModel {
 }
 
 impl NvlinkModel {
-    /// Aggregate bandwidth of an NVLink3-class 4-link bundle, roughly the
-    /// "highest performance NVLink interconnects" the paper equates with
-    /// PCIe 6.0 bandwidth in Fig 13.
-    pub fn bundle_bandwidth() -> Bandwidth {
-        Bandwidth::from_gbps(128.0)
-    }
-
     /// Total wire bytes for one packet with `payload` data bytes.
     ///
     /// `aligned` indicates the store is flit-aligned at both ends; when

@@ -49,11 +49,6 @@ impl Bandwidth {
         self.bytes_per_sec / 1e9
     }
 
-    /// This bandwidth in bytes per second.
-    pub fn as_bytes_per_sec(self) -> f64 {
-        self.bytes_per_sec
-    }
-
     /// Time to serialize `bytes` onto a link of this bandwidth.
     ///
     /// Rounds up to the next picosecond so that back-to-back transfers

@@ -209,11 +209,6 @@ impl Frequency {
         }
     }
 
-    /// Creates a frequency from MHz.
-    pub fn from_mhz(mhz: f64) -> Self {
-        Frequency::from_ghz(mhz / 1000.0)
-    }
-
     /// Picoseconds per clock cycle.
     pub const fn period(self) -> SimTime {
         SimTime::from_ps(self.ps_per_cycle)

@@ -1,5 +1,5 @@
-//! The system-level conservation audit: runs a prepared workload with a
-//! [`telemetry::AuditCollector`] attached, feeds it the run's aggregate
+//! The system-level conservation audit: lends a prepared workload's run
+//! a [`telemetry::AuditCollector`], feeds it the run's aggregate
 //! counters, and adds the one law the event stream cannot carry — the
 //! transparency oracle, a byte-level diff of the destination memory
 //! images against a program-order write-through baseline.
@@ -10,15 +10,10 @@
 //! the fabric's credit ledger, the `RunReport` aggregates, and the
 //! functional memory images.
 
-use std::sync::{Arc, Mutex};
-
 use finepack::FlushReason;
 use gpu_model::MemoryImage;
 use sim_engine::SimTime;
-use telemetry::{
-    AuditCollector, AuditConfig, CreditLedger, Law, RunTotals, TraceCollector, TraceHandle,
-    Violation, WireMath,
-};
+use telemetry::{AuditCollector, AuditConfig, CreditLedger, Law, RunTotals, Violation, WireMath};
 
 use crate::config::SystemConfig;
 use crate::experiment::PreparedWorkload;
@@ -106,18 +101,13 @@ pub fn audit_run(
     cfg: &SystemConfig,
     paradigm: Paradigm,
 ) -> Result<AuditOutcome, RunError> {
-    let audit = Arc::new(Mutex::new(AuditCollector::new(audit_config_for(
-        cfg, paradigm,
-    ))));
+    let mut audit = AuditCollector::new(audit_config_for(cfg, paradigm));
     // The transparency oracle needs functional payloads; InfiniteBw
     // never transfers (empty images would trivially mismatch) and GPS
     // drops stores by design, so neither diffs images.
     let diff_images = !matches!(paradigm, Paradigm::InfiniteBw | Paradigm::Gps);
     let mut runner = Runner::new(*cfg, paradigm, prep.gps_unsubscribed(), diff_images);
-    runner.attach_trace(
-        TraceHandle::new(audit.clone() as Arc<Mutex<dyn TraceCollector>>),
-        Some(SAMPLE_EVERY),
-    );
+    runner.attach_trace(&mut audit, Some(SAMPLE_EVERY));
     prep.run_iterations(&mut runner)?;
     // The ledger and images must be read before `finish` consumes the
     // runner. The images move out, so the diff below holds no copy.
@@ -126,12 +116,7 @@ pub fn audit_run(
     let images = runner.take_images();
     let report = runner.finish(prep.name(), prep.read_fraction());
 
-    let totals = run_totals(&report, fc_totals, fc_in_flight);
-    let mut audit = Arc::into_inner(audit)
-        .expect("runner dropped its trace handles")
-        .into_inner()
-        .expect("audit collector lock");
-    audit.finalize(&totals);
+    audit.finalize(&run_totals(&report, fc_totals, fc_in_flight));
 
     if let Some(images) = images {
         let baseline = write_through_images(prep, cfg.num_gpus);

@@ -29,14 +29,16 @@ pub struct CreditConfig {
 }
 
 impl CreditConfig {
-    /// A realistically provisioned PCIe switch ingress port for the
-    /// paper's Gen4 system: the pool must cover the credit round trip's
-    /// bandwidth-delay product (~500ns hop + serialization + UpdateFC
-    /// return at 32GB/s ≈ 30KB) or steady-state streams throttle on
-    /// credits rather than wire bandwidth. 256 headers / 32KB of data
-    /// (2048 × 16B units) clears that bar for both FinePack's 4KB TLPs
-    /// and raw P2P's 128B TLPs, so sustained flows run at link rate
-    /// while bursts beyond the receiver's buffering still backpressure.
+    /// A PCIe switch ingress port for the paper's Gen4 system: 256
+    /// headers and 32KB of data (2048 × 16B units), sized to the credit
+    /// round trip's bandwidth-delay product (a ~500ns hop, serialization
+    /// and the UpdateFC return at 32GB/s ≈ 30KB). That does not let
+    /// every stream run at link rate. Header credits limit raw P2P, write
+    /// combining and GPS, which send one small TLP per store: 256
+    /// headers per round trip cap their rate whatever the link speed.
+    /// Data credits limit FinePack even at Gen4: 32KB covers the
+    /// product with no margin, and up to three senders share each
+    /// ingress pool on 4 GPUs.
     pub fn paper() -> Self {
         CreditConfig {
             ph: 256,

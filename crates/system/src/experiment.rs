@@ -5,17 +5,15 @@
 //! is an independent deterministic computation, so the drivers here fan
 //! out over a [`WorkerPool`] and return results in input order: output
 //! is byte-identical for any worker count. Kernel traces are replayed
-//! once per app into a [`PreparedWorkload`] and shared (by `Arc` in
-//! [`PreparedApp`]) across paradigms and sweep points; one per-app
-//! loop, [`PreparedApp::speedups`], turns them into speedup rows.
-
-use std::sync::Arc;
+//! once per app into a [`PreparedWorkload`], which its [`PreparedApp`]
+//! lends to every paradigm and sweep point; one per-app loop,
+//! [`PreparedApp::speedups`], turns them into speedup rows.
 
 use finepack::{FinePackConfig, SubheaderFormat};
 use gpu_model::{AddressMap, Gpu, GpuId, KernelRun, KernelStats};
 use protocol::PcieGen;
 use sim_engine::{geomean, run_isolated, SimTime, TaskFailure, WorkerPool};
-use telemetry::TraceHandle;
+use telemetry::TraceCollector;
 use workloads::{CommPattern, RunSpec, Workload};
 
 use crate::config::SystemConfig;
@@ -143,12 +141,13 @@ impl PreparedWorkload {
     ///
     /// Propagates [`RunError`] from the first failing iteration.
     pub fn try_run(&self, cfg: &SystemConfig, paradigm: Paradigm) -> Result<RunReport, RunError> {
-        self.try_run_traced(cfg, paradigm, TraceHandle::off(), None)
+        self.run_to_report(Runner::new(*cfg, paradigm, self.gps_unsubscribed, false))
     }
 
-    /// [`PreparedWorkload::try_run`] with a trace attached: lifecycle
-    /// events (and, with `sample_every` set, periodic occupancy/credit
-    /// samples) are recorded through `trace` for the whole run.
+    /// [`PreparedWorkload::try_run`] with `trace` lent for the run:
+    /// lifecycle events (and, with `sample_every` set, periodic
+    /// occupancy/credit samples) are recorded into it, on one run-global
+    /// timeline.
     ///
     /// Tracing is observational: the returned report is byte-identical
     /// to [`PreparedWorkload::try_run`]'s.
@@ -160,11 +159,16 @@ impl PreparedWorkload {
         &self,
         cfg: &SystemConfig,
         paradigm: Paradigm,
-        trace: TraceHandle,
+        trace: &mut dyn TraceCollector,
         sample_every: Option<SimTime>,
     ) -> Result<RunReport, RunError> {
         let mut runner = Runner::new(*cfg, paradigm, self.gps_unsubscribed, false);
         runner.attach_trace(trace, sample_every);
+        self.run_to_report(runner)
+    }
+
+    /// Runs every iteration through `runner` and finishes its report.
+    fn run_to_report(&self, mut runner: Runner<'_>) -> Result<RunReport, RunError> {
         self.run_iterations(&mut runner)?;
         Ok(runner.finish(&self.name, self.read_fraction))
     }
@@ -173,7 +177,7 @@ impl PreparedWorkload {
     /// unique-byte count from preparation instead of re-aggregating it
     /// store by store. The caller reads what it needs and calls
     /// [`Runner::finish`].
-    pub(crate) fn run_iterations(&self, runner: &mut Runner) -> Result<(), RunError> {
+    pub(crate) fn run_iterations(&self, runner: &mut Runner<'_>) -> Result<(), RunError> {
         for (iter_runs, &unique) in self.runs.iter().zip(&self.unique_per_iter) {
             runner.try_run_iteration_precomputed(iter_runs, &self.dma_plan, unique)?;
         }
@@ -337,8 +341,8 @@ pub fn speedup_row(
 /// so one `PreparedApp` serves every point of a sweep.
 #[derive(Debug)]
 struct PreparedApp {
-    /// The replayed traces, shared across sweep points.
-    prepared: Arc<PreparedWorkload>,
+    /// The replayed traces, lent to every sweep point.
+    prepared: PreparedWorkload,
     /// Simulated single-GPU baseline time (speedup denominator).
     single_gpu: SimTime,
 }
@@ -346,7 +350,7 @@ struct PreparedApp {
 impl PreparedApp {
     fn new(app: &dyn Workload, cfg: &SystemConfig, spec: &RunSpec) -> Self {
         PreparedApp {
-            prepared: Arc::new(PreparedWorkload::new(app, cfg, spec)),
+            prepared: PreparedWorkload::new(app, cfg, spec),
             single_gpu: single_gpu_time(app, cfg, spec),
         }
     }
@@ -960,7 +964,5 @@ mod tests {
         let shared = speedup_row_prepared(&prepared[0], &cfg, &[Paradigm::FinePack]);
         assert_eq!(direct.app, shared.app);
         assert_eq!(direct.speedups, shared.speedups);
-        // The Arc really is shared, not recloned per use.
-        assert_eq!(Arc::strong_count(&prepared[0].prepared), 1);
     }
 }

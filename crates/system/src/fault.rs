@@ -94,12 +94,6 @@ impl FaultProfile {
         self
     }
 
-    /// Replaces the replay parameters.
-    pub fn with_replay(mut self, replay: ReplayConfig) -> Self {
-        self.replay = replay;
-        self
-    }
-
     /// Validates internal consistency.
     ///
     /// # Panics

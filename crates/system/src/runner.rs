@@ -11,7 +11,7 @@ use finepack::{
 };
 use gpu_model::{GpuId, KernelRun, MemoryImage};
 use sim_engine::{Bandwidth, EventQueue, SimTime};
-use telemetry::{EventKind, Sample, TraceEvent, TraceHandle};
+use telemetry::{EventKind, Sample, TraceCollector, TraceEvent};
 
 use crate::budget::{BudgetKind, BudgetTrip, RunnerDiag};
 use crate::config::SystemConfig;
@@ -216,6 +216,10 @@ fn issue_kind(payload: Ev, runs: &[KernelRun]) -> EventKind {
 
 /// Simulates a (workload, paradigm) combination iteration by iteration.
 ///
+/// The runner is the one place that records trace events: into the
+/// collector lent to it with [`Runner::attach_trace`], which it borrows
+/// for `'t`, until [`Runner::finish`].
+///
 /// # Examples
 ///
 /// ```
@@ -239,7 +243,7 @@ fn issue_kind(payload: Ev, runs: &[KernelRun]) -> EventKind {
 /// assert!(report.total_time.as_ps() > 0);
 /// ```
 #[derive(Debug)]
-pub struct Runner {
+pub struct Runner<'t> {
     cfg: SystemConfig,
     paradigm: Paradigm,
     paths: Vec<Option<Box<dyn EgressPath>>>,
@@ -271,14 +275,15 @@ pub struct Runner {
     /// Events processed since the last commit/flush advance — the
     /// progress-watchdog clock (see [`crate::RunBudget`]).
     events_since_progress: u64,
-    trace: TraceHandle,
+    /// The collector lent for the run; `None` when untraced.
+    trace: Option<&'t mut dyn TraceCollector>,
     sample_every: Option<SimTime>,
     /// The iteration's credit retries (see [`Schedule`]), recycled
     /// iteration to iteration so the queue keeps its buffer.
     queue_scratch: EventQueue<Ev>,
 }
 
-impl Runner {
+impl<'t> Runner<'t> {
     /// Creates a runner. `gps_unsubscribed` parameterizes the GPS
     /// paradigm; `track_memory` enables functional memory images for
     /// transparency verification (slower).
@@ -345,7 +350,7 @@ impl Runner {
             replay_amp: ReplayAmplification::new(),
             sim_events: 0,
             events_since_progress: 0,
-            trace: TraceHandle::off(),
+            trace: None,
             sample_every: None,
             queue_scratch: EventQueue::new(),
         }
@@ -390,24 +395,40 @@ impl Runner {
         })))
     }
 
-    /// Attaches a trace handle; subsequent iterations record lifecycle
-    /// events through it. With `sample_every` set (and non-zero),
-    /// per-GPU occupancy/credit/stall samples are additionally taken at
-    /// that simulated-time interval. Tracing observes only: attaching
-    /// any collector leaves the run's report byte-identical.
-    pub fn attach_trace(&mut self, trace: TraceHandle, sample_every: Option<SimTime>) {
-        self.trace = trace;
+    /// Lends the run `trace`: subsequent iterations record their
+    /// lifecycle events into it, on one run-global timeline. With
+    /// `sample_every` set (and non-zero), per-GPU occupancy/credit/stall
+    /// samples are additionally taken at that simulated-time interval.
+    /// Tracing observes only: attaching any collector leaves the run's
+    /// report byte-identical.
+    pub fn attach_trace(
+        &mut self,
+        trace: &'t mut dyn TraceCollector,
+        sample_every: Option<SimTime>,
+    ) {
+        self.trace = Some(trace);
         self.sample_every = sample_every.filter(|t| t.as_ps() > 0);
+    }
+
+    /// Records `event`, stamped with iteration-local time, on the run's
+    /// timeline: shifted past the iterations already simulated.
+    fn record(&mut self, event: TraceEvent) {
+        if let Some(trace) = self.trace.as_deref_mut() {
+            trace.record(event.shifted(self.total_time));
+        }
     }
 
     /// Records one occupancy/credit/stall sample per store-paradigm GPU
     /// at iteration-local time `at`.
-    fn take_samples(&self, at: SimTime) {
+    fn take_samples(&mut self, at: SimTime) {
+        let Some(trace) = self.trace.as_deref_mut() else {
+            return;
+        };
         for (g, path) in self.paths.iter().enumerate() {
             let Some(path) = path else { continue };
             let gid = GpuId::new(g as u8);
             let (hdrs, data) = self.fabric.egress_fc_in_flight(gid);
-            self.trace.sample(Sample {
+            let sample = Sample {
                 time: at,
                 gpu: g as u8,
                 rwq_entries: path.queue_depth() as u64,
@@ -416,7 +437,8 @@ impl Runner {
                 credit_hdrs_in_flight: hdrs,
                 credit_data_in_flight: data,
                 stall_ps: self.stall_time[g].as_ps(),
-            });
+            };
+            trace.sample(sample.shifted(self.total_time));
         }
     }
 
@@ -424,7 +446,12 @@ impl Runner {
     /// added, by diffing the per-reason counters around it. Counting
     /// from the aggregates keeps trace flush counts equal to
     /// `flushes_by_reason` by construction.
-    fn record_flush_delta(&self, gpu: usize, at: SimTime, before: [u64; FlushReason::ALL.len()]) {
+    fn record_flush_delta(
+        &mut self,
+        gpu: usize,
+        at: SimTime,
+        before: [u64; FlushReason::ALL.len()],
+    ) {
         let after = self.paths[gpu]
             .as_ref()
             .expect("store paradigm")
@@ -432,7 +459,7 @@ impl Runner {
             .flushes_by_reason;
         for (i, reason) in FlushReason::ALL.iter().enumerate() {
             for _ in before[i]..after[i] {
-                self.trace.record(TraceEvent {
+                self.record(TraceEvent {
                     time: at,
                     gpu: gpu as u8,
                     kind: EventKind::Flush {
@@ -508,12 +535,16 @@ impl Runner {
         // memory bandwidth (§IV-B); this is never the bottleneck but is
         // modeled for completeness.
         let drained = landed + self.hbm.transfer_time(p.data_bytes);
-        if self.trace.is_on() {
+        if self.trace.is_some() {
             self.record_transfer(at, src, p, replayed, landed, drained);
         }
         if let Some(images) = &mut self.images {
-            let stores = p.stores.full().expect("track_memory runs carry payloads");
-            for s in stores {
+            assert_eq!(
+                p.stores.len(),
+                p.store_count as usize,
+                "track_memory runs carry payloads"
+            );
+            for s in &p.stores {
                 images[p.dst.index()].write(s.addr, &s.data);
             }
         }
@@ -522,7 +553,7 @@ impl Runner {
 
     /// Records the wire/replay/commit events for one delivered packet.
     fn record_transfer(
-        &self,
+        &mut self,
         at: SimTime,
         src: GpuId,
         p: &WirePacket,
@@ -530,26 +561,26 @@ impl Runner {
         landed: SimTime,
         drained: SimTime,
     ) {
-        self.trace.record(TraceEvent {
+        self.record(TraceEvent {
             time: at,
             gpu: src.index() as u8,
             kind: EventKind::WireTransmit {
                 dst: p.dst.index() as u8,
                 wire_bytes: p.wire_bytes,
                 payload_bytes: u64::from(p.payload_bytes),
-                stores: p.stores.len() as u32,
+                stores: p.store_count,
                 reason: p.reason.map(|r| r.label()),
                 done: landed,
             },
         });
         if replayed > 0 {
-            self.trace.record(TraceEvent {
+            self.record(TraceEvent {
                 time: at,
                 gpu: src.index() as u8,
                 kind: EventKind::DllReplay { bytes: replayed },
             });
         }
-        self.trace.record(TraceEvent {
+        self.record(TraceEvent {
             time: landed,
             gpu: p.dst.index() as u8,
             kind: EventKind::Commit {
@@ -583,7 +614,7 @@ impl Runner {
                 SendOutcome::Delivered(landed) => landed,
                 SendOutcome::Blocked { until } => {
                     debug_assert!(until > at, "blocked admission must make progress");
-                    self.trace.record(TraceEvent {
+                    self.record(TraceEvent {
                         time: at,
                         gpu: gpu as u8,
                         kind: EventKind::CreditBlocked { until },
@@ -624,7 +655,7 @@ impl Runner {
             self.events_since_progress += 1;
             self.check_budget(until, pending, stall)?;
             let waited = until.saturating_sub(at);
-            self.trace.record(TraceEvent {
+            self.record(TraceEvent {
                 time: at,
                 gpu: gpu as u8,
                 kind: EventKind::Stall { duration: waited },
@@ -640,18 +671,23 @@ impl Runner {
     /// any inactivity-timeout flush, and queues the packets this forced
     /// out at the port.
     fn issue(&mut self, op: Ev, runs: &[KernelRun], gpu: usize, at: SimTime) {
-        let path = self.paths[gpu].as_mut().expect("store paradigm");
-        // Snapshot the per-reason flush counters so any flush this
+        // Snapshot the counters the trace is read from: any flush this
         // operation triggers (in push, probe, release, or the timeout
-        // advance below) becomes exactly one Flush trace event.
-        let flushes_before = self.trace.is_on().then(|| path.metrics().flushes_by_reason);
-        if self.trace.is_on() {
-            self.trace.record(TraceEvent {
+        // advance below) becomes exactly one Flush trace event, and a
+        // FinePack store that merged into a buffered entry records
+        // `RwqInsert { merged: true }`.
+        let before = self.trace.is_some().then(|| {
+            let m = self.paths[gpu].as_ref().expect("store paradigm").metrics();
+            (m.flushes_by_reason, m.rwq_merges)
+        });
+        if before.is_some() {
+            self.record(TraceEvent {
                 time: at,
                 gpu: gpu as u8,
                 kind: issue_kind(op, runs),
             });
         }
+        let path = self.paths[gpu].as_mut().expect("store paradigm");
         let run = &runs[gpu];
         let mut packets = match op {
             // Borrow straight from the run's egress stream: zero
@@ -669,6 +705,8 @@ impl Runner {
             Ev::Fence { .. } | Ev::KernelEnd { .. } => path.release(),
             Ev::Retry { .. } => unreachable!("retries issue nothing"),
         };
+        // Read right after the push: did the store merge into an entry?
+        let merged = before.is_some_and(|(_, merges)| path.metrics().rwq_merges > merges);
         // Inactivity-timeout flushes piggyback on event processing for
         // the same GPU.
         packets.extend(path.advance(at));
@@ -678,8 +716,18 @@ impl Runner {
             // credits.
             self.events_since_progress = 0;
         }
-        if let Some(before) = flushes_before {
-            self.record_flush_delta(gpu, at, before);
+        if let Some((flushes, _)) = before {
+            if let (Ev::Store { idx, .. }, Paradigm::FinePack) = (op, self.paradigm) {
+                self.record(TraceEvent {
+                    time: at,
+                    gpu: gpu as u8,
+                    kind: EventKind::RwqInsert {
+                        dst: run.egress[idx].store.dst.index() as u8,
+                        merged,
+                    },
+                });
+            }
+            self.record_flush_delta(gpu, at, flushes);
         }
         self.ports[gpu].extend(packets);
     }
@@ -763,15 +811,6 @@ impl Runner {
                 "GPU {g}'s kernel run has an operation stream out of time order"
             );
         }
-        if self.trace.is_on() {
-            // Iteration timelines restart at zero: shift this
-            // iteration's events past everything already simulated, and
-            // hand every path a handle carrying the same base.
-            self.trace.rebase(self.total_time);
-            for path in self.paths.iter_mut().flatten() {
-                path.set_trace(self.trace.clone());
-            }
-        }
         // Unique-byte tracking is paradigm-independent: it reflects the
         // program's store stream.
         match unique_bytes {
@@ -810,7 +849,7 @@ impl Runner {
                         .fabric
                         .try_send(start, *src, *dst, wire)
                         .map_err(RunError::LinkDown)?;
-                    self.trace.record(TraceEvent {
+                    self.record(TraceEvent {
                         time: start,
                         gpu: src.index() as u8,
                         kind: EventKind::WireTransmit {
@@ -824,7 +863,7 @@ impl Runner {
                     });
                     let replayed = self.replayed_total() - replayed_before;
                     if replayed > 0 {
-                        self.trace.record(TraceEvent {
+                        self.record(TraceEvent {
                             time: start,
                             gpu: src.index() as u8,
                             kind: EventKind::DllReplay { bytes: replayed },
@@ -880,7 +919,7 @@ impl Runner {
         // The retry queue is recycled run to run; an errored iteration
         // leaves an empty one behind (errored runs are abandoned anyway).
         let mut schedule = Schedule::new(runs, std::mem::take(&mut self.queue_scratch));
-        let sample_step = self.sample_every.filter(|_| self.trace.is_on());
+        let sample_step = self.sample_every.filter(|_| self.trace.is_some());
         let mut next_sample = sample_step.unwrap_or(SimTime::ZERO);
         while let Some((now, ev)) = schedule.pop() {
             self.sim_events += 1;

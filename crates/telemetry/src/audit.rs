@@ -257,18 +257,18 @@ struct SampleClock {
 /// A [`TraceCollector`] that checks the event stream against the
 /// conservation laws in this module instead of exporting it.
 ///
-/// Attach it like any collector (it is observational: reports are
-/// byte-identical with or without it), then call
+/// Lend it to a run like any collector (it is observational: reports
+/// are byte-identical with or without it), then call
 /// [`AuditCollector::finalize`] with the run's aggregate counters and
 /// read back [`AuditCollector::violations`].
 ///
 /// # Examples
 ///
 /// ```
-/// use telemetry::{AuditCollector, AuditConfig, RunTotals, TraceCollector};
+/// use telemetry::{AuditCollector, AuditConfig, RunTotals};
 ///
 /// let mut audit = AuditCollector::new(AuditConfig::new());
-/// // ... record events through a TraceHandle ...
+/// // ... lend `&mut audit` to a traced run, which records into it ...
 /// audit.finalize(&RunTotals::default());
 /// assert!(audit.is_clean());
 /// ```

@@ -1,19 +1,19 @@
-//! Collectors and the handle that threads them through the stack.
+//! Collectors: where a traced run's events and samples go.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
-
-use sim_engine::SimTime;
 
 use crate::event::{Sample, TraceEvent};
 
-/// Receives trace events and samples from instrumented components.
+/// Receives a traced run's events and samples.
 ///
-/// The contract: a collector only *observes*. Implementations must not
-/// feed anything back into simulation state or timing — determinism
-/// guard tests assert that runs are byte-identical with any collector
-/// (or none) attached. Collectors must be `Send` because runners and
-/// egress paths are moved across worker threads in parallel sweeps.
+/// The caller keeps the collector and lends it to one run, which
+/// records into it on the run's global timeline and hands it back when
+/// the run ends. The contract: a collector only *observes*.
+/// Implementations must not feed anything back into simulation state or
+/// timing — determinism guard tests assert that runs are byte-identical
+/// with any collector (or none) attached. Collectors must be `Send`
+/// because a runner holding one is moved across worker threads in
+/// parallel sweeps.
 pub trait TraceCollector: std::fmt::Debug + Send {
     /// Records one structured event.
     fn record(&mut self, event: TraceEvent);
@@ -121,85 +121,10 @@ impl TraceCollector for RingCollector {
     }
 }
 
-/// The cloneable handle instrumentation points record through.
-///
-/// Off by default ([`TraceHandle::off`] / [`Default`]): recording is a
-/// single `Option` branch, so the uninstrumented hot path is
-/// unperturbed. When on, the handle shares one collector behind an
-/// `Arc<Mutex<_>>` (the lock is uncontended — the runner is
-/// single-threaded; the `Mutex` exists so runners stay `Send` for
-/// parallel sweeps).
-///
-/// The handle also carries a local *base* time ([`TraceHandle::rebase`])
-/// added to every event and sample, which is how per-iteration local
-/// times land on one run-global timeline.
-#[derive(Debug, Clone, Default)]
-pub struct TraceHandle {
-    collector: Option<Arc<Mutex<dyn TraceCollector>>>,
-    base: SimTime,
-}
-
-impl TraceHandle {
-    /// The disabled handle: every recording call is a no-op branch.
-    pub fn off() -> Self {
-        TraceHandle::default()
-    }
-
-    /// A handle recording into `collector`.
-    pub fn new(collector: Arc<Mutex<dyn TraceCollector>>) -> Self {
-        TraceHandle {
-            collector: Some(collector),
-            base: SimTime::ZERO,
-        }
-    }
-
-    /// Convenience: a fresh [`RingCollector`] plus the handle feeding
-    /// it. Keep the returned `Arc` to read the trace back after a run.
-    pub fn ring(
-        event_capacity: usize,
-        sample_capacity: usize,
-    ) -> (TraceHandle, Arc<Mutex<RingCollector>>) {
-        let ring = Arc::new(Mutex::new(RingCollector::new(
-            event_capacity,
-            sample_capacity,
-        )));
-        (TraceHandle::new(ring.clone()), ring)
-    }
-
-    /// True when a collector is attached. Instrumentation sites gate
-    /// any non-trivial event assembly on this.
-    pub fn is_on(&self) -> bool {
-        self.collector.is_some()
-    }
-
-    /// Sets the base time added to subsequently recorded events. The
-    /// base is handle-local (not shared through the `Arc`), so clone
-    /// *after* rebasing when distributing a handle for one iteration.
-    pub fn rebase(&mut self, base: SimTime) {
-        self.base = base;
-    }
-
-    /// Records `event`, shifted by the handle's base time.
-    pub fn record(&self, event: TraceEvent) {
-        if let Some(c) = &self.collector {
-            c.lock()
-                .expect("trace collector lock")
-                .record(event.shifted(self.base));
-        }
-    }
-
-    /// Records `sample`, shifted by the handle's base time.
-    pub fn sample(&self, sample: Sample) {
-        if let Some(c) = &self.collector {
-            c.lock()
-                .expect("trace collector lock")
-                .sample(sample.shifted(self.base));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use sim_engine::SimTime;
+
     use super::*;
     use crate::event::EventKind;
 
@@ -209,13 +134,6 @@ mod tests {
             gpu: 0,
             kind: EventKind::KernelEnd,
         }
-    }
-
-    #[test]
-    fn off_handle_drops_everything() {
-        let h = TraceHandle::off();
-        assert!(!h.is_on());
-        h.record(ev(1)); // must not panic, must not allocate a collector
     }
 
     #[test]
@@ -251,22 +169,6 @@ mod tests {
         assert_eq!(ring.sample_count(), 1);
         assert_eq!(ring.dropped_samples(), 1);
         assert_eq!(ring.samples().next().unwrap().rwq_entries, 2);
-    }
-
-    #[test]
-    fn handle_applies_base_time() {
-        let (mut h, ring) = TraceHandle::ring(8, 8);
-        assert!(h.is_on());
-        h.record(ev(1));
-        h.rebase(SimTime::from_us(1));
-        h.record(ev(1));
-        let times: Vec<u64> = ring
-            .lock()
-            .unwrap()
-            .events()
-            .map(|e| e.time.as_ps())
-            .collect();
-        assert_eq!(times, vec![1_000, 1_001_000]);
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! The event taxonomy: typed span/instant events covering the TLP
 //! lifecycle, plus periodic time-series samples.
 //!
-//! Events use plain `u8` GPU indices and `&'static str` labels so this
-//! crate sits below the GPU model in the dependency order: every crate
-//! from `core` upward can record events without a cycle.
+//! Events use plain `u8` GPU indices and `&'static str` labels, so this
+//! crate needs nothing of the GPU model or the FinePack hardware model.
 
 use sim_engine::SimTime;
 

@@ -6,11 +6,13 @@
 //! CSV time series.
 //!
 //! The design follows the tracing hooks of production simulators
-//! (Akita, MGSim): instrumentation points are threaded through the
-//! whole stack but cost nothing when disabled. A [`TraceHandle`] is the
-//! unit of wiring — cloned into every instrumented component — and is
-//! either *off* (the default: one `Option` branch per would-be event,
-//! no allocation, no locking) or backed by a shared [`TraceCollector`].
+//! (Akita, MGSim), with one recorder: `system::Runner` records every
+//! event and sample, shifted onto the run's global timeline, into a
+//! [`TraceCollector`] the caller lends it for the run. The caller keeps
+//! the collector in a local variable and reads it back afterwards; no
+//! other crate records, and the hardware models do not depend on this
+//! one. Untraced runs lend nothing and pay one `Option` branch per
+//! would-be event.
 //!
 //! The collector contract: **tracing observes, never perturbs**. A
 //! collector receives copies of simulation facts after they happen; it
@@ -23,16 +25,15 @@
 //!
 //! ```
 //! use sim_engine::SimTime;
-//! use telemetry::{chrome_trace, EventKind, TraceEvent, TraceHandle};
+//! use telemetry::{chrome_trace, EventKind, RingCollector, TraceCollector, TraceEvent};
 //!
-//! let (trace, ring) = TraceHandle::ring(1024, 1024);
-//! trace.record(TraceEvent {
+//! let mut ring = RingCollector::new(1024, 1024);
+//! ring.record(TraceEvent {
 //!     time: SimTime::from_ns(5),
 //!     gpu: 0,
 //!     kind: EventKind::Flush { reason: "release" },
 //! });
-//! let collector = ring.lock().unwrap();
-//! let events: Vec<_> = collector.events().cloned().collect();
+//! let events: Vec<_> = ring.events().cloned().collect();
 //! let json = chrome_trace(&events, &[]);
 //! assert!(json.contains("\"flush:release\""));
 //! ```
@@ -46,6 +47,6 @@ mod event;
 mod export;
 
 pub use audit::{AuditCollector, AuditConfig, CreditLedger, Law, RunTotals, Violation, WireMath};
-pub use collect::{NullCollector, RingCollector, TraceCollector, TraceHandle};
+pub use collect::{NullCollector, RingCollector, TraceCollector};
 pub use event::{EventKind, Sample, TraceEvent};
 pub use export::{chrome_trace, time_series_csv, CHROME_TRACE_SCHEMA_VERSION};

@@ -59,11 +59,6 @@ impl BandedSystem {
         diagonal > off_sum
     }
 
-    /// Rows each GPU owns under a 1-D partition.
-    pub fn rows_per_gpu(&self, num_gpus: u8) -> u64 {
-        self.rows.div_ceil(u64::from(num_gpus))
-    }
-
     /// Boundary bytes a GPU pushes across one partition cut per
     /// iteration: the `half_bandwidth` rows the neighbor's stencil reads.
     pub fn halo_bytes_per_boundary(&self) -> u64 {

@@ -8,7 +8,7 @@
 
 use sim_engine::SimTime;
 use system::{Paradigm, PreparedWorkload, SystemConfig};
-use telemetry::{EventKind, TraceHandle};
+use telemetry::{EventKind, RingCollector};
 use workloads::{Jacobi, RunSpec};
 
 /// One packet's life on the wire: egress at `start`, last flit lands at
@@ -34,17 +34,16 @@ fn main() {
     let app = Jacobi::default();
     let prep = PreparedWorkload::new(&app, &cfg, &spec);
 
-    let (handle, ring) = TraceHandle::ring(1 << 22, 16);
+    let mut ring = RingCollector::new(1 << 22, 16);
     let report = prep
-        .try_run_traced(&cfg, Paradigm::FinePack, handle, None)
+        .try_run_traced(&cfg, Paradigm::FinePack, &mut ring, None)
         .expect("traced Jacobi run");
 
     // Pair each WireTransmit with the Commit the runner records right
     // after it (they are pushed consecutively per delivered packet).
-    let collector = ring.lock().expect("ring collector");
     let mut rows: Vec<TlpRow> = Vec::new();
     let mut pending: Option<TlpRow> = None;
-    for e in collector.events() {
+    for e in ring.events() {
         match e.kind {
             EventKind::WireTransmit {
                 dst,
@@ -74,7 +73,6 @@ fn main() {
             _ => {}
         }
     }
-    drop(collector);
     assert!(!rows.is_empty(), "FinePack Jacobi run produced no TLPs");
 
     // Waterfall of the first packets: `=` is time on the wire, `#` is

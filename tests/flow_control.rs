@@ -11,9 +11,9 @@
 //!    stalls (`stall_time > 0`), strictly longer execution, and still
 //!    deliver byte-identical destination memory images — backpressure
 //!    reshapes timing, never data.
-//! 3. **Deterministic always**: retry events ride the same seeded
-//!    event queue as everything else, so identical seeds reproduce
-//!    identical stalls.
+//! 3. **Deterministic always**: retry events ride their own queue,
+//!    merged in a fixed order with every GPU's time-sorted operation
+//!    streams, so identical seeds reproduce identical stalls.
 
 use gpu_model::{AddressMap, Gpu, GpuId, KernelRun, MemoryImage};
 use sim_engine::SimTime;

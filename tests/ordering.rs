@@ -35,8 +35,12 @@ fn emit_all(stores: &[RemoteStore]) -> Vec<WirePacket> {
 fn apply(packets: &[&WirePacket]) -> Vec<MemoryImage> {
     let mut images: Vec<MemoryImage> = (0..4).map(|_| MemoryImage::new()).collect();
     for p in packets {
-        let stores = p.stores.full().expect("paths default to full payloads");
-        for s in stores {
+        assert_eq!(
+            p.stores.len(),
+            p.store_count as usize,
+            "paths default to full payloads"
+        );
+        for s in &p.stores {
             images[p.dst.index()].write(s.addr, &s.data);
         }
     }
@@ -111,8 +115,12 @@ fn load_probe_observes_latest_value() {
         let mut image = MemoryImage::new();
         let apply_pkts = |pkts: Vec<WirePacket>, image: &mut MemoryImage| {
             for p in pkts {
-                let stores = p.stores.full().expect("paths default to full payloads");
-                for s in stores {
+                assert_eq!(
+                    p.stores.len(),
+                    p.store_count as usize,
+                    "paths default to full payloads"
+                );
+                for s in &p.stores {
                     image.write(s.addr, &s.data);
                 }
             }

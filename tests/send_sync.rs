@@ -20,9 +20,6 @@ fn telemetry_types_are_send() {
     assert_send_sync::<telemetry::Sample>();
     assert_send::<telemetry::RingCollector>();
     assert_send_sync::<telemetry::NullCollector>();
-    // The handle is cloned into runners and egress paths, which must
-    // stay Send for parallel sweeps.
-    assert_send::<telemetry::TraceHandle>();
 }
 
 #[test]

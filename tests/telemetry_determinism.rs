@@ -4,11 +4,9 @@
 //! attached — and the trace's flush events must agree exactly with the
 //! run's aggregate flush counters.
 
-use std::sync::{Arc, Mutex};
-
 use sim_engine::SimTime;
 use system::{Paradigm, PreparedWorkload, SystemConfig};
-use telemetry::{AuditCollector, EventKind, NullCollector, TraceHandle};
+use telemetry::{AuditCollector, EventKind, NullCollector, RingCollector};
 use workloads::{suite, RunSpec};
 
 #[test]
@@ -21,16 +19,11 @@ fn tracing_never_perturbs_results() {
         for p in [Paradigm::BulkDma, Paradigm::P2pStores, Paradigm::FinePack] {
             let plain = prep.try_run(&cfg, p).expect("plain run");
             let null = prep
-                .try_run_traced(
-                    &cfg,
-                    p,
-                    TraceHandle::new(Arc::new(Mutex::new(NullCollector))),
-                    every,
-                )
+                .try_run_traced(&cfg, p, &mut NullCollector, every)
                 .expect("null-collector run");
-            let (handle, ring) = TraceHandle::ring(1 << 20, 1 << 20);
+            let mut ring = RingCollector::new(1 << 20, 1 << 20);
             let ringed = prep
-                .try_run_traced(&cfg, p, handle, every)
+                .try_run_traced(&cfg, p, &mut ring, every)
                 .expect("ring run");
             let rendered = format!("{plain:?}");
             assert_eq!(
@@ -49,7 +42,7 @@ fn tracing_never_perturbs_results() {
             // with wire traffic — the null run was not a no-op trace.
             if p != Paradigm::InfiniteBw {
                 assert!(
-                    ring.lock().unwrap().event_count() > 0,
+                    ring.event_count() > 0,
                     "{} {p}: traced run recorded nothing",
                     app.name()
                 );
@@ -69,11 +62,9 @@ fn auditing_never_perturbs_results() {
         let prep = PreparedWorkload::new(app.as_ref(), &cfg, &spec);
         for p in [Paradigm::BulkDma, Paradigm::P2pStores, Paradigm::FinePack] {
             let plain = prep.try_run(&cfg, p).expect("plain run");
-            let handle = TraceHandle::new(Arc::new(Mutex::new(AuditCollector::new(
-                system::audit_config_for(&cfg, p),
-            ))));
+            let mut audit = AuditCollector::new(system::audit_config_for(&cfg, p));
             let audited = prep
-                .try_run_traced(&cfg, p, handle, Some(SimTime::from_ns(100)))
+                .try_run_traced(&cfg, p, &mut audit, Some(SimTime::from_ns(100)))
                 .expect("audited run");
             assert_eq!(
                 format!("{plain:?}"),
@@ -99,11 +90,10 @@ fn flush_event_counts_match_aggregates() {
     let spec = RunSpec::tiny();
     for app in suite() {
         let prep = PreparedWorkload::new(app.as_ref(), &cfg, &spec);
-        let (handle, ring) = TraceHandle::ring(1 << 22, 16);
+        let mut collector = RingCollector::new(1 << 22, 16);
         let report = prep
-            .try_run_traced(&cfg, Paradigm::FinePack, handle, None)
+            .try_run_traced(&cfg, Paradigm::FinePack, &mut collector, None)
             .expect("traced run");
-        let collector = ring.lock().unwrap();
         assert_eq!(
             collector.dropped_events(),
             0,
@@ -139,11 +129,15 @@ fn iteration_rebase_yields_monotone_global_times() {
     spec.iterations = 3;
     let app = workloads::Jacobi::default();
     let prep = PreparedWorkload::new(&app, &cfg, &spec);
-    let (handle, ring) = TraceHandle::ring(1 << 22, 1 << 20);
+    let mut collector = RingCollector::new(1 << 22, 1 << 20);
     let report = prep
-        .try_run_traced(&cfg, Paradigm::FinePack, handle, Some(SimTime::from_ns(50)))
+        .try_run_traced(
+            &cfg,
+            Paradigm::FinePack,
+            &mut collector,
+            Some(SimTime::from_ns(50)),
+        )
         .expect("traced run");
-    let collector = ring.lock().unwrap();
     // Events from later iterations must sit later on the run-global
     // timeline: every event lands within the run's total simulated time,
     // and kernel-end instants (one per GPU per iteration) are spread

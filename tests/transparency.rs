@@ -42,8 +42,12 @@ fn image_via_path(path: &mut dyn EgressPath, stores: &[RemoteStore]) -> MemoryIm
     let mut image = MemoryImage::new();
     let deliver = |packets: Vec<finepack::WirePacket>, image: &mut MemoryImage| {
         for p in packets {
-            let stores = p.stores.full().expect("paths default to full payloads");
-            for s in stores {
+            assert_eq!(
+                p.stores.len(),
+                p.store_count as usize,
+                "paths default to full payloads"
+            );
+            for s in &p.stores {
                 image.write(s.addr, &s.data);
             }
         }

@@ -2,9 +2,12 @@
 //!
 //! Interconnect wire-protocol models for the FinePack reproduction:
 //! byte-accurate PCIe TLP headers and framing overhead ([`TlpHeader`],
-//! [`FramingModel`]), the NVLink flit model ([`NvlinkModel`]), and the
+//! [`FramingModel`]), the NVLink flit model ([`NvlinkModel`]), the
 //! goodput-vs-size curves behind the paper's Figure 2
-//! ([`goodput_curve`]).
+//! ([`goodput_curve`]), posted-write credit flow control
+//! ([`CreditTimeline`]), and the data link layer
+//! ([`DataLinkEndpoint`]), which carries one TLP at a time through
+//! LCRC checks, Ack/Nak DLLPs ([`Dllp`]), replays and retrains.
 //!
 //! The FinePack *inner* (sub-transaction) format lives in the `finepack`
 //! crate, which embeds its payload inside the [`TlpType::FinePack`] outer
@@ -40,8 +43,7 @@ pub use goodput::{fig2_sizes, goodput_curve, pcie_efficiency, GoodputPoint};
 pub use nvlink::{NvlinkModel, FLIT_BYTES};
 pub use pcie::{FramingModel, PcieGen, TlpHeader, TlpType, MAX_PAYLOAD_BYTES, TLP_HEADER_BYTES};
 pub use replay::{
-    BitErrorModel, DataLinkEndpoint, LinkTransfer, ReplayAction, ReplayConfig, ReplayError,
-    ReplayStats, SEQ_MODULO,
+    BitErrorModel, DataLinkEndpoint, LinkTransfer, ReplayConfig, ReplayError, ReplayStats,
 };
 
 /// Errors produced when decoding wire formats.

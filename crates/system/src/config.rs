@@ -224,7 +224,8 @@ impl SystemConfig {
     ///
     /// # Panics
     ///
-    /// Panics if any sub-configuration is invalid.
+    /// Panics if any sub-configuration is invalid, or if the fault
+    /// profile puts an outage on a GPU the node does not have.
     pub fn validate(&self) {
         assert!(self.num_gpus >= 2, "a node needs at least 2 GPUs");
         self.gpu.validate();
@@ -232,6 +233,14 @@ impl SystemConfig {
         assert!(self.combining_entries > 0);
         if let Some(fault) = &self.fault {
             fault.validate();
+            if let Some(o) = fault.outage {
+                assert!(
+                    o.gpu < self.num_gpus,
+                    "outage on GPU {}, but the node has {} GPUs",
+                    o.gpu,
+                    self.num_gpus
+                );
+            }
         }
         if let Some(budget) = &self.run_budget {
             budget.validate();
@@ -282,6 +291,13 @@ mod tests {
         let mut cfg = SystemConfig::paper(4);
         cfg.num_gpus = 1;
         cfg.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "outage on GPU 7, but the node has 4 GPUs")]
+    fn outage_on_a_missing_gpu_invalid() {
+        let outage = FaultProfile::new(0.0).with_outage(7, SimTime::ZERO, SimTime::from_us(1));
+        SystemConfig::paper(4).with_faults(outage).validate();
     }
 
     #[test]

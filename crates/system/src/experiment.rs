@@ -256,23 +256,7 @@ pub fn dma_plan(app: &dyn Workload, spec: &RunSpec) -> DmaPlan {
     }
     for g in 0..spec.num_gpus {
         let src = GpuId::new(g);
-        let dsts: Vec<GpuId> = match app.pattern() {
-            CommPattern::Neighbors => [i32::from(g) - 1, i32::from(g) + 1]
-                .into_iter()
-                .filter(|j| *j >= 0 && *j < i32::from(spec.num_gpus))
-                .map(|j| GpuId::new(j as u8))
-                .collect(),
-            CommPattern::ManyToMany | CommPattern::AllToAll => (0..spec.num_gpus)
-                .map(GpuId::new)
-                .filter(|d| *d != src)
-                .collect(),
-            CommPattern::Ring => vec![workloads::collectives::ring_next(src, spec.num_gpus)],
-            CommPattern::Grid2d => workloads::collectives::grid_neighbors(src, spec.num_gpus),
-            CommPattern::Tree => workloads::collectives::tree_parent(src)
-                .into_iter()
-                .chain(workloads::collectives::tree_children(src, spec.num_gpus))
-                .collect(),
-        };
+        let dsts = app.pattern().targets(src, spec.num_gpus);
         // For halo patterns the knob names an interior GPU's outbound
         // total (two boundaries); each leg carries one boundary's worth.
         let per_dst = match app.pattern() {

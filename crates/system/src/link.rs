@@ -146,56 +146,36 @@ impl Link {
         }
     }
 
-    /// Transmits `bytes` arriving at time `at`; returns the completion
-    /// time. Transfers queue behind earlier ones (store-and-forward).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a data link layer is attached — fault-injected links
-    /// must use [`Link::try_transmit`], which can report link death.
-    pub fn transmit(&mut self, at: SimTime, bytes: u64) -> SimTime {
-        assert!(
-            self.dll.is_none(),
-            "fault-injected link requires try_transmit"
-        );
-        let start = at.max(self.busy_until);
-        let done = start + self.bandwidth.transfer_time(bytes);
-        self.busy_until = done;
-        self.bytes_carried += bytes;
-        done
-    }
-
-    /// Transmits `bytes` through the data link layer (when attached),
-    /// charging replayed bytes as wire traffic and replay/retrain
-    /// latency as delay. With no faults injected this is exactly
-    /// [`Link::transmit`] with a zero penalty.
+    /// Transmits `bytes` arriving at time `at`, queued behind earlier
+    /// transfers (store-and-forward). Through an attached data link
+    /// layer, replayed bytes are charged as wire traffic and replay and
+    /// retrain latency as delay; with no faults injected the penalty is
+    /// zero.
     ///
     /// # Errors
     ///
     /// [`ReplayError::LinkDown`] when the link exhausts its retrain
     /// budget without delivering (a stuck link).
     pub fn try_transmit(&mut self, at: SimTime, bytes: u64) -> Result<LinkDelivery, ReplayError> {
-        let Some(dll) = &mut self.dll else {
-            return Ok(LinkDelivery {
-                done: self.transmit(at, bytes),
-                penalty: SimTime::ZERO,
-            });
-        };
         let start = at.max(self.busy_until);
-        let xfer = dll.transmit(start, bytes)?;
-        // Replays occupy the wire again; retrains and Ack round-trips
-        // add pure latency on top.
         let clean = self.bandwidth.transfer_time(bytes);
-        let total = self.bandwidth.transfer_time(bytes + xfer.replayed_bytes) + xfer.extra_delay;
-        let done = start + total;
-        self.busy_until = done;
-        self.bytes_carried += bytes + xfer.replayed_bytes;
-        if xfer.retrains > 0 && !self.degraded {
-            if let Some(factor) = self.degrade {
-                self.bandwidth = self.bandwidth.scale(factor);
-                self.degraded = true;
+        let mut total = clean;
+        if let Some(dll) = &mut self.dll {
+            let xfer = dll.transmit(start, bytes)?;
+            // Replays occupy the wire again; retrains and Ack round-trips
+            // add pure latency on top.
+            total = self.bandwidth.transfer_time(bytes + xfer.replayed_bytes) + xfer.extra_delay;
+            self.bytes_carried += xfer.replayed_bytes;
+            if xfer.retrains > 0 && !self.degraded {
+                if let Some(factor) = self.degrade {
+                    self.bandwidth = self.bandwidth.scale(factor);
+                    self.degraded = true;
+                }
             }
         }
+        let done = start + total;
+        self.busy_until = done;
+        self.bytes_carried += bytes;
         Ok(LinkDelivery {
             done,
             penalty: total.saturating_sub(clean),
@@ -241,12 +221,18 @@ mod tests {
         Bandwidth::from_gbps(32.0)
     }
 
+    fn done(l: &mut Link, at: SimTime, bytes: u64) -> SimTime {
+        let d = l.try_transmit(at, bytes).expect("a fault-free link");
+        assert_eq!(d.penalty, SimTime::ZERO);
+        d.done
+    }
+
     #[test]
     fn link_serializes_back_to_back() {
         let mut l = Link::new(bw());
-        let t1 = l.transmit(SimTime::ZERO, 32_000); // 1us at 32GB/s
+        let t1 = done(&mut l, SimTime::ZERO, 32_000); // 1us at 32GB/s
         assert_eq!(t1, SimTime::from_us(1));
-        let t2 = l.transmit(SimTime::ZERO, 32_000); // queues behind
+        let t2 = done(&mut l, SimTime::ZERO, 32_000); // queues behind
         assert_eq!(t2, SimTime::from_us(2));
         assert_eq!(l.bytes_carried(), 64_000);
     }
@@ -254,8 +240,8 @@ mod tests {
     #[test]
     fn idle_gaps_are_not_charged() {
         let mut l = Link::new(bw());
-        l.transmit(SimTime::ZERO, 32_000);
-        let t = l.transmit(SimTime::from_us(10), 32_000);
+        done(&mut l, SimTime::ZERO, 32_000);
+        let t = done(&mut l, SimTime::from_us(10), 32_000);
         assert_eq!(t, SimTime::from_us(11));
     }
 }

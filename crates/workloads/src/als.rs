@@ -8,7 +8,7 @@
 use gpu_model::{GpuId, KernelTrace, TraceOp};
 
 use crate::assembler::{interleave, scatter_ops, SlotDist};
-use crate::common::{bytes_per_target, per_gpu_compute_cycles, slot_base, stream_rng, targets};
+use crate::common::{bytes_per_target, per_gpu_compute_cycles, slot_base, stream_rng};
 use crate::spec::{CommPattern, RunSpec, Workload};
 
 /// The ALS workload.
@@ -54,7 +54,7 @@ impl Workload for Als {
     fn trace(&self, spec: &RunSpec, iter: u32, gpu: GpuId) -> KernelTrace {
         spec.validate();
         let mut rng = stream_rng(spec.seed, self.name(), iter, gpu);
-        let dsts = targets(self.pattern(), gpu, spec.num_gpus);
+        let dsts = self.pattern().targets(gpu, spec.num_gpus);
         // Two sub-iterations: user matrix, then item matrix.
         let per_dst_sub = bytes_per_target(self.update_bytes_per_gpu / 2, spec, dsts.len());
         let drawn_bytes = (per_dst_sub as f64 * self.rewrite_factor) as u64;

@@ -4,48 +4,11 @@ use gpu_model::GpuId;
 use sim_engine::DetRng;
 
 use crate::assembler::compute_cycles_for_wall_us;
-use crate::collectives::{grid_neighbors, ring_next, tree_children, tree_parent};
-use crate::convert::checked_gpu_index;
-use crate::spec::{app_region_base, CommPattern, RunSpec, ScalingMode};
+use crate::spec::{app_region_base, RunSpec, ScalingMode};
 
 /// Bytes reserved per source GPU inside a destination's app region, so
 /// concurrent writers never alias each other's slots.
 pub(crate) const SRC_SLOT_BYTES: u64 = 32 << 20;
-
-/// The GPUs this GPU communicates with under `pattern`. On a single-GPU
-/// run the GPU "communicates" with itself: the same stores execute as
-/// local writes, giving the Fig 9 baseline.
-pub(crate) fn targets(pattern: CommPattern, gpu: GpuId, num_gpus: u8) -> Vec<GpuId> {
-    if num_gpus == 1 {
-        return vec![gpu];
-    }
-    match pattern {
-        CommPattern::Neighbors => {
-            let i = gpu.index() as i32;
-            [i - 1, i + 1]
-                .into_iter()
-                .filter(|j| *j >= 0 && *j < i32::from(num_gpus))
-                .map(|j| {
-                    GpuId::new(
-                        checked_gpu_index("neighbor gpu index", j as u64)
-                            .expect("filtered to 0..num_gpus, which is u8"),
-                    )
-                })
-                .collect()
-        }
-        CommPattern::ManyToMany | CommPattern::AllToAll => (0..num_gpus)
-            .map(GpuId::new)
-            .filter(|g| *g != gpu)
-            .collect(),
-        CommPattern::Ring => vec![ring_next(gpu, num_gpus)],
-        CommPattern::Grid2d => grid_neighbors(gpu, num_gpus),
-        CommPattern::Tree => {
-            let mut t: Vec<GpuId> = tree_parent(gpu).into_iter().collect();
-            t.extend(tree_children(gpu, num_gpus));
-            t
-        }
-    }
-}
 
 /// Base address of `src`'s write slot inside `dst`'s app region.
 pub(crate) fn slot_base(dst: GpuId, src: GpuId) -> u64 {
@@ -86,27 +49,28 @@ pub(crate) fn stream_rng(seed: u64, app: &str, iter: u32, gpu: GpuId) -> DetRng 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::CommPattern;
 
     #[test]
     fn neighbor_targets_respect_edges() {
-        let t0 = targets(CommPattern::Neighbors, GpuId::new(0), 4);
+        let t0 = CommPattern::Neighbors.targets(GpuId::new(0), 4);
         assert_eq!(t0, vec![GpuId::new(1)]);
-        let t1 = targets(CommPattern::Neighbors, GpuId::new(1), 4);
+        let t1 = CommPattern::Neighbors.targets(GpuId::new(1), 4);
         assert_eq!(t1, vec![GpuId::new(0), GpuId::new(2)]);
-        let t3 = targets(CommPattern::Neighbors, GpuId::new(3), 4);
+        let t3 = CommPattern::Neighbors.targets(GpuId::new(3), 4);
         assert_eq!(t3, vec![GpuId::new(2)]);
     }
 
     #[test]
     fn all_to_all_targets_all_peers() {
-        let t = targets(CommPattern::AllToAll, GpuId::new(1), 4);
+        let t = CommPattern::AllToAll.targets(GpuId::new(1), 4);
         assert_eq!(t.len(), 3);
         assert!(!t.contains(&GpuId::new(1)));
     }
 
     #[test]
     fn single_gpu_targets_self() {
-        let t = targets(CommPattern::AllToAll, GpuId::new(0), 1);
+        let t = CommPattern::AllToAll.targets(GpuId::new(0), 1);
         assert_eq!(t, vec![GpuId::new(0)]);
     }
 

@@ -10,7 +10,7 @@
 use gpu_model::{GpuId, KernelTrace};
 
 use crate::assembler::{interleave, scatter_ops, SlotDist};
-use crate::common::{bytes_per_target, per_gpu_compute_cycles, stream_rng, targets};
+use crate::common::{bytes_per_target, per_gpu_compute_cycles, stream_rng};
 use crate::spec::{app_region_base, CommPattern, RunSpec, Workload};
 
 /// The CT/MBIR workload.
@@ -53,7 +53,7 @@ impl Workload for Ct {
     fn trace(&self, spec: &RunSpec, iter: u32, gpu: GpuId) -> KernelTrace {
         spec.validate();
         let mut rng = stream_rng(spec.seed, self.name(), iter, gpu);
-        let dsts = targets(self.pattern(), gpu, spec.num_gpus);
+        let dsts = self.pattern().targets(gpu, spec.num_gpus);
         let per_dst = bytes_per_target(self.update_bytes_per_gpu, spec, dsts.len());
         let drawn_bytes = (per_dst as f64 * self.rewrite_factor) as u64;
         let n_ops = (drawn_bytes / 256).max(1);

@@ -7,7 +7,7 @@
 use gpu_model::{GpuId, KernelTrace, TraceOp};
 
 use crate::assembler::{contiguous_ops, interleave};
-use crate::common::{bytes_per_boundary, per_gpu_compute_cycles, slot_base, stream_rng, targets};
+use crate::common::{bytes_per_boundary, per_gpu_compute_cycles, slot_base, stream_rng};
 use crate::spec::{CommPattern, RunSpec, Workload};
 
 /// The Diffusion workload.
@@ -44,7 +44,7 @@ impl Workload for Diffusion {
     fn trace(&self, spec: &RunSpec, iter: u32, gpu: GpuId) -> KernelTrace {
         spec.validate();
         let mut rng = stream_rng(spec.seed, self.name(), iter, gpu);
-        let dsts = targets(self.pattern(), gpu, spec.num_gpus);
+        let dsts = self.pattern().targets(gpu, spec.num_gpus);
         // Two phases: heat field, then Burgers field (disjoint slots).
         let per_dst_phase = bytes_per_boundary(self.halo_bytes_per_gpu / 2, spec);
         let compute_per_phase = per_gpu_compute_cycles(self.compute_wall_us / 2.0, spec);

@@ -7,7 +7,7 @@
 use gpu_model::{GpuId, KernelTrace};
 
 use crate::assembler::{interleave, strided_row_ops};
-use crate::common::{bytes_per_boundary, per_gpu_compute_cycles, slot_base, stream_rng, targets};
+use crate::common::{bytes_per_boundary, per_gpu_compute_cycles, slot_base, stream_rng};
 use crate::spec::{CommPattern, RunSpec, Workload};
 
 /// The EQWP workload.
@@ -47,7 +47,7 @@ impl Workload for Eqwp {
     fn trace(&self, spec: &RunSpec, iter: u32, gpu: GpuId) -> KernelTrace {
         spec.validate();
         let mut rng = stream_rng(spec.seed, self.name(), iter, gpu);
-        let dsts = targets(self.pattern(), gpu, spec.num_gpus);
+        let dsts = self.pattern().targets(gpu, spec.num_gpus);
         let per_dst = bytes_per_boundary(self.halo_bytes_per_gpu, spec);
         // Each boundary element is 2 lanes x 4B = 8B; `rows` per target.
         let rows = per_dst / 8;

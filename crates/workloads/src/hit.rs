@@ -8,7 +8,7 @@
 use gpu_model::{GpuId, KernelTrace, TraceOp};
 
 use crate::assembler::{interleave, scatter_ops, SlotDist};
-use crate::common::{bytes_per_target, per_gpu_compute_cycles, slot_base, stream_rng, targets};
+use crate::common::{bytes_per_target, per_gpu_compute_cycles, slot_base, stream_rng};
 use crate::spec::{CommPattern, RunSpec, Workload};
 
 /// The HIT workload.
@@ -45,7 +45,7 @@ impl Workload for Hit {
     fn trace(&self, spec: &RunSpec, iter: u32, gpu: GpuId) -> KernelTrace {
         spec.validate();
         let mut rng = stream_rng(spec.seed, self.name(), iter, gpu);
-        let dsts = targets(self.pattern(), gpu, spec.num_gpus);
+        let dsts = self.pattern().targets(gpu, spec.num_gpus);
         // Forward transpose, FFT compute, inverse transpose.
         let per_dst_phase = bytes_per_target(self.transpose_bytes_per_gpu / 2, spec, dsts.len());
         let compute_per_phase = per_gpu_compute_cycles(self.compute_wall_us / 2.0, spec);

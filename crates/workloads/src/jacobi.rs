@@ -8,7 +8,7 @@
 use gpu_model::{GpuId, KernelTrace};
 
 use crate::assembler::{contiguous_ops, interleave};
-use crate::common::{bytes_per_boundary, per_gpu_compute_cycles, slot_base, stream_rng, targets};
+use crate::common::{bytes_per_boundary, per_gpu_compute_cycles, slot_base, stream_rng};
 use crate::spec::{CommPattern, RunSpec, Workload};
 
 /// The Jacobi solver workload.
@@ -45,7 +45,7 @@ impl Workload for Jacobi {
     fn trace(&self, spec: &RunSpec, iter: u32, gpu: GpuId) -> KernelTrace {
         spec.validate();
         let mut rng = stream_rng(spec.seed, self.name(), iter, gpu);
-        let dsts = targets(self.pattern(), gpu, spec.num_gpus);
+        let dsts = self.pattern().targets(gpu, spec.num_gpus);
         let per_dst = bytes_per_boundary(self.halo_bytes_per_gpu, spec);
         let mut stores = Vec::new();
         for dst in dsts {

@@ -8,7 +8,7 @@
 use gpu_model::{GpuId, KernelTrace};
 
 use crate::assembler::{interleave, scatter_ops, SlotDist};
-use crate::common::{bytes_per_boundary, per_gpu_compute_cycles, slot_base, stream_rng, targets};
+use crate::common::{bytes_per_boundary, per_gpu_compute_cycles, slot_base, stream_rng};
 use crate::spec::{CommPattern, RunSpec, Workload};
 
 /// The PageRank workload.
@@ -54,7 +54,7 @@ impl Workload for Pagerank {
     fn trace(&self, spec: &RunSpec, iter: u32, gpu: GpuId) -> KernelTrace {
         spec.validate();
         let mut rng = stream_rng(spec.seed, self.name(), iter, gpu);
-        let dsts = targets(self.pattern(), gpu, spec.num_gpus);
+        let dsts = self.pattern().targets(gpu, spec.num_gpus);
         let per_dst = bytes_per_boundary(self.update_bytes_per_gpu, spec);
         // Each warp op scatters 32 independent 4B rank updates.
         let drawn_bytes = (per_dst as f64 * self.rewrite_factor) as u64;

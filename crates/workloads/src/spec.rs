@@ -5,6 +5,9 @@
 
 use gpu_model::{GpuId, KernelTrace};
 
+use crate::collectives::{grid_neighbors, ring_next, tree_children, tree_parent};
+use crate::convert::checked_gpu_index;
+
 /// Inter-GPU communication pattern, as characterized in §V.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CommPattern {
@@ -34,6 +37,44 @@ impl std::fmt::Display for CommPattern {
             CommPattern::Ring => write!(f, "ring"),
             CommPattern::Grid2d => write!(f, "2d-grid"),
             CommPattern::Tree => write!(f, "tree"),
+        }
+    }
+}
+
+impl CommPattern {
+    /// The GPUs `gpu` communicates with under this pattern, a tree's
+    /// parent before its children. On a single-GPU run the GPU
+    /// "communicates" with itself: the same stores execute as local
+    /// writes, giving the Fig 9 baseline.
+    pub fn targets(self, gpu: GpuId, num_gpus: u8) -> Vec<GpuId> {
+        if num_gpus == 1 {
+            return vec![gpu];
+        }
+        match self {
+            CommPattern::Neighbors => {
+                let i = gpu.index() as i32;
+                [i - 1, i + 1]
+                    .into_iter()
+                    .filter(|j| *j >= 0 && *j < i32::from(num_gpus))
+                    .map(|j| {
+                        GpuId::new(
+                            checked_gpu_index("neighbor gpu index", j as u64)
+                                .expect("filtered to 0..num_gpus, which is u8"),
+                        )
+                    })
+                    .collect()
+            }
+            CommPattern::ManyToMany | CommPattern::AllToAll => (0..num_gpus)
+                .map(GpuId::new)
+                .filter(|g| *g != gpu)
+                .collect(),
+            CommPattern::Ring => vec![ring_next(gpu, num_gpus)],
+            CommPattern::Grid2d => grid_neighbors(gpu, num_gpus),
+            CommPattern::Tree => {
+                let mut t: Vec<GpuId> = tree_parent(gpu).into_iter().collect();
+                t.extend(tree_children(gpu, num_gpus));
+                t
+            }
         }
     }
 }

@@ -8,7 +8,7 @@
 use gpu_model::{GpuId, KernelTrace};
 
 use crate::assembler::{interleave, scatter_ops, SlotDist};
-use crate::common::{bytes_per_target, per_gpu_compute_cycles, slot_base, stream_rng, targets};
+use crate::common::{bytes_per_target, per_gpu_compute_cycles, slot_base, stream_rng};
 use crate::spec::{CommPattern, RunSpec, Workload};
 use gpu_model::TraceOp;
 
@@ -60,7 +60,7 @@ impl Workload for Sssp {
     fn trace(&self, spec: &RunSpec, iter: u32, gpu: GpuId) -> KernelTrace {
         spec.validate();
         let mut rng = stream_rng(spec.seed, self.name(), iter, gpu);
-        let dsts = targets(self.pattern(), gpu, spec.num_gpus);
+        let dsts = self.pattern().targets(gpu, spec.num_gpus);
         let per_dst = bytes_per_target(self.update_bytes_per_gpu, spec, dsts.len());
         let drawn_bytes = (per_dst as f64 * self.rewrite_factor) as u64;
         let n_ops = (drawn_bytes / 128).max(1);

@@ -9,7 +9,7 @@
 use gpu_model::{GpuId, KernelTrace, TraceOp};
 
 use crate::assembler::{contiguous_ops, interleave, scatter_ops, SlotDist};
-use crate::common::{bytes_per_target, per_gpu_compute_cycles, slot_base, stream_rng, targets};
+use crate::common::{bytes_per_target, per_gpu_compute_cycles, slot_base, stream_rng};
 use crate::convert::checked_u32;
 use crate::spec::{CommPattern, RunSpec, Workload};
 
@@ -199,7 +199,7 @@ impl Workload for Synthetic {
     fn trace(&self, spec: &RunSpec, iter: u32, gpu: GpuId) -> KernelTrace {
         spec.validate();
         let mut rng = stream_rng(spec.seed, self.name(), iter, gpu);
-        let dsts = targets(self.comm_pattern, gpu, spec.num_gpus);
+        let dsts = self.comm_pattern.targets(gpu, spec.num_gpus);
         let per_dst = bytes_per_target(self.bytes_per_gpu, spec, dsts.len());
         let drawn = (per_dst as f64 * self.rewrite_factor) as u64;
         let bytes_per_op = u64::from(32 * self.element_bytes);

@@ -12,9 +12,9 @@
 //!   inefficiency; FinePack wins elsewhere — and needs no application
 //!   porting.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
-use gpu_model::{GpuId, RemoteStore};
+use gpu_model::{GpuId, LineMap, RemoteStore};
 use protocol::FramingModel;
 use sim_engine::{DetRng, SimTime};
 
@@ -22,16 +22,24 @@ use crate::config::FinePackError;
 use crate::egress::{store_share, EgressMetrics, EgressPath, PayloadMode, WirePacket};
 use crate::rwq::{span_mask, FlushedEntry};
 
-/// Per-destination cacheline combining buffer with FIFO eviction.
+/// Per-destination cacheline combining buffer with FIFO eviction: a
+/// ring of lines in insertion order, indexed by line address.
 #[derive(Debug, Default)]
 struct LineBuffer {
-    lines: BTreeMap<u64, (u128, Vec<u8>, u64)>, // line -> (mask, data, stores_merged)
-    fifo: VecDeque<u64>,
+    /// Each line and its merged-store count, oldest first.
+    ring: VecDeque<(FlushedEntry, u64)>,
+    /// Line address -> insertion sequence number; the line's slot in
+    /// `ring` is its sequence number minus `head`.
+    index: LineMap<u64>,
+    /// Sequence number of the ring's front line (of the next line in,
+    /// when the ring is empty).
+    head: u64,
 }
 
 impl LineBuffer {
     /// Inserts a store; returns an evicted line and its merged-store
-    /// count if capacity was exceeded. With `buffer_payloads` off
+    /// count if capacity was exceeded. A hit merges in place, so a line
+    /// leaves in the order it arrived. With `buffer_payloads` off
     /// (timing-only runs) lines hold masks only and flushed entries
     /// carry empty `data`.
     fn insert(
@@ -43,60 +51,45 @@ impl LineBuffer {
         buffer_payloads: bool,
     ) -> Option<(FlushedEntry, u64)> {
         let line_addr = addr & !127;
-        let off = (addr - line_addr) as u32;
-        let incoming = span_mask(off, data.len() as u32);
-        let mut evicted = None;
-        if !self.lines.contains_key(&line_addr) && self.lines.len() >= capacity {
-            let victim = self.fifo.pop_front().expect("fifo tracks lines");
-            let (mask, vdata, merged) = self.lines.remove(&victim).expect("line present");
-            evicted = Some((
-                FlushedEntry {
-                    line_addr: victim,
-                    mask,
-                    data: vdata,
-                },
-                merged,
-            ));
-        }
-        match self.lines.get_mut(&line_addr) {
-            Some((mask, buf, merged)) => {
-                *overwritten += u64::from((incoming & *mask).count_ones());
-                *mask |= incoming;
-                if buffer_payloads {
-                    buf[off as usize..off as usize + data.len()].copy_from_slice(data);
-                }
-                *merged += 1;
+        let off = (addr - line_addr) as usize;
+        let incoming = span_mask(off as u32, data.len() as u32);
+        if let Some(&seq) = self.index.get(&line_addr) {
+            let (line, merged) = &mut self.ring[(seq - self.head) as usize];
+            *overwritten += u64::from((incoming & line.mask).count_ones());
+            line.mask |= incoming;
+            if buffer_payloads {
+                line.data[off..off + data.len()].copy_from_slice(data);
             }
-            None => {
-                let buf = if buffer_payloads {
-                    let mut buf = vec![0u8; 128];
-                    buf[off as usize..off as usize + data.len()].copy_from_slice(data);
-                    buf
-                } else {
-                    Vec::new()
-                };
-                self.lines.insert(line_addr, (incoming, buf, 1));
-                self.fifo.push_back(line_addr);
-            }
+            *merged += 1;
+            return None;
         }
+        let evicted = (self.ring.len() >= capacity).then(|| {
+            let victim = self.ring.pop_front().expect("a full ring");
+            self.index.remove(&victim.0.line_addr);
+            self.head += 1;
+            victim
+        });
+        let mut line = FlushedEntry {
+            line_addr,
+            mask: incoming,
+            data: Vec::new(),
+        };
+        if buffer_payloads {
+            line.data = vec![0u8; 128];
+            line.data[off..off + data.len()].copy_from_slice(data);
+        }
+        let seq = self.head + self.ring.len() as u64;
+        self.index.insert(line_addr, seq);
+        self.ring.push_back((line, 1));
         evicted
     }
 
+    /// Empties the buffer, returning its lines in address order.
     fn drain(&mut self) -> Vec<(FlushedEntry, u64)> {
-        self.fifo.clear();
-        std::mem::take(&mut self.lines)
-            .into_iter()
-            .map(|(line_addr, (mask, data, merged))| {
-                (
-                    FlushedEntry {
-                        line_addr,
-                        mask,
-                        data,
-                    },
-                    merged,
-                )
-            })
-            .collect()
+        self.index.clear();
+        let mut lines: Vec<_> = self.ring.drain(..).collect();
+        lines.sort_unstable_by_key(|(line, _)| line.line_addr);
+        lines
     }
 }
 
@@ -133,7 +126,8 @@ pub struct WriteCombiningEgress {
     src: GpuId,
     framing: FramingModel,
     capacity: usize,
-    buffers: BTreeMap<GpuId, LineBuffer>,
+    /// Line buffers indexed by destination [`GpuId::index`].
+    buffers: Vec<LineBuffer>,
     metrics: EgressMetrics,
     payload_mode: PayloadMode,
     /// GPS's subscription filter; `None` for plain write combining.
@@ -149,7 +143,7 @@ impl WriteCombiningEgress {
             src,
             framing,
             capacity,
-            buffers: BTreeMap::new(),
+            buffers: Vec::new(),
             metrics: EgressMetrics::default(),
             payload_mode: PayloadMode::Full,
             subscription: None,
@@ -190,34 +184,38 @@ impl WriteCombiningEgress {
         self.subscription.as_ref().map_or(0, |s| s.filtered)
     }
 
-    fn emit_entry(&mut self, dst: GpuId, entry: FlushedEntry, merged: u64) -> Vec<WirePacket> {
-        let runs = entry.runs();
-        let n = runs.len();
-        runs.into_iter()
-            .enumerate()
-            .map(|(i, (off, len))| {
-                let addr = entry.line_addr + u64::from(off);
-                let stores = match self.payload_mode {
-                    PayloadMode::Extents => Vec::new(),
-                    PayloadMode::Full => vec![RemoteStore {
-                        src: self.src,
-                        dst,
-                        addr,
-                        data: entry.data[off as usize..(off + len) as usize].to_vec(),
-                    }],
-                };
-                let packet = WirePacket {
+    fn emit_entry(
+        &mut self,
+        dst: GpuId,
+        entry: FlushedEntry,
+        merged: u64,
+        out: &mut Vec<WirePacket>,
+    ) {
+        // One TLP per run of valid bytes; a run starts at each set bit
+        // whose lower neighbour is clear.
+        let n = (entry.mask & !(entry.mask << 1)).count_ones() as usize;
+        for (i, (off, len)) in entry.runs_iter().enumerate() {
+            let addr = entry.line_addr + u64::from(off);
+            let stores = match self.payload_mode {
+                PayloadMode::Extents => Vec::new(),
+                PayloadMode::Full => vec![RemoteStore {
+                    src: self.src,
                     dst,
-                    wire_bytes: self.framing.wire_bytes(len),
-                    data_bytes: u64::from(len),
-                    payload_bytes: len,
-                    reason: None,
-                    store_count: 1,
-                    stores,
-                };
-                self.metrics.emit(packet, store_share(merged, n, i))
-            })
-            .collect()
+                    addr,
+                    data: entry.data[off as usize..(off + len) as usize].to_vec(),
+                }],
+            };
+            let packet = WirePacket {
+                dst,
+                wire_bytes: self.framing.wire_bytes(len),
+                data_bytes: u64::from(len),
+                payload_bytes: len,
+                reason: None,
+                store_count: 1,
+                stores,
+            };
+            out.push(self.metrics.emit(packet, store_share(merged, n, i)));
+        }
     }
 }
 
@@ -238,7 +236,11 @@ impl EgressPath for WriteCombiningEgress {
         }
         let mut overwritten = 0u64;
         let buffer_payloads = matches!(self.payload_mode, PayloadMode::Full);
-        let evicted = self.buffers.entry(store.dst).or_default().insert(
+        let slot = store.dst.index();
+        if slot >= self.buffers.len() {
+            self.buffers.resize_with(slot + 1, LineBuffer::default);
+        }
+        let evicted = self.buffers[slot].insert(
             store.addr,
             &store.data,
             self.capacity,
@@ -246,19 +248,19 @@ impl EgressPath for WriteCombiningEgress {
             buffer_payloads,
         );
         self.metrics.overwritten_bytes += overwritten;
-        match evicted {
-            Some((entry, merged)) => Ok(self.emit_entry(store.dst, entry, merged)),
-            None => Ok(Vec::new()),
+        let mut out = Vec::new();
+        if let Some((entry, merged)) = evicted {
+            self.emit_entry(store.dst, entry, merged, &mut out);
         }
+        Ok(out)
     }
 
     fn release(&mut self) -> Vec<WirePacket> {
         let mut out = Vec::new();
-        let dsts: Vec<GpuId> = self.buffers.keys().copied().collect();
-        for dst in dsts {
-            let drained = self.buffers.get_mut(&dst).expect("dst present").drain();
-            for (entry, merged) in drained {
-                out.extend(self.emit_entry(dst, entry, merged));
+        for slot in 0..self.buffers.len() {
+            let dst = GpuId::new(u8::try_from(slot).expect("GPU indices fit u8"));
+            for (entry, merged) in self.buffers[slot].drain() {
+                self.emit_entry(dst, entry, merged, &mut out);
             }
         }
         out
@@ -284,6 +286,125 @@ impl EgressPath for WriteCombiningEgress {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
+
+    /// The line buffer as it was before the ring: a `BTreeMap` of lines
+    /// beside a FIFO of their addresses. Kept as the ring's oracle.
+    #[derive(Debug, Default)]
+    struct OracleLineBuffer {
+        lines: BTreeMap<u64, (u128, Vec<u8>, u64)>, // line -> (mask, data, stores_merged)
+        fifo: VecDeque<u64>,
+    }
+
+    impl OracleLineBuffer {
+        fn insert(
+            &mut self,
+            addr: u64,
+            data: &[u8],
+            capacity: usize,
+            overwritten: &mut u64,
+            buffer_payloads: bool,
+        ) -> Option<(FlushedEntry, u64)> {
+            let line_addr = addr & !127;
+            let off = (addr - line_addr) as u32;
+            let incoming = span_mask(off, data.len() as u32);
+            let mut evicted = None;
+            if !self.lines.contains_key(&line_addr) && self.lines.len() >= capacity {
+                let victim = self.fifo.pop_front().expect("fifo tracks lines");
+                let (mask, vdata, merged) = self.lines.remove(&victim).expect("line present");
+                evicted = Some((
+                    FlushedEntry {
+                        line_addr: victim,
+                        mask,
+                        data: vdata,
+                    },
+                    merged,
+                ));
+            }
+            match self.lines.get_mut(&line_addr) {
+                Some((mask, buf, merged)) => {
+                    *overwritten += u64::from((incoming & *mask).count_ones());
+                    *mask |= incoming;
+                    if buffer_payloads {
+                        buf[off as usize..off as usize + data.len()].copy_from_slice(data);
+                    }
+                    *merged += 1;
+                }
+                None => {
+                    let buf = if buffer_payloads {
+                        let mut buf = vec![0u8; 128];
+                        buf[off as usize..off as usize + data.len()].copy_from_slice(data);
+                        buf
+                    } else {
+                        Vec::new()
+                    };
+                    self.lines.insert(line_addr, (incoming, buf, 1));
+                    self.fifo.push_back(line_addr);
+                }
+            }
+            evicted
+        }
+
+        fn drain(&mut self) -> Vec<(FlushedEntry, u64)> {
+            self.fifo.clear();
+            std::mem::take(&mut self.lines)
+                .into_iter()
+                .map(|(line_addr, (mask, data, merged))| {
+                    (
+                        FlushedEntry {
+                            line_addr,
+                            mask,
+                            data,
+                        },
+                        merged,
+                    )
+                })
+                .collect()
+        }
+    }
+
+    #[test]
+    fn ring_matches_the_ordered_map_oracle() {
+        let mut rng = DetRng::new(0x71_4E, "line-ring-oracle");
+        for capacity in 1..=64usize {
+            for buffer_payloads in [false, true] {
+                let (mut ring, mut oracle) = (LineBuffer::default(), OracleLineBuffer::default());
+                let (mut ring_over, mut oracle_over) = (0u64, 0u64);
+                // A pool a few times the capacity: hits, evictions and
+                // re-inserts of evicted lines all occur.
+                let pool = capacity as u64 * rng.next_in_range(2, 5);
+                let (mut hits, mut evictions, mut reinserts) = (0, 0, 0);
+                let mut evicted = std::collections::HashSet::new();
+                for step in 0..40 * capacity + 200 {
+                    if rng.chance(0.01) {
+                        assert_eq!(ring.drain(), oracle.drain(), "drain at step {step}");
+                        continue;
+                    }
+                    let off = rng.next_u64_below(128);
+                    let len = rng.next_in_range(1, 129 - off) as usize;
+                    let addr = 0x4000_0000 + rng.next_u64_below(pool) * 128 + off;
+                    let data: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+                    let hit = oracle.lines.contains_key(&(addr & !127));
+                    hits += usize::from(hit);
+                    reinserts += usize::from(!hit && evicted.contains(&(addr & !127)));
+                    let want =
+                        oracle.insert(addr, &data, capacity, &mut oracle_over, buffer_payloads);
+                    let got = ring.insert(addr, &data, capacity, &mut ring_over, buffer_payloads);
+                    if let Some((entry, _)) = &want {
+                        evictions += 1;
+                        evicted.insert(entry.line_addr);
+                    }
+                    assert_eq!(got, want, "capacity {capacity}, step {step}");
+                    assert_eq!(ring_over, oracle_over);
+                }
+                assert_eq!(ring.drain(), oracle.drain());
+                assert!(
+                    hits > 0 && evictions > 0 && reinserts > 0,
+                    "capacity {capacity}"
+                );
+            }
+        }
+    }
 
     fn store(dst: u8, addr: u64, len: usize, val: u8) -> RemoteStore {
         RemoteStore {

@@ -3,11 +3,15 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+/// Values below this are counted in a dense array; larger ones in a map.
+const DENSE: usize = 256;
+
 /// An exact histogram over integer-valued samples (e.g. transfer sizes).
 ///
 /// Buckets are the sample values themselves; this is intended for
 /// low-cardinality domains such as store sizes (1–128 bytes) or
-/// stores-per-packet counts.
+/// stores-per-packet counts. Values below 256 are counted in a dense
+/// array, so recording one is an index, not a map insert.
 ///
 /// # Examples
 ///
@@ -25,7 +29,10 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     name: String,
-    buckets: BTreeMap<u64, u64>,
+    /// Counts of the values below [`DENSE`], indexed by value.
+    dense: Box<[u64; DENSE]>,
+    /// Counts of the values from [`DENSE`] up; never holds a zero.
+    sparse: BTreeMap<u64, u64>,
     total: u64,
     sum: u128,
 }
@@ -35,7 +42,8 @@ impl Histogram {
     pub fn new(name: impl Into<String>) -> Self {
         Histogram {
             name: name.into(),
-            buckets: BTreeMap::new(),
+            dense: Box::new([0; DENSE]),
+            sparse: BTreeMap::new(),
             total: 0,
             sum: 0,
         }
@@ -51,14 +59,22 @@ impl Histogram {
         if n == 0 {
             return;
         }
-        *self.buckets.entry(v).or_insert(0) += n;
+        if v < DENSE as u64 {
+            self.dense[v as usize] += n;
+        } else {
+            *self.sparse.entry(v).or_insert(0) += n;
+        }
         self.total += n;
         self.sum += v as u128 * n as u128;
     }
 
     /// Number of samples recorded with exactly value `v`.
     pub fn count(&self, v: u64) -> u64 {
-        self.buckets.get(&v).copied().unwrap_or(0)
+        if v < DENSE as u64 {
+            self.dense[v as usize]
+        } else {
+            self.sparse.get(&v).copied().unwrap_or(0)
+        }
     }
 
     /// Total number of samples.
@@ -76,7 +92,11 @@ impl Histogram {
         if self.total == 0 {
             return None;
         }
-        let below: u64 = self.buckets.range(..=v).map(|(_, count)| *count).sum();
+        let below: u64 = self
+            .iter()
+            .take_while(|&(x, _)| x <= v)
+            .map(|(_, c)| c)
+            .sum();
         Some(below as f64 / self.total as f64)
     }
 
@@ -99,12 +119,15 @@ impl Histogram {
                 return Some(v);
             }
         }
-        self.buckets.keys().next_back().copied()
+        self.iter().last().map(|(v, _)| v)
     }
 
     /// Iterates `(value, count)` pairs in ascending value order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.buckets.iter().map(|(v, c)| (*v, *c))
+        let dense = (0u64..).zip(self.dense.iter().copied());
+        dense
+            .filter(|(_, c)| *c > 0)
+            .chain(self.sparse.iter().map(|(v, c)| (*v, *c)))
     }
 
     /// Histogram name.
@@ -180,6 +203,55 @@ mod tests {
         assert_eq!(a.count(1), 3);
         assert_eq!(a.count(5), 1);
         assert_eq!(a.total(), 4);
+    }
+
+    #[test]
+    fn dense_and_sparse_buckets_match_a_map() {
+        // 0 once, 255 twice, 256 three times, u64::MAX four times: both
+        // edges of the dense array and the far end of the map.
+        let samples: Vec<u64> = [0, 255, 256, u64::MAX]
+            .into_iter()
+            .zip(1..)
+            .flat_map(|(v, n)| std::iter::repeat_n(v, n))
+            .collect();
+        let mut reference = BTreeMap::new();
+        for &v in &samples {
+            *reference.entry(v).or_insert(0u64) += 1;
+        }
+        let recorded = |order: &mut dyn Iterator<Item = &u64>| {
+            let mut h = Histogram::new("h");
+            order.for_each(|&v| h.record(v));
+            h
+        };
+        let forward = recorded(&mut samples.iter());
+        assert_eq!(forward, recorded(&mut samples.iter().rev()));
+        for split in 0..=samples.len() {
+            let (lo, hi) = samples.split_at(split);
+            let mut merged = recorded(&mut hi.iter());
+            merged.merge(&recorded(&mut lo.iter()));
+            assert_eq!(forward, merged, "split at {split}");
+        }
+
+        let want: Vec<(u64, u64)> = reference.iter().map(|(v, c)| (*v, *c)).collect();
+        assert_eq!(forward.iter().collect::<Vec<_>>(), want);
+        for v in [0, 1, 254, 255, 256, 257, u64::MAX - 1, u64::MAX] {
+            assert_eq!(forward.count(v), reference.get(&v).copied().unwrap_or(0));
+            let below: u64 = reference.range(..=v).map(|(_, c)| c).sum();
+            assert_eq!(forward.fraction_at_most(v), Some(below as f64 / 10.0));
+        }
+        for q in [0.0, 0.1, 0.15, 0.3, 0.31, 0.6, 0.61, 0.9, 1.0] {
+            let target = (q * 10.0f64).ceil().max(1.0) as u64;
+            let mut seen = 0;
+            let want = reference.iter().find_map(|(v, c)| {
+                seen += c;
+                (seen >= target).then_some(*v)
+            });
+            assert_eq!(forward.quantile(q), want, "q = {q}");
+        }
+        assert_eq!(
+            forward.to_string(),
+            format!("h (n=10) 0:1 255:2 256:3 {}:4", u64::MAX)
+        );
     }
 
     #[test]

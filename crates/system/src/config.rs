@@ -301,6 +301,14 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "empty or inverted outage window: from 5.000us until 5.000us")]
+    fn empty_outage_window_invalid() {
+        let at = SimTime::from_us(5);
+        let outage = FaultProfile::new(0.0).with_outage(1, at, at);
+        SystemConfig::paper(4).with_faults(outage).validate();
+    }
+
+    #[test]
     fn default_flow_control_is_credited_paper_pool() {
         let cfg = SystemConfig::paper(4);
         let credits = cfg.flow_control.credits().expect("credited by default");

@@ -99,7 +99,7 @@ impl FaultProfile {
     /// # Panics
     ///
     /// Panics if `ber` is outside `[0, 1]`, a degradation factor is
-    /// outside `(0, 1]`, or an outage window is inverted.
+    /// outside `(0, 1]`, or an outage window is empty or inverted.
     pub fn validate(&self) {
         assert!(
             (0.0..=1.0).contains(&self.ber),
@@ -110,7 +110,12 @@ impl FaultProfile {
             assert!(d > 0.0 && d <= 1.0, "degrade factor {d} outside (0, 1]");
         }
         if let Some(o) = self.outage {
-            assert!(o.from <= o.until, "outage window inverted");
+            assert!(
+                o.from < o.until,
+                "empty or inverted outage window: from {} until {}",
+                o.from,
+                o.until
+            );
         }
         assert!(!self.max_stall.is_zero(), "stall bound must be positive");
     }

@@ -1,6 +1,7 @@
 //! Golden-output gate: every suite app and collective under every
 //! paradigm and both flow-control regimes, plus jacobi and pagerank
-//! under every store paradigm at a bit-error rate, must reproduce its
+//! under every store paradigm at a bit-error rate, and five apps on a
+//! two-level switch tree, must reproduce its
 //! committed `RunReport::canonical_json` byte for byte, every budget
 //! trip its diagnostic, every registered experiment its rendered
 //! report, eight traced points their event stream, and the data link
@@ -16,7 +17,7 @@ use std::path::{Path, PathBuf};
 
 use protocol::{BitErrorModel, DataLinkEndpoint, ReplayConfig, ReplayError, ReplayStats};
 use sim_engine::{DetRng, SimTime};
-use system::{FaultProfile, Paradigm, PreparedWorkload, RunBudget, SystemConfig};
+use system::{FaultProfile, Paradigm, PreparedWorkload, RunBudget, SystemConfig, Topology};
 use telemetry::{EventKind, RingCollector, Sample, TraceEvent};
 use workloads::{CollectiveTuning, RunSpec, Workload};
 
@@ -33,24 +34,45 @@ fn spec() -> RunSpec {
     spec
 }
 
-/// The two flow-control regimes, keyed as the CLI names them.
-fn regimes() -> [(&'static str, SystemConfig); 2] {
-    let cfg = SystemConfig::paper(GPUS);
+/// `cfg` in the two flow-control regimes, keyed as the CLI names them.
+fn regimes(cfg: SystemConfig) -> [(&'static str, SystemConfig); 2] {
     [("open", cfg.open_loop()), ("credited", cfg)]
 }
 
-/// One `key json` line per (app, paradigm, regime) point.
-fn render(apps: &[Box<dyn Workload>]) -> String {
+/// One `key json` line per (app, paradigm, regime) point on `cfg`.
+fn render(apps: &[Box<dyn Workload>], cfg: SystemConfig) -> String {
     let spec = spec();
     let mut out = String::new();
     for app in apps {
         // Trace replay depends only on the GPU count, not on the flow
         // control regime: prepare once per app.
-        let prep = PreparedWorkload::new(app.as_ref(), &regimes()[0].1, &spec);
+        let prep = PreparedWorkload::new(app.as_ref(), &cfg, &spec);
         for p in Paradigm::ALL {
-            for (fc, cfg) in regimes() {
+            for (fc, cfg) in regimes(cfg) {
                 let report = prep.run(&cfg, p);
                 let _ = writeln!(out, "{}/{p}/{fc} {}", app.name(), report.canonical_json());
+            }
+        }
+    }
+    out
+}
+
+/// One `key json` line per (app, store paradigm, regime) point on `cfg`
+/// at BER 1e-5.
+fn render_faulted(apps: &[Box<dyn Workload>], cfg: SystemConfig) -> String {
+    let fault = FaultProfile::new(1e-5);
+    let mut out = String::new();
+    for app in apps {
+        let prep = PreparedWorkload::new(app.as_ref(), &cfg, &spec());
+        for p in Paradigm::ALL.into_iter().filter(|p| p.uses_stores()) {
+            for (fc, cfg) in regimes(cfg) {
+                let report = prep.run(&cfg.with_faults(fault), p);
+                let _ = writeln!(
+                    out,
+                    "{}/{p}/{fc}/ber=1e-5 {}",
+                    app.name(),
+                    report.canonical_json()
+                );
             }
         }
     }
@@ -90,14 +112,20 @@ fn check(name: &str, actual: &str) {
 
 #[test]
 fn suite_reports_match_golden() {
-    check("suite.txt", &render(&workloads::suite()));
+    check(
+        "suite.txt",
+        &render(&workloads::suite(), SystemConfig::paper(GPUS)),
+    );
 }
 
 #[test]
 fn collective_reports_match_golden() {
     check(
         "collectives.txt",
-        &render(&workloads::collectives_suite(&CollectiveTuning::default())),
+        &render(
+            &workloads::collectives_suite(&CollectiveTuning::default()),
+            SystemConfig::paper(GPUS),
+        ),
     );
 }
 
@@ -106,27 +134,34 @@ fn collective_reports_match_golden() {
 /// stalls, credit blocks and replays together.
 #[test]
 fn faulted_report_matches_golden() {
-    let fault = FaultProfile::new(1e-5);
     let apps: [Box<dyn Workload>; 2] = [
         Box::new(workloads::Jacobi::default()),
         Box::new(workloads::Pagerank::default()),
     ];
-    let mut out = String::new();
-    for app in &apps {
-        let prep = PreparedWorkload::new(app.as_ref(), &regimes()[0].1, &spec());
-        for p in Paradigm::ALL.into_iter().filter(|p| p.uses_stores()) {
-            for (fc, cfg) in regimes() {
-                let report = prep.run(&cfg.with_faults(fault), p);
-                let _ = writeln!(
-                    out,
-                    "{}/{p}/{fc}/ber=1e-5 {}",
-                    app.name(),
-                    report.canonical_json()
-                );
-            }
-        }
-    }
-    check("faulted.txt", &out);
+    check(
+        "faulted.txt",
+        &render_faulted(&apps, SystemConfig::paper(GPUS)),
+    );
+}
+
+/// Four GPUs on two leaf switches of two: half of every all-to-all
+/// pattern crosses a leaf uplink and the spine's downlink. Five apps
+/// under every paradigm in both regimes, then under every store
+/// paradigm at BER 1e-5, so the uplinks' and downlinks' hop latency,
+/// credit returns and replays (`up0`, `down1`) are pinned.
+#[test]
+fn two_level_reports_match_golden() {
+    let cfg = SystemConfig::paper(GPUS).with_topology(Topology::TwoLevel { gpus_per_leaf: 2 });
+    let tuning = CollectiveTuning::default();
+    let apps: [Box<dyn Workload>; 5] = [
+        Box::new(workloads::Pagerank::default()),
+        Box::new(workloads::Sssp::default()),
+        Box::new(workloads::Hit::default()),
+        workloads::collective("alltoall", &tuning).expect("registered"),
+        workloads::collective("tree-allreduce", &tuning).expect("registered"),
+    ];
+    let out = render(&apps, cfg) + &render_faulted(&apps, cfg);
+    check("two_level.txt", &out);
 }
 
 /// Pagerank on 2 GPUs, credited, under every store paradigm with an

@@ -53,4 +53,4 @@ pub use link::{FcStats, Link, LinkDelivery};
 pub use paradigm::Paradigm;
 pub use report::{RunReport, TrafficBreakdown, UniqueTracker, REPORT_SCHEMA_VERSION};
 pub use runner::{DmaPlan, Runner};
-pub use topology::{RoutedFabric, SendOutcome, Topology};
+pub use topology::{Delivery, RoutedFabric, SendOutcome, Topology};

@@ -1,8 +1,8 @@
 //! One link direction of the switched fabric: it serializes transfers
 //! in arrival order and, when attached, runs the data link layer's
 //! replay loop and posted-write credit flow control. The
-//! [`crate::RoutedFabric`] composes these into per-GPU egress and
-//! ingress links plus the switch hops between them.
+//! [`crate::RoutedFabric`] keeps them in one table: per-GPU egress and
+//! ingress links plus the leaf switches' uplinks and downlinks.
 
 use protocol::{CreditTimeline, DataLinkEndpoint, ReplayError, ReplayStats};
 use sim_engine::{Bandwidth, SimTime};
@@ -27,6 +27,8 @@ pub struct LinkDelivery {
     /// Time added by replays, timer recoveries, and retrains — zero for
     /// a clean first-pass delivery, so fault-free timing is unchanged.
     pub penalty: SimTime,
+    /// Bytes the data link layer retransmitted to deliver it.
+    pub replayed_bytes: u64,
 }
 
 /// One link direction: serializes transfers in arrival order. With a
@@ -160,11 +162,13 @@ impl Link {
         let start = at.max(self.busy_until);
         let clean = self.bandwidth.transfer_time(bytes);
         let mut total = clean;
+        let mut replayed_bytes = 0;
         if let Some(dll) = &mut self.dll {
             let xfer = dll.transmit(start, bytes)?;
             // Replays occupy the wire again; retrains and Ack round-trips
             // add pure latency on top.
             total = self.bandwidth.transfer_time(bytes + xfer.replayed_bytes) + xfer.extra_delay;
+            replayed_bytes = xfer.replayed_bytes;
             self.bytes_carried += xfer.replayed_bytes;
             if xfer.retrains > 0 && !self.degraded {
                 if let Some(factor) = self.degrade {
@@ -179,6 +183,7 @@ impl Link {
         Ok(LinkDelivery {
             done,
             penalty: total.saturating_sub(clean),
+            replayed_bytes,
         })
     }
 

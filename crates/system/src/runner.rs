@@ -18,7 +18,7 @@ use crate::config::SystemConfig;
 use crate::fault::RunError;
 use crate::paradigm::Paradigm;
 use crate::report::{RunReport, TrafficBreakdown, UniqueTracker};
-use crate::topology::{RoutedFabric, SendOutcome};
+use crate::topology::{Delivery, RoutedFabric, SendOutcome};
 
 /// One DMA transfer leg: (source, destination, payload bytes).
 pub type DmaPlan = Vec<(GpuId, GpuId, u64)>;
@@ -490,34 +490,21 @@ impl<'t> Runner<'t> {
         self.fabric.fc_in_flight_total()
     }
 
-    /// Cumulative replayed bytes across every link. The data-link layer
-    /// only exists under fault injection; without it replayed bytes are
-    /// identically zero, so the per-packet all-links sweep is skipped.
-    fn replayed_total(&self) -> u64 {
-        if self.cfg.fault.is_some() {
-            self.fabric.replayed_bytes_total()
-        } else {
-            0
-        }
-    }
-
-    /// Accounts one packet sent at `at` that landed at `landed`: replay
+    /// Accounts one packet sent at `at` and delivered as `sent`: replay
     /// attribution, the stall bound, the destination's local-memory
-    /// drain, the trace, and the memory image. `replayed_before` is
-    /// [`Runner::replayed_total`] read just before the send. Returns the
-    /// time the packet's stores drained.
+    /// drain, the trace, and the memory image. Returns the time the
+    /// packet's stores drained.
     fn land(
         &mut self,
         at: SimTime,
         src: GpuId,
         p: &WirePacket,
-        replayed_before: u64,
-        landed: SimTime,
+        sent: Delivery,
     ) -> Result<SimTime, RunError> {
         // A replayed aggregated TLP retransmits whole: attribute the
         // amplification to the flush that produced the packet.
-        let replayed = self.replayed_total() - replayed_before;
-        self.replay_amp.record(p.reason, p.wire_bytes, replayed);
+        self.replay_amp.record(p.reason, sent.replayed_bytes);
+        let landed = sent.landed;
         // No-forward-progress watchdog: a delivery that stalls past the
         // bound (crawling degraded link, replay storm) is a diagnostic
         // failure, not a silently absurd timeline.
@@ -536,7 +523,23 @@ impl<'t> Runner<'t> {
         // modeled for completeness.
         let drained = landed + self.hbm.transfer_time(p.data_bytes);
         if self.trace.is_some() {
-            self.record_transfer(at, src, p, replayed, landed, drained);
+            let transmit = EventKind::WireTransmit {
+                dst: p.dst.index() as u8,
+                wire_bytes: p.wire_bytes,
+                payload_bytes: u64::from(p.payload_bytes),
+                stores: p.store_count,
+                reason: p.reason.map(|r| r.label()),
+                done: landed,
+            };
+            self.record_send(at, src, transmit, sent.replayed_bytes);
+            self.record(TraceEvent {
+                time: landed,
+                gpu: p.dst.index() as u8,
+                kind: EventKind::Commit {
+                    data_bytes: p.data_bytes,
+                    done: drained,
+                },
+            });
         }
         if let Some(images) = &mut self.images {
             assert_eq!(
@@ -551,43 +554,25 @@ impl<'t> Runner<'t> {
         Ok(drained)
     }
 
-    /// Records the wire/replay/commit events for one delivered packet.
-    fn record_transfer(
-        &mut self,
-        at: SimTime,
-        src: GpuId,
-        p: &WirePacket,
-        replayed: u64,
-        landed: SimTime,
-        drained: SimTime,
-    ) {
+    /// Records one send from `src` at `at`, a store packet or a DMA leg:
+    /// its `transmit` event and, when its route replayed bytes, the data
+    /// link layer's replay.
+    fn record_send(&mut self, at: SimTime, src: GpuId, transmit: EventKind, replayed_bytes: u64) {
+        let gpu = src.index() as u8;
         self.record(TraceEvent {
             time: at,
-            gpu: src.index() as u8,
-            kind: EventKind::WireTransmit {
-                dst: p.dst.index() as u8,
-                wire_bytes: p.wire_bytes,
-                payload_bytes: u64::from(p.payload_bytes),
-                stores: p.store_count,
-                reason: p.reason.map(|r| r.label()),
-                done: landed,
-            },
+            gpu,
+            kind: transmit,
         });
-        if replayed > 0 {
+        if replayed_bytes > 0 {
             self.record(TraceEvent {
                 time: at,
-                gpu: src.index() as u8,
-                kind: EventKind::DllReplay { bytes: replayed },
+                gpu,
+                kind: EventKind::DllReplay {
+                    bytes: replayed_bytes,
+                },
             });
         }
-        self.record(TraceEvent {
-            time: landed,
-            gpu: p.dst.index() as u8,
-            kind: EventKind::Commit {
-                data_bytes: p.data_bytes,
-                done: drained,
-            },
-        });
     }
 
     /// Drains `gpu`'s port head-first through the fabric: the head
@@ -605,13 +590,12 @@ impl<'t> Runner<'t> {
         let src = GpuId::new(gpu as u8);
         while let Some(head) = self.ports[gpu].front() {
             let (dst, wire_bytes, payload_bytes) = (head.dst, head.wire_bytes, head.payload_bytes);
-            let replayed_before = self.replayed_total();
             let outcome = self
                 .fabric
                 .try_send_credited(at, src, dst, wire_bytes, payload_bytes)
                 .map_err(RunError::LinkDown)?;
-            let landed = match outcome {
-                SendOutcome::Delivered(landed) => landed,
+            let sent = match outcome {
+                SendOutcome::Delivered(sent) => sent,
                 SendOutcome::Blocked { until } => {
                     debug_assert!(until > at, "blocked admission must make progress");
                     self.record(TraceEvent {
@@ -623,7 +607,7 @@ impl<'t> Runner<'t> {
                 }
             };
             let p = self.ports[gpu].pop_front().expect("head just observed");
-            let drained = self.land(at, src, &p, replayed_before, landed)?;
+            let drained = self.land(at, src, &p, sent)?;
             *last_delivery = (*last_delivery).max(drained);
             self.events_since_progress = 0;
         }
@@ -844,32 +828,20 @@ impl<'t> Runner<'t> {
                     let start = runs[src.index()].kernel_time + self.cfg.dma_sw_overhead;
                     self.check_budget(start, 0, &[])?;
                     let wire = self.cfg.framing.bulk_wire_bytes(*bytes);
-                    let replayed_before = self.replayed_total();
-                    let landed = self
+                    let sent = self
                         .fabric
                         .try_send(start, *src, *dst, wire)
                         .map_err(RunError::LinkDown)?;
-                    self.record(TraceEvent {
-                        time: start,
-                        gpu: src.index() as u8,
-                        kind: EventKind::WireTransmit {
-                            dst: dst.index() as u8,
-                            wire_bytes: wire,
-                            payload_bytes: *bytes,
-                            stores: 0,
-                            reason: None,
-                            done: landed,
-                        },
-                    });
-                    let replayed = self.replayed_total() - replayed_before;
-                    if replayed > 0 {
-                        self.record(TraceEvent {
-                            time: start,
-                            gpu: src.index() as u8,
-                            kind: EventKind::DllReplay { bytes: replayed },
-                        });
-                    }
-                    last_delivery = last_delivery.max(landed);
+                    let transmit = EventKind::WireTransmit {
+                        dst: dst.index() as u8,
+                        wire_bytes: wire,
+                        payload_bytes: *bytes,
+                        stores: 0,
+                        reason: None,
+                        done: sent.landed,
+                    };
+                    self.record_send(start, *src, transmit, sent.replayed_bytes);
+                    last_delivery = last_delivery.max(sent.landed);
                     self.dma_wire_bytes += wire;
                     self.dma_data_bytes += bytes;
                 }

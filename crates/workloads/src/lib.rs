@@ -49,7 +49,6 @@ mod eqwp;
 mod graph;
 mod hit;
 mod jacobi;
-mod matrix;
 mod pagerank;
 mod spec;
 mod sssp;
@@ -67,7 +66,6 @@ pub use eqwp::Eqwp;
 pub use graph::{generate_rmat, vertex_owner, PagerankGraph, RmatParams};
 pub use hit::Hit;
 pub use jacobi::Jacobi;
-pub use matrix::{BandedSystem, JacobiMatrix};
 pub use pagerank::Pagerank;
 pub use spec::{app_region_base, CommPattern, RunSpec, ScalingMode, Workload, APP_REGION_OFFSET};
 pub use sssp::Sssp;

@@ -8,9 +8,9 @@ use gpu_model::{profile_run, read_trace, write_trace, AddressMap, Gpu, GpuId};
 use protocol::{fig2_sizes, FramingModel, PcieGen};
 use sim_engine::{SimTime, Table, WorkerPool};
 use system::{
-    audit_run, fault_sweep, run_suite, run_suite_supervised, scaling_curve, single_gpu_time,
-    subheader_sweep, CreditConfig, FaultProfile, FlowControlMode, Paradigm, PreparedWorkload,
-    RunBudget, RunReport, SystemConfig, REPORT_SCHEMA_VERSION,
+    audit_run, fault_sweep, single_gpu_time, sweep, CreditConfig, FaultProfile, FlowControlMode,
+    Paradigm, PreparedWorkload, RunBudget, RunReport, SpeedupRow, SystemConfig,
+    REPORT_SCHEMA_VERSION,
 };
 use telemetry::{EventKind, Law, RingCollector, Sample, TraceEvent, CHROME_TRACE_SCHEMA_VERSION};
 use workloads::{
@@ -20,6 +20,7 @@ use workloads::{
 
 use crate::args::{ArgError, Args};
 use crate::error::{CliError, CmdOut};
+use crate::experiments::{with_subheader, SUBHEADER_BYTES};
 
 /// An option a command accepts.
 pub(crate) struct Opt {
@@ -706,12 +707,13 @@ pub(crate) fn suite_table(args: &Args) -> Result<CmdOut, CliError> {
 /// Renders the supervised `suite` table, including the failed-points
 /// section and the partial-results epilogue.
 fn suite_report(spec: &RunSpec, cfg: &SystemConfig, pool: &WorkerPool) -> CmdOut {
-    let sup = run_suite_supervised(&suite(), cfg, spec, &Paradigm::FIG9, pool);
+    let sup = sweep(&suite(), spec, &[*cfg], &Paradigm::FIG9, pool);
     let mut t = Table::new(
         format!("suite speedups on {} GPUs, {}", spec.num_gpus, cfg.pcie_gen),
         &["app", "bulk-dma", "p2p-stores", "finepack", "infinite-bw"],
     );
-    for row in sup.rows() {
+    for rows in sup.apps.iter().filter_map(|a| a.outcome.as_ref().ok()) {
+        let row = &rows[0];
         let cell = |p| format!("{:.2}x", row.speedup(p).expect("measured"));
         t.row(&[
             row.app.clone(),
@@ -728,7 +730,7 @@ fn suite_report(spec: &RunSpec, cfg: &SystemConfig, pool: &WorkerPool) -> CmdOut
         let _ = writeln!(
             out,
             "\nfailed points ({failed} of {} apps):",
-            sup.points.len()
+            sup.apps.len()
         );
         for (app, failure) in sup.failed() {
             let _ = writeln!(out, "  {app}: {failure}");
@@ -804,7 +806,7 @@ pub(crate) fn collectives(args: &Args) -> Result<String, CliError> {
                     .expect("registry name")
             })
             .collect();
-        let res = run_suite(&apps, &cfg, &spec, &paradigms, &pool);
+        let res = sweep(&apps, &spec, &[cfg], &paradigms, &pool);
         total_events += res.sim_events;
         let mut t = Table::new(
             format!(
@@ -814,7 +816,7 @@ pub(crate) fn collectives(args: &Args) -> Result<String, CliError> {
             ),
             &["msg-dist", "bulk-dma", "p2p-stores", "finepack", "best"],
         );
-        for (m, row) in ladder.iter().zip(&res.rows) {
+        for (m, row) in ladder.iter().zip(res.rows(0)) {
             // A time ratio is the inverse speedup ratio: the best
             // paradigm prints 1.000, the others how much slower they are.
             let best = row.speedups.iter().max_by(|a, b| a.1.total_cmp(&b.1));
@@ -852,22 +854,23 @@ pub(crate) fn collectives(args: &Args) -> Result<String, CliError> {
         .map(|n| workloads::collective(n, &tuning).expect("registry name"))
         .collect();
     // Weak scaling: per-GPU work stays constant as the cluster grows —
-    // the data-parallel training regime the collectives model.
-    let mut weak = spec;
-    weak.scaling = ScalingMode::Weak;
-    let make_cfg = |n: u8| {
-        let mut s = weak;
-        s.num_gpus = n;
-        system_from(args, &s).expect("flags validated on the base spec")
-    };
-    let curve = scaling_curve(
-        &apps,
-        &weak,
-        &counts,
-        &make_cfg,
-        &[Paradigm::BulkDma, Paradigm::FinePack],
-        &pool,
-    );
+    // the data-parallel training regime the collectives model. Each GPU
+    // count prepares the apps anew, so each is its own sweep.
+    let curve: Vec<(u8, Vec<SpeedupRow>)> = counts
+        .iter()
+        .map(|&n| {
+            let weak = RunSpec {
+                num_gpus: n,
+                scaling: ScalingMode::Weak,
+                ..spec
+            };
+            let cfg = system_from(args, &weak).expect("flags validated on the base spec");
+            let paradigms = [Paradigm::BulkDma, Paradigm::FinePack];
+            let res = sweep(&apps, &weak, &[cfg], &paradigms, &pool);
+            total_events += res.sim_events;
+            (n, res.rows(0))
+        })
+        .collect();
     let mut t = Table::new(
         format!(
             "weak scaling to {max_gpus} GPUs ({}B payload/GPU, {})",
@@ -876,8 +879,8 @@ pub(crate) fn collectives(args: &Args) -> Result<String, CliError> {
         &["collective", "gpus", "bulk-dma", "finepack", "fp/dma"],
     );
     for (i, name) in names.iter().enumerate() {
-        for point in &curve {
-            let row = &point.rows[i];
+        for (n, rows) in &curve {
+            let row = &rows[i];
             let dma = row.speedup(Paradigm::BulkDma);
             let fp = row.speedup(Paradigm::FinePack);
             let cell = |v: Option<f64>| v.map(|s| format!("{s:.2}x")).unwrap_or_else(|| "-".into());
@@ -887,15 +890,12 @@ pub(crate) fn collectives(args: &Args) -> Result<String, CliError> {
             };
             t.row(&[
                 (*name).to_string(),
-                point.num_gpus.to_string(),
+                n.to_string(),
                 cell(dma),
                 cell(fp),
                 ratio,
             ]);
         }
-    }
-    for point in &curve {
-        total_events += point.sim_events;
     }
     out.push_str(&t.render());
     let _ = writeln!(out, "total sim events: {total_events}");
@@ -924,17 +924,18 @@ pub(crate) fn sweep_subheader(args: &Args) -> Result<String, CliError> {
             suite()
         }
     };
-    let sweep = subheader_sweep(&apps, &cfg, &spec, &pool);
+    let cfgs: Vec<SystemConfig> = SUBHEADER_BYTES.map(|b| with_subheader(&cfg, b)).collect();
+    let grid = sweep(&apps, &spec, &cfgs, &[Paradigm::FinePack], &pool);
     let mut t = Table::new(
         "FinePack sub-header sweep (geomean speedup)",
         &["subheader", "window", "speedup"],
     );
-    for (bytes, speedup) in sweep {
+    for (i, bytes) in SUBHEADER_BYTES.enumerate() {
         let f = SubheaderFormat::new(bytes).expect("valid");
         t.row(&[
             format!("{bytes}B"),
             format!("{}B", f.addressable_range()),
-            format!("{speedup:.2}x"),
+            format!("{:.2}x", grid.geomean(i, Paradigm::FinePack)),
         ]);
     }
     Ok(t.render())

@@ -9,6 +9,7 @@
 //! iteration counts themselves.
 
 use std::fmt::Write as _;
+use std::ops::RangeInclusive;
 
 use finepack::{
     AllocationPolicy, ConfigPacketModel, EgressPath, FinePackConfig, FlushReason, RawP2pEgress,
@@ -17,8 +18,8 @@ use finepack::{
 use protocol::{fig2_sizes, goodput_curve, FramingModel, PcieGen};
 use sim_engine::{geomean, BarChart, SimTime, Table, WorkerPool};
 use system::{
-    bandwidth_sweep, geomean_speedup, run_suite, single_gpu_time, speedup_row, subheader_sweep,
-    Paradigm, PreparedWorkload, SpeedupRow, SystemConfig, Topology,
+    geomean_speedup, single_gpu_time, speedup_row, sweep, Paradigm, PreparedWorkload, SpeedupRow,
+    Sweep, SystemConfig, Topology,
 };
 use workloads::{suite, Pagerank, PagerankGraph, RmatParams, RunSpec, ScalingMode, Sssp, Workload};
 
@@ -94,26 +95,30 @@ fn fig9_headers(label: &str) -> [&str; 5] {
     [label, "bulk-dma", "p2p-stores", "finepack", "infinite-bw"]
 }
 
-/// One [`SpeedupRow`] per suite app under `cfg`.
-fn suite_rows(cfg: &SystemConfig, spec: &RunSpec, paradigms: &[Paradigm]) -> Vec<SpeedupRow> {
-    run_suite(
+/// The suite under each of `cfgs`, one task per app.
+fn suite_sweep(cfgs: &[SystemConfig], spec: &RunSpec, paradigms: &[Paradigm]) -> Sweep {
+    sweep(
         &suite(),
-        cfg,
         spec,
+        cfgs,
         paradigms,
         &WorkerPool::default_parallel(),
     )
-    .rows
 }
 
-/// The suite's geomean speedup per paradigm under `cfg`.
-fn suite_geomeans<const N: usize>(
-    cfg: &SystemConfig,
-    spec: &RunSpec,
-    paradigms: [Paradigm; N],
-) -> [f64; N] {
-    let rows = suite_rows(cfg, spec, &paradigms);
-    paradigms.map(|p| geomean_speedup(&rows, p).expect("non-empty suite"))
+/// One [`SpeedupRow`] per suite app under `cfg`.
+fn suite_rows(cfg: &SystemConfig, spec: &RunSpec, paradigms: &[Paradigm]) -> Vec<SpeedupRow> {
+    suite_sweep(&[*cfg], spec, paradigms).rows(0)
+}
+
+/// The sub-header sizes Fig 12 sweeps, in bytes.
+pub(crate) const SUBHEADER_BYTES: RangeInclusive<u32> = 2..=6;
+
+/// `cfg` with the paper's FinePack structures and `bytes`-byte
+/// sub-headers: one point of the Fig 12 grid.
+pub(crate) fn with_subheader(cfg: &SystemConfig, bytes: u32) -> SystemConfig {
+    let sub = SubheaderFormat::new(bytes).expect("2..=6 valid");
+    cfg.with_finepack(FinePackConfig::paper(u32::from(cfg.num_gpus)).with_subheader(sub))
 }
 
 /// The Fig 9 table shared by `fig09_speedup` and `scale16_gpu`: a row
@@ -217,7 +222,7 @@ fn tab02_subheader(_: &RunSpec) -> String {
             "addressable range",
         ],
     );
-    for bytes in 2..=6u32 {
+    for bytes in SUBHEADER_BYTES {
         let f = SubheaderFormat::new(bytes).expect("2..=6 valid");
         let range = f.addressable_range();
         let human = if range >= 1 << 30 {
@@ -355,12 +360,17 @@ fn fig11_coalescing(spec: &RunSpec) -> String {
 /// The paper's sweet spot is 4–5 bytes.
 fn fig12_subheader_sweep(spec: &RunSpec) -> String {
     let cfg = SystemConfig::paper(spec.num_gpus);
-    let sweep = subheader_sweep(&suite(), &cfg, spec, &WorkerPool::default_parallel());
+    let cfgs: Vec<SystemConfig> = SUBHEADER_BYTES.map(|b| with_subheader(&cfg, b)).collect();
+    let grid = suite_sweep(&cfgs, spec, &[Paradigm::FinePack]);
+    let points: Vec<(u32, f64)> = SUBHEADER_BYTES
+        .enumerate()
+        .map(|(i, bytes)| (bytes, grid.geomean(i, Paradigm::FinePack)))
+        .collect();
     let mut table = Table::new(
         "Fig 12: FinePack geomean speedup vs sub-header bytes",
         &["subheader", "offset bits", "window", "geomean speedup"],
     );
-    for (bytes, speedup) in &sweep {
+    for (bytes, speedup) in &points {
         let fmt = SubheaderFormat::new(*bytes).expect("valid");
         table.row(&[
             format!("{bytes}B"),
@@ -369,11 +379,11 @@ fn fig12_subheader_sweep(spec: &RunSpec) -> String {
             x2(*speedup),
         ]);
     }
-    let best = sweep
+    let best = points
         .iter()
         .max_by(|a, b| a.1.total_cmp(&b.1))
         .expect("non-empty");
-    let five = sweep.iter().find(|(b, _)| *b == 5).expect("5B point");
+    let five = points.iter().find(|(b, _)| *b == 5).expect("5B point");
     format!(
         "{}\nheadline: best at {}B sub-headers ({}), 5B within {:.1}% \
          (paper: peak at 4B, virtually unchanged at 5B)\n",
@@ -387,20 +397,19 @@ fn fig12_subheader_sweep(spec: &RunSpec) -> String {
 /// Figure 13: sensitivity to interconnect bandwidth (PCIe 4.0 / 5.0 /
 /// 6.0, the last comparable to the fastest NVLink).
 fn fig13_bandwidth(spec: &RunSpec) -> String {
-    let sweep = bandwidth_sweep(
-        &suite(),
-        &SystemConfig::paper(spec.num_gpus),
+    let cfg = SystemConfig::paper(spec.num_gpus);
+    let grid = suite_sweep(
+        &PcieGen::ALL.map(|gen| cfg.with_pcie_gen(gen)),
         spec,
         &Paradigm::FIG9,
-        &WorkerPool::default_parallel(),
     );
     let mut table = Table::new(
         "Fig 13: geomean speedup vs interconnect bandwidth",
         &fig9_headers("interconnect"),
     );
     let mut verdicts = String::new();
-    for (gen, means) in &sweep {
-        let get = |p| means.iter().find(|(q, _)| *q == p).expect("swept").1;
+    for (i, gen) in PcieGen::ALL.into_iter().enumerate() {
+        let get = |p| grid.geomean(i, p);
         table.row(&speedup_cells(
             format!("{gen} ({})", gen.bandwidth()),
             Paradigm::FIG9.map(get),
@@ -653,52 +662,60 @@ fn timeout_ablation(spec: &RunSpec) -> String {
 /// future work: sweep the RWQ entries per partition, then the §IV-C
 /// multi-window and dynamic-allocation variants.
 fn queue_sizing(spec: &RunSpec) -> String {
-    let fp_geomean = |fp: FinePackConfig| {
-        let cfg = SystemConfig::paper(spec.num_gpus).with_finepack(fp);
-        let [speedup] = suite_geomeans(&cfg, spec, [Paradigm::FinePack]);
-        x2(speedup)
-    };
     let paper = FinePackConfig::paper(u32::from(spec.num_gpus));
-
-    let mut entries = Table::new(
-        "RWQ entries per partition: FinePack geomean speedup",
-        &["entries/partition", "SRAM (4 GPUs)", "geomean speedup"],
-    );
-    for n in [8u32, 16, 32, 64, 128] {
-        let fp = FinePackConfig {
-            entries_per_partition: n,
-            ..paper
-        };
-        entries.row(&[
-            n.to_string(),
-            format!("{}KB", fp.data_sram_bytes() >> 10),
-            fp_geomean(fp),
-        ]);
-    }
-    let mut windows = Table::new(
-        "Open windows per partition (§IV-C variant): FinePack geomean speedup",
-        &["windows", "entries/window", "geomean speedup"],
-    );
-    for n in [1u32, 2, 4] {
-        let fp = paper.with_windows(n);
-        windows.row(&[
-            n.to_string(),
-            fp.entries_per_window().to_string(),
-            fp_geomean(fp),
-        ]);
-    }
-    let mut policies = Table::new(
-        "SRAM allocation policy (§IV-C variant): FinePack geomean speedup",
-        &["policy", "geomean speedup"],
-    );
-    for (name, policy) in [
+    let sizes = [8u32, 16, 32, 64, 128].map(|n| FinePackConfig {
+        entries_per_partition: n,
+        ..paper
+    });
+    let windows = [1u32, 2, 4].map(|n| paper.with_windows(n));
+    let policies = [
         (
             "static partition (paper)",
             AllocationPolicy::StaticPartition,
         ),
         ("dynamic shared pool", AllocationPolicy::DynamicShared),
-    ] {
-        policies.row(&[name.to_string(), fp_geomean(paper.with_allocation(policy))]);
+    ];
+    // All ten structures in one grid, drawn into three tables in order.
+    let base = SystemConfig::paper(spec.num_gpus);
+    let cfgs: Vec<SystemConfig> = sizes
+        .iter()
+        .chain(&windows)
+        .copied()
+        .chain(policies.map(|(_, policy)| paper.with_allocation(policy)))
+        .map(|fp| base.with_finepack(fp))
+        .collect();
+    let grid = suite_sweep(&cfgs, spec, &[Paradigm::FinePack]);
+    let mut geomeans = (0..cfgs.len()).map(|i| x2(grid.geomean(i, Paradigm::FinePack)));
+    let mut next = || geomeans.next().expect("one geomean per configuration");
+
+    let mut entries = Table::new(
+        "RWQ entries per partition: FinePack geomean speedup",
+        &["entries/partition", "SRAM (4 GPUs)", "geomean speedup"],
+    );
+    for fp in &sizes {
+        entries.row(&[
+            fp.entries_per_partition.to_string(),
+            format!("{}KB", fp.data_sram_bytes() >> 10),
+            next(),
+        ]);
+    }
+    let mut windows_table = Table::new(
+        "Open windows per partition (§IV-C variant): FinePack geomean speedup",
+        &["windows", "entries/window", "geomean speedup"],
+    );
+    for fp in &windows {
+        windows_table.row(&[
+            fp.windows_per_partition.to_string(),
+            fp.entries_per_window().to_string(),
+            next(),
+        ]);
+    }
+    let mut policies_table = Table::new(
+        "SRAM allocation policy (§IV-C variant): FinePack geomean speedup",
+        &["policy", "geomean speedup"],
+    );
+    for (name, _) in policies {
+        policies_table.row(&[name.to_string(), next()]);
     }
     format!(
         "{}\n{}\n{}\nreading: each doubling of the queue buys less, but the gain does not \
@@ -707,8 +724,8 @@ fn queue_sizing(spec: &RunSpec) -> String {
          only 1-2 of 3 partitions), while four windows of 16 entries fall back \
          below one.\n",
         entries.render(),
-        windows.render(),
-        policies.render()
+        windows_table.render(),
+        policies_table.render()
     )
 }
 
@@ -725,16 +742,19 @@ fn interconnects(spec: &RunSpec) -> String {
             "fp/p2p",
         ],
     );
-    for (name, framing) in [
+    let framings = [
         ("PCIe 4.0", FramingModel::pcie_gen4()),
         ("CXL.io", FramingModel::cxl()),
         ("NVLink-flit", FramingModel::nvlink_flit()),
-    ] {
-        let cfg = SystemConfig {
-            framing,
-            ..SystemConfig::paper(spec.num_gpus)
-        };
-        let [p2p, fp] = suite_geomeans(&cfg, spec, [Paradigm::P2pStores, Paradigm::FinePack]);
+    ];
+    let paradigms = [Paradigm::P2pStores, Paradigm::FinePack];
+    let cfgs = framings.map(|(_, framing)| SystemConfig {
+        framing,
+        ..SystemConfig::paper(spec.num_gpus)
+    });
+    let grid = suite_sweep(&cfgs, spec, &paradigms);
+    for (i, (name, framing)) in framings.into_iter().enumerate() {
+        let [p2p, fp] = paradigms.map(|p| grid.geomean(i, p));
         table.row(&[
             name.to_string(),
             format!("{}B", framing.per_tlp_overhead()),
@@ -759,20 +779,21 @@ fn topology(spec: &RunSpec) -> String {
         "16 GPUs, PCIe 6.0: switch topology sensitivity (geomean speedup)",
         &["topology", "bulk-dma", "p2p-stores", "finepack", "fp/p2p"],
     );
-    let mut fp_p2p = Vec::new();
-    for topology in [
+    let topologies = [
         Topology::SingleSwitch,
         Topology::TwoLevel { gpus_per_leaf: 8 },
         Topology::TwoLevel { gpus_per_leaf: 4 },
-    ] {
-        let cfg = SystemConfig::paper(16)
+    ];
+    let paradigms = [Paradigm::BulkDma, Paradigm::P2pStores, Paradigm::FinePack];
+    let cfgs = topologies.map(|topology| {
+        SystemConfig::paper(16)
             .with_pcie_gen(PcieGen::Gen6)
-            .with_topology(topology);
-        let [dma, p2p, fp] = suite_geomeans(
-            &cfg,
-            &spec,
-            [Paradigm::BulkDma, Paradigm::P2pStores, Paradigm::FinePack],
-        );
+            .with_topology(topology)
+    });
+    let grid = suite_sweep(&cfgs, &spec, &paradigms);
+    let mut fp_p2p = Vec::new();
+    for (i, topology) in topologies.into_iter().enumerate() {
+        let [dma, p2p, fp] = paradigms.map(|p| grid.geomean(i, p));
         fp_p2p.push((fp, p2p));
         let mut cells = speedup_cells(topology, [dma, p2p, fp]);
         cells.push(format!("{:.2}", fp / p2p));
@@ -804,7 +825,8 @@ fn gpu_scaling(spec: &RunSpec) -> String {
             num_gpus: gpus,
             ..sixteen_gpus(spec)
         };
-        let geo = suite_geomeans(&SystemConfig::paper(gpus), &spec, Paradigm::FIG9);
+        let grid = suite_sweep(&[SystemConfig::paper(gpus)], &spec, &Paradigm::FIG9);
+        let geo = Paradigm::FIG9.map(|p| grid.geomean(0, p));
         let [_, _, fp, _] = geo;
         efficiency.push(format!("{gpus} GPUs: {:.0}%", 100.0 * fp / f64::from(gpus)));
         table.row(&speedup_cells(gpus, geo));

@@ -6,9 +6,7 @@
 
 use gpu_model::{GpuId, KernelTrace};
 use sim_engine::{SimTime, WorkerPool};
-use system::{
-    run_suite, run_suite_supervised, Paradigm, PreparedWorkload, RunBudget, RunError, SystemConfig,
-};
+use system::{sweep, Paradigm, PreparedWorkload, RunBudget, RunError, SystemConfig};
 use workloads::{suite, CommPattern, Jacobi, Pagerank, RunSpec, Workload};
 
 /// An event ceiling that `sssp` overruns at this size and the seven
@@ -106,10 +104,10 @@ fn panicking_point_yields_partial_results() {
         Box::new(Bomb),
         Box::new(Pagerank::default()),
     ];
-    let sup = run_suite_supervised(&mixed, &cfg, &spec, &paradigms, &WorkerPool::new(2));
+    let sup = sweep(&mixed, &spec, &[cfg], &paradigms, &WorkerPool::new(2));
     assert!(!sup.all_ok());
 
-    let bomb = &sup.points[1];
+    let bomb = &sup.apps[1];
     assert_eq!(bomb.app, "bomb");
     let failure = bomb.outcome.as_ref().expect_err("bomb fails");
     assert_eq!(failure.kind(), "panic");
@@ -121,12 +119,25 @@ fn panicking_point_yields_partial_results() {
     // Survivors are byte-identical to a sweep that never saw the bomb.
     let clean_apps: Vec<Box<dyn Workload>> =
         vec![Box::new(Jacobi::default()), Box::new(Pagerank::default())];
-    let clean = run_suite(&clean_apps, &cfg, &spec, &paradigms, &WorkerPool::serial());
-    assert_eq!(sup.rows().count(), clean.rows.len());
-    for (got, want) in sup.rows().zip(&clean.rows) {
-        assert_eq!(got.app, want.app);
-        assert_eq!(got.speedups, want.speedups);
+    let clean = sweep(
+        &clean_apps,
+        &spec,
+        &[cfg],
+        &paradigms,
+        &WorkerPool::serial(),
+    );
+    let survivors: Vec<_> = sup
+        .apps
+        .iter()
+        .filter_map(|a| a.outcome.as_ref().ok())
+        .collect();
+    assert_eq!(survivors.len(), clean.apps.len());
+    for (got, want) in survivors.into_iter().zip(clean.rows(0)) {
+        assert_eq!(got[0].app, want.app);
+        assert_eq!(got[0].speedups, want.speedups);
     }
+    assert_eq!(sup.sim_events, clean.sim_events);
+    assert_eq!(sup.sim_time, clean.sim_time);
 }
 
 /// (iii) A deliberately livelocked run — here, one whose budget is far

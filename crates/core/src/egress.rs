@@ -274,8 +274,10 @@ pub struct FinePackEgress {
     /// Optional inactivity timeout (§IV-B); `None` matches the paper's
     /// evaluated configuration.
     flush_timeout: Option<SimTime>,
-    /// Last insert time per destination, for timeout flushes.
-    last_activity: std::collections::BTreeMap<GpuId, SimTime>,
+    /// Last insert time per destination, indexed by [`GpuId::index`].
+    /// Only the timeout flush reads it, so it is kept only when a
+    /// timeout is set.
+    last_activity: Vec<SimTime>,
     payload_mode: PayloadMode,
 }
 
@@ -289,7 +291,7 @@ impl FinePackEgress {
             rwq: RemoteWriteQueue::new(src, config),
             metrics: EgressMetrics::new(),
             flush_timeout: None,
-            last_activity: std::collections::BTreeMap::new(),
+            last_activity: Vec::new(),
             payload_mode: PayloadMode::Full,
         }
     }
@@ -356,7 +358,13 @@ impl EgressPath for FinePackEgress {
     ) -> Result<Vec<WirePacket>, FinePackError> {
         self.metrics.stores_in += 1;
         self.metrics.bytes_in += u64::from(store.len());
-        self.last_activity.insert(store.dst, now);
+        if self.flush_timeout.is_some() {
+            let slot = store.dst.index();
+            if slot >= self.last_activity.len() {
+                self.last_activity.resize(slot + 1, SimTime::ZERO);
+            }
+            self.last_activity[slot] = now;
+        }
         let hits_before = self.rwq.stats().entry_hits;
         let flushed = self.rwq.insert(store)?;
         self.metrics.rwq_merges += self.rwq.stats().entry_hits - hits_before;
@@ -407,7 +415,7 @@ impl EgressPath for FinePackEgress {
         for dst in self.rwq.non_empty_dsts() {
             let idle_since = self
                 .last_activity
-                .get(&dst)
+                .get(dst.index())
                 .copied()
                 .unwrap_or(SimTime::ZERO);
             if now.saturating_sub(idle_since) >= timeout {

@@ -44,9 +44,8 @@ pub use audit::{audit_config_for, audit_run, AuditOutcome};
 pub use budget::{BudgetKind, BudgetTrip, RunBudget, RunnerDiag};
 pub use config::{CreditConfig, FlowControlMode, SystemConfig};
 pub use experiment::{
-    bandwidth_sweep, dma_plan, fault_sweep, geomean_speedup, run_suite, run_suite_supervised,
-    scaling_curve, single_gpu_time, speedup_row, subheader_sweep, FaultSweepPoint,
-    PreparedWorkload, ScalingPoint, SpeedupRow, SuitePoint, SuiteResult, SupervisedSuite,
+    dma_plan, fault_sweep, geomean_speedup, single_gpu_time, speedup_row, sweep, AppOutcome,
+    FaultSweepPoint, PreparedWorkload, SpeedupRow, Sweep,
 };
 pub use fault::{FabricFault, FaultProfile, Outage, RunError};
 pub use link::{FcStats, Link, LinkDelivery};

@@ -8,7 +8,7 @@
 use std::time::Instant;
 
 use sim_engine::WorkerPool;
-use system::{run_suite, Paradigm, SystemConfig};
+use system::{sweep, Paradigm, SystemConfig};
 use workloads::{suite, RunSpec};
 
 fn main() {
@@ -22,17 +22,17 @@ fn main() {
 
     // Serial baseline.
     let clock = Instant::now();
-    let serial = run_suite(&apps, &cfg, &spec, &Paradigm::FIG9, &WorkerPool::serial());
+    let serial = sweep(&apps, &spec, &[cfg], &Paradigm::FIG9, &WorkerPool::serial());
     let serial_wall = clock.elapsed();
 
     // The same sweep over every available core.
     let pool = WorkerPool::default_parallel();
     let clock = Instant::now();
-    let parallel = run_suite(&apps, &cfg, &spec, &Paradigm::FIG9, &pool);
+    let parallel = sweep(&apps, &spec, &[cfg], &Paradigm::FIG9, &pool);
     let parallel_wall = clock.elapsed();
 
     println!("app        finepack speedup (serial == parallel)");
-    for (a, b) in serial.rows.iter().zip(parallel.rows.iter()) {
+    for (a, b) in serial.rows(0).iter().zip(&parallel.rows(0)) {
         let sa = a.speedup(Paradigm::FinePack).expect("measured");
         let sb = b.speedup(Paradigm::FinePack).expect("measured");
         assert!((sa - sb).abs() < 1e-12, "parallel run must be identical");

@@ -18,8 +18,8 @@ use finepack::{
 use protocol::{fig2_sizes, goodput_curve, FramingModel, PcieGen};
 use sim_engine::{geomean, BarChart, SimTime, Table, WorkerPool};
 use system::{
-    geomean_speedup, single_gpu_time, speedup_row, sweep, Paradigm, PreparedWorkload, SpeedupRow,
-    Sweep, SystemConfig, Topology,
+    geomean_speedup, single_gpu_time, sweep, Paradigm, PreparedWorkload, SpeedupRow, Sweep,
+    SystemConfig, Topology,
 };
 use workloads::{suite, Pagerank, PagerankGraph, RmatParams, RunSpec, ScalingMode, Sssp, Workload};
 
@@ -628,13 +628,17 @@ fn atomics_ablation(spec: &RunSpec) -> String {
 
 /// §IV-B: the inactivity-timeout flush the paper describes but disables.
 fn timeout_ablation(spec: &RunSpec) -> String {
+    let base = SystemConfig::paper(spec.num_gpus);
+    // The timeout acts on the egress path alone: one preparation and one
+    // single-GPU baseline serve every row.
+    let app = Pagerank::default();
+    let t1 = single_gpu_time(&app, &base, spec).as_secs_f64();
+    let prep = PreparedWorkload::new(&app, &base, spec);
     let row = |label: String, cfg: &SystemConfig| {
-        let app = Pagerank::default();
-        let t1 = single_gpu_time(&app, cfg, spec);
-        let report = PreparedWorkload::new(&app, cfg, spec).run(cfg, Paradigm::FinePack);
+        let report = prep.run(cfg, Paradigm::FinePack);
         [
             label,
-            x2(t1.as_secs_f64() / report.total_time.as_secs_f64()),
+            x2(t1 / report.total_time.as_secs_f64()),
             format!("{:.1}", report.mean_stores_per_packet().unwrap_or(0.0)),
             report.traffic.total().to_string(),
         ]
@@ -643,7 +647,6 @@ fn timeout_ablation(spec: &RunSpec) -> String {
         "PageRank: FinePack inactivity-timeout sweep",
         &["timeout", "speedup", "stores/packet", "wire bytes"],
     );
-    let base = SystemConfig::paper(spec.num_gpus);
     table.row(&row("none (paper)".to_string(), &base));
     for us in [1u64, 4, 16, 64] {
         let cfg = base.with_finepack_timeout(SimTime::from_us(us));
@@ -943,14 +946,22 @@ fn rmat_graph(spec: &RunSpec) -> String {
         &["workload", "dma", "p2p", "finepack", "inf", "stores/packet"],
     );
     let apps: [&dyn Workload; 2] = [&graph, &Pagerank::default()];
+    let fp = Paradigm::FIG9
+        .iter()
+        .position(|p| *p == Paradigm::FinePack)
+        .expect("Fig 9 plots FinePack");
     for app in apps {
-        let row = speedup_row(app, &cfg, spec, &Paradigm::FIG9);
-        let fp = PreparedWorkload::new(app, &cfg, spec).run(&cfg, Paradigm::FinePack);
+        let t1 = single_gpu_time(app, &cfg, spec).as_secs_f64();
+        let prep = PreparedWorkload::new(app, &cfg, spec);
+        let reports = Paradigm::FIG9.map(|p| prep.run(&cfg, p));
         let mut cells = speedup_cells(
             app.name(),
-            Paradigm::FIG9.map(|p| row.speedup(p).expect("measured")),
+            reports.iter().map(|r| t1 / r.total_time.as_secs_f64()),
         );
-        cells.push(format!("{:.1}", fp.mean_stores_per_packet().unwrap_or(0.0)));
+        cells.push(format!(
+            "{:.1}",
+            reports[fp].mean_stores_per_packet().unwrap_or(0.0)
+        ));
         table.row(&cells);
     }
     let _ = write!(

@@ -20,7 +20,8 @@ use sim_engine::{DetRng, SimTime};
 
 use crate::config::FinePackError;
 use crate::egress::{store_share, EgressMetrics, EgressPath, PayloadMode, WirePacket};
-use crate::rwq::{span_mask, FlushedEntry};
+use crate::packet::DeliveredStore;
+use crate::rwq::{copy_payload, span_mask, FlushedEntry};
 
 /// Per-destination cacheline combining buffer with FIFO eviction: a
 /// ring of lines in insertion order, indexed by line address.
@@ -41,24 +42,25 @@ impl LineBuffer {
     /// count if capacity was exceeded. A hit merges in place, so a line
     /// leaves in the order it arrived. With `buffer_payloads` off
     /// (timing-only runs) lines hold masks only and flushed entries
-    /// carry empty `data`.
+    /// carry empty `data`; with it on, the store's bytes are written
+    /// from its seed into the line.
     fn insert(
         &mut self,
-        addr: u64,
-        data: &[u8],
+        store: &RemoteStore,
         capacity: usize,
         overwritten: &mut u64,
         buffer_payloads: bool,
     ) -> Option<(FlushedEntry, u64)> {
-        let line_addr = addr & !127;
-        let off = (addr - line_addr) as usize;
-        let incoming = span_mask(off as u32, data.len() as u32);
+        let line_addr = store.addr & !127;
+        let off = (store.addr - line_addr) as usize;
+        let end = off + store.len() as usize;
+        let incoming = span_mask(off as u32, store.len());
         if let Some(&seq) = self.index.get(&line_addr) {
             let (line, merged) = &mut self.ring[(seq - self.head) as usize];
             *overwritten += u64::from((incoming & line.mask).count_ones());
             line.mask |= incoming;
             if buffer_payloads {
-                line.data[off..off + data.len()].copy_from_slice(data);
+                copy_payload(store, &mut line.data[off..end]);
             }
             *merged += 1;
             return None;
@@ -76,7 +78,7 @@ impl LineBuffer {
         };
         if buffer_payloads {
             line.data = vec![0u8; 128];
-            line.data[off..off + data.len()].copy_from_slice(data);
+            copy_payload(store, &mut line.data[off..end]);
         }
         let seq = self.head + self.ring.len() as u64;
         self.index.insert(line_addr, seq);
@@ -123,7 +125,6 @@ struct Subscription {
 /// subscription.
 #[derive(Debug)]
 pub struct WriteCombiningEgress {
-    src: GpuId,
     framing: FramingModel,
     capacity: usize,
     /// Line buffers indexed by destination [`GpuId::index`].
@@ -135,12 +136,13 @@ pub struct WriteCombiningEgress {
 }
 
 impl WriteCombiningEgress {
-    /// Creates a write-combining egress with `capacity` lines per
-    /// destination (the paper's structures use 64).
-    pub fn new(src: GpuId, framing: FramingModel, capacity: usize) -> Self {
+    /// Creates a write-combining egress for GPU `_src` with `capacity`
+    /// lines per destination (the paper's structures use 64). Plain
+    /// write combining keeps no per-source state; [`Self::gps`] seeds
+    /// its filter from the source.
+    pub fn new(_src: GpuId, framing: FramingModel, capacity: usize) -> Self {
         assert!(capacity > 0, "capacity must be positive");
         WriteCombiningEgress {
-            src,
             framing,
             capacity,
             buffers: Vec::new(),
@@ -198,9 +200,7 @@ impl WriteCombiningEgress {
             let addr = entry.line_addr + u64::from(off);
             let stores = match self.payload_mode {
                 PayloadMode::Extents => Vec::new(),
-                PayloadMode::Full => vec![RemoteStore {
-                    src: self.src,
-                    dst,
+                PayloadMode::Full => vec![DeliveredStore {
                     addr,
                     data: entry.data[off as usize..(off + len) as usize].to_vec(),
                 }],
@@ -240,13 +240,8 @@ impl EgressPath for WriteCombiningEgress {
         if slot >= self.buffers.len() {
             self.buffers.resize_with(slot + 1, LineBuffer::default);
         }
-        let evicted = self.buffers[slot].insert(
-            store.addr,
-            &store.data,
-            self.capacity,
-            &mut overwritten,
-            buffer_payloads,
-        );
+        let evicted =
+            self.buffers[slot].insert(store, self.capacity, &mut overwritten, buffer_payloads);
         self.metrics.overwritten_bytes += overwritten;
         let mut out = Vec::new();
         if let Some((entry, merged)) = evicted {
@@ -299,12 +294,12 @@ mod tests {
     impl OracleLineBuffer {
         fn insert(
             &mut self,
-            addr: u64,
-            data: &[u8],
+            store: &RemoteStore,
             capacity: usize,
             overwritten: &mut u64,
             buffer_payloads: bool,
         ) -> Option<(FlushedEntry, u64)> {
+            let (addr, data) = (store.addr, store.bytes().collect::<Vec<u8>>());
             let line_addr = addr & !127;
             let off = (addr - line_addr) as u32;
             let incoming = span_mask(off, data.len() as u32);
@@ -326,14 +321,14 @@ mod tests {
                     *overwritten += u64::from((incoming & *mask).count_ones());
                     *mask |= incoming;
                     if buffer_payloads {
-                        buf[off as usize..off as usize + data.len()].copy_from_slice(data);
+                        buf[off as usize..off as usize + data.len()].copy_from_slice(&data);
                     }
                     *merged += 1;
                 }
                 None => {
                     let buf = if buffer_payloads {
                         let mut buf = vec![0u8; 128];
-                        buf[off as usize..off as usize + data.len()].copy_from_slice(data);
+                        buf[off as usize..off as usize + data.len()].copy_from_slice(&data);
                         buf
                     } else {
                         Vec::new()
@@ -381,15 +376,14 @@ mod tests {
                         continue;
                     }
                     let off = rng.next_u64_below(128);
-                    let len = rng.next_in_range(1, 129 - off) as usize;
+                    let len = rng.next_in_range(1, 129 - off) as u32;
                     let addr = 0x4000_0000 + rng.next_u64_below(pool) * 128 + off;
-                    let data: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+                    let s = store(1, addr, len, rng.next_u64());
                     let hit = oracle.lines.contains_key(&(addr & !127));
                     hits += usize::from(hit);
                     reinserts += usize::from(!hit && evicted.contains(&(addr & !127)));
-                    let want =
-                        oracle.insert(addr, &data, capacity, &mut oracle_over, buffer_payloads);
-                    let got = ring.insert(addr, &data, capacity, &mut ring_over, buffer_payloads);
+                    let want = oracle.insert(&s, capacity, &mut oracle_over, buffer_payloads);
+                    let got = ring.insert(&s, capacity, &mut ring_over, buffer_payloads);
                     if let Some((entry, _)) = &want {
                         evictions += 1;
                         evicted.insert(entry.line_addr);
@@ -406,12 +400,13 @@ mod tests {
         }
     }
 
-    fn store(dst: u8, addr: u64, len: usize, val: u8) -> RemoteStore {
+    fn store(dst: u8, addr: u64, len: u32, value_seed: u64) -> RemoteStore {
         RemoteStore {
             src: GpuId::new(0),
             dst: GpuId::new(dst),
             addr,
-            data: vec![val; len],
+            len,
+            value_seed,
         }
     }
 
@@ -448,11 +443,15 @@ mod tests {
     #[test]
     fn wc_overwrites_are_elided() {
         let mut wc = WriteCombiningEgress::new(GpuId::new(0), FramingModel::pcie_gen4(), 64);
-        wc.push(&store(1, 0x1000, 8, 1), SimTime::ZERO).unwrap();
-        wc.push(&store(1, 0x1000, 8, 9), SimTime::ZERO).unwrap();
+        let (old, new) = (store(1, 0x1000, 8, 1), store(1, 0x1000, 8, 9));
+        let new_bytes: Vec<u8> = new.bytes().collect();
+        // The seeds differ at every byte, so the old value cannot pass.
+        assert!(old.bytes().zip(&new_bytes).all(|(a, b)| a != *b));
+        wc.push(&old, SimTime::ZERO).unwrap();
+        wc.push(&new, SimTime::ZERO).unwrap();
         let pkts = wc.release();
         assert_eq!(pkts[0].data_bytes, 8);
-        assert_eq!(pkts[0].stores[0].data, vec![9; 8]);
+        assert_eq!(pkts[0].stores[0].data, new_bytes);
         assert_eq!(wc.metrics().overwritten_bytes, 8);
     }
 
@@ -488,7 +487,8 @@ mod tests {
                     src: GpuId::new(0),
                     dst: GpuId::new(rng.next_in_range(1, 4) as u8),
                     addr: 0x1000_0000 + rng.next_u64_below(512) * 128 + u64::from(off),
-                    data: vec![rng.next_u64() as u8; len as usize],
+                    len,
+                    value_seed: rng.next_u64(),
                 }
             })
             .collect();
@@ -542,7 +542,7 @@ mod tests {
         let mut p2p = RawP2pEgress::new(framing);
         // Scattered 8B stores, two per line.
         for i in 0..200u64 {
-            let s = store(1, 0x1_0000 + (i / 2) * 128 + (i % 2) * 8, 8, i as u8);
+            let s = store(1, 0x1_0000 + (i / 2) * 128 + (i % 2) * 8, 8, i);
             fp.push(&s, SimTime::ZERO).unwrap();
             wc.push(&s, SimTime::ZERO).unwrap();
             p2p.push(&s, SimTime::ZERO).unwrap();

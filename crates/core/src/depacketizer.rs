@@ -3,11 +3,11 @@
 //! their addresses, buffers them (64 × 128B), and issues them to the
 //! local memory system.
 
-use gpu_model::{GpuId, MemoryImage, RemoteStore};
+use gpu_model::{GpuId, MemoryImage};
 use sim_engine::{Bandwidth, SimTime};
 
 use crate::config::{FinePackError, SubheaderFormat};
-use crate::packet::FinePackPacket;
+use crate::packet::{DeliveredStore, FinePackPacket};
 
 /// Ingress-side de-packetizer with the paper's 64-entry × 128B buffer,
 /// draining into the GPU's memory system at local-memory bandwidth.
@@ -77,7 +77,11 @@ impl Depacketizer {
 
     /// Disaggregates `packet` and applies its stores to `mem`.
     /// Returns the stores in packet order.
-    pub fn deliver(&mut self, packet: &FinePackPacket, mem: &mut MemoryImage) -> Vec<RemoteStore> {
+    pub fn deliver(
+        &mut self,
+        packet: &FinePackPacket,
+        mem: &mut MemoryImage,
+    ) -> Vec<DeliveredStore> {
         let stores = packet.to_stores();
         let occupancy = (packet.data_bytes().div_ceil(self.entry_bytes)).min(self.buffer_entries);
         self.peak_occupancy = self.peak_occupancy.max(occupancy);
@@ -133,7 +137,7 @@ impl Depacketizer {
         dst: GpuId,
         lcrc_ok: bool,
         mem: &mut MemoryImage,
-    ) -> Result<Vec<RemoteStore>, FinePackError> {
+    ) -> Result<Vec<DeliveredStore>, FinePackError> {
         if !lcrc_ok {
             self.packets_rejected += 1;
             return Err(FinePackError::Decode(

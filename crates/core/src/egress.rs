@@ -17,12 +17,13 @@ use protocol::FramingModel;
 use sim_engine::{Histogram, SimTime};
 
 use crate::config::{FinePackConfig, FinePackError};
+use crate::packet::DeliveredStore;
 use crate::packetizer::packetize_layout;
 use crate::rwq::{FlushReason, RemoteWriteQueue};
 
 /// Whether a [`WirePacket`] carries its stores' payloads.
 ///
-/// Timing-only runs never read the payload bytes back, so copying them
+/// Timing-only runs never read the payload bytes back, so writing them
 /// into every packet is pure allocation overhead; functional runs
 /// (`track_memory`) need the full data to build memory images.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,7 +56,7 @@ pub struct WirePacket {
     pub store_count: u32,
     /// The stores this packet delivers, in order, under
     /// [`PayloadMode::Full`]; empty under [`PayloadMode::Extents`].
-    pub stores: Vec<RemoteStore>,
+    pub stores: Vec<DeliveredStore>,
 }
 
 impl WirePacket {
@@ -66,8 +67,9 @@ impl WirePacket {
 }
 
 /// One store travelling alone as a memory-write TLP of `payload` bytes
-/// (raw P2P stores and atomics). The store is cloned only under
-/// [`PayloadMode::Full`]: extents-mode packets allocate nothing.
+/// (raw P2P stores and atomics). Only under [`PayloadMode::Full`] does
+/// the packet carry the store, its bytes written from the seed into the
+/// delivered record: extents-mode packets allocate nothing.
 fn single_store_packet(
     framing: &FramingModel,
     store: &RemoteStore,
@@ -82,7 +84,10 @@ fn single_store_packet(
         reason: None,
         store_count: 1,
         stores: match mode {
-            PayloadMode::Full => vec![store.clone()],
+            PayloadMode::Full => vec![DeliveredStore {
+                addr: store.addr,
+                data: store.bytes().collect(),
+            }],
             PayloadMode::Extents => Vec::new(),
         },
     }
@@ -201,9 +206,9 @@ pub trait EgressPath: std::fmt::Debug + Send {
     /// Offers one remote store issued at time `now`; returns any packets
     /// this forced out.
     ///
-    /// The store is borrowed: paths copy what they buffer (or, under
-    /// [`PayloadMode::Extents`], nothing at all), so the caller's trace
-    /// can be replayed without per-store payload clones.
+    /// The store is borrowed plain data: paths write the bytes they
+    /// buffer from its seed (under [`PayloadMode::Extents`], none at
+    /// all).
     ///
     /// # Errors
     ///
@@ -266,7 +271,6 @@ pub trait EgressPath: std::fmt::Debug + Send {
 /// The FinePack egress path: remote write queue + packetizer.
 #[derive(Debug)]
 pub struct FinePackEgress {
-    src: GpuId,
     config: FinePackConfig,
     framing: FramingModel,
     rwq: RemoteWriteQueue,
@@ -285,7 +289,6 @@ impl FinePackEgress {
     /// Creates a FinePack egress for GPU `src`.
     pub fn new(src: GpuId, config: FinePackConfig, framing: FramingModel) -> Self {
         FinePackEgress {
-            src,
             config,
             framing,
             rwq: RemoteWriteQueue::new(src, config),
@@ -321,9 +324,7 @@ impl FinePackEgress {
                 PayloadMode::Full => layout
                     .chunks
                     .iter()
-                    .map(|c| RemoteStore {
-                        src: self.src,
-                        dst: batch.dst,
+                    .map(|c| DeliveredStore {
                         addr: layout.base_addr + c.offset,
                         data: batch.entries[c.entry_idx].data
                             [c.data_off..c.data_off + c.len as usize]
@@ -548,12 +549,13 @@ impl EgressPath for RawP2pEgress {
 mod tests {
     use super::*;
 
-    fn store(dst: u8, addr: u64, len: usize) -> RemoteStore {
+    fn store(dst: u8, addr: u64, len: u32) -> RemoteStore {
         RemoteStore {
             src: GpuId::new(0),
             dst: GpuId::new(dst),
             addr,
-            data: vec![0xA5; len],
+            len,
+            value_seed: 0xA5,
         }
     }
 
@@ -642,16 +644,23 @@ mod tests {
         let stores = vec![
             store(1, 0x1000, 8),
             RemoteStore {
-                src: GpuId::new(0),
-                dst: GpuId::new(1),
-                addr: 0x1000,
-                data: vec![0x11; 8],
+                value_seed: 0x11,
+                ..store(1, 0x1000, 8)
             },
             store(1, 0x1004, 2),
         ];
+        // Each store differs from the one before it at every byte both
+        // write, so the image comparison sees a wrong winner.
+        for pair in stores.windows(2) {
+            let lo = pair[0].addr.max(pair[1].addr);
+            for a in lo..pair[0].end().min(pair[1].end()) {
+                let byte = |s: &RemoteStore| s.bytes().nth((a - s.addr) as usize);
+                assert_ne!(byte(&pair[0]), byte(&pair[1]), "byte {a:#x}");
+            }
+        }
         let mut emitted = Vec::new();
         for s in &stores {
-            program_order.write(s.addr, &s.data);
+            program_order.write_store(s);
             emitted.extend(fp.push(s, SimTime::ZERO).unwrap());
         }
         emitted.extend(fp.release());

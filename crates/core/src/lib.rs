@@ -52,7 +52,8 @@
 //!         src: GpuId::new(0),
 //!         dst: GpuId::new(1),
 //!         addr: 0x10_0000 + i * 192,
-//!         data: vec![1; 8], // 8-byte scattered stores
+//!         len: 8, // 8-byte scattered stores
+//!         value_seed: i,
 //!     };
 //!     fp.push(&store, SimTime::ZERO)?;
 //!     p2p.push(&store, SimTime::ZERO)?;
@@ -87,7 +88,7 @@ pub use depacketizer::Depacketizer;
 pub use egress::{
     EgressMetrics, EgressPath, FinePackEgress, PayloadMode, RawP2pEgress, WirePacket,
 };
-pub use packet::{FinePackPacket, SubPacket};
+pub use packet::{DeliveredStore, FinePackPacket, SubPacket};
 pub use packetizer::{packetize, packetize_layout, LayoutChunk, PacketLayout};
 pub use replay_stats::ReplayAmplification;
 pub use rwq::{FlushReason, FlushedBatch, FlushedEntry, MaskRuns, RemoteWriteQueue, RwqStats};

@@ -3,10 +3,36 @@
 //! sub-transaction header carrying a base-relative address offset and a
 //! byte length.
 
-use gpu_model::{GpuId, RemoteStore};
+use gpu_model::GpuId;
 use protocol::{FramingModel, ProtocolError, TlpHeader, TlpType};
 
 use crate::config::{FinePackError, SubheaderFormat, LENGTH_FIELD_BITS};
+
+/// A store as the wire delivers it: an address and its bytes.
+///
+/// What crosses the wire is merged from several issued stores (a queue
+/// entry's last writers, a combined line's runs), so its bytes are not
+/// a function of one seed as a [`gpu_model::RemoteStore`]'s are: the
+/// record owns them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DeliveredStore {
+    /// Node-global physical address of the first byte.
+    pub addr: u64,
+    /// The bytes delivered.
+    pub data: Vec<u8>,
+}
+
+impl DeliveredStore {
+    /// Payload length in bytes.
+    pub fn len(&self) -> u32 {
+        self.data.len() as u32
+    }
+
+    /// True if the record carries no bytes.
+    pub fn is_empty(&self) -> bool {
+        self.data.is_empty()
+    }
+}
 
 /// One packed store inside a FinePack transaction.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -192,12 +218,10 @@ impl FinePackPacket {
 
     /// Disaggregates the packet into individual stores, adding each
     /// sub-packet offset to the base address (the de-packetizer, §IV-B).
-    pub fn to_stores(&self) -> Vec<RemoteStore> {
+    pub fn to_stores(&self) -> Vec<DeliveredStore> {
         self.subpackets
             .iter()
-            .map(|s| RemoteStore {
-                src: self.src,
-                dst: self.dst,
+            .map(|s| DeliveredStore {
                 addr: self.base_addr + s.offset,
                 data: s.data.clone(),
             })
@@ -297,7 +321,6 @@ mod tests {
         assert_eq!(stores[1].addr, 0x8000_0030);
         assert_eq!(stores[2].addr, 0x8000_002F);
         assert_eq!(stores[1].data, vec![1, 2, 3]);
-        assert!(stores.iter().all(|s| s.src == pkt.src && s.dst == pkt.dst));
     }
 
     #[test]

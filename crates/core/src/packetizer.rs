@@ -71,7 +71,8 @@ impl PacketLayout {
 ///         src: GpuId::new(0),
 ///         dst: GpuId::new(1),
 ///         addr: 0x1_0000 + i * 256,
-///         data: vec![i as u8; 8],
+///         len: 8,
+///         value_seed: i,
 ///     })?;
 /// }
 /// let batches = rwq.flush_all(FlushReason::Release);
@@ -171,12 +172,13 @@ mod tests {
     use crate::rwq::{FlushReason, RemoteWriteQueue};
     use gpu_model::RemoteStore;
 
-    fn store(addr: u64, data: Vec<u8>) -> RemoteStore {
+    fn store(addr: u64, len: u32, value_seed: u64) -> RemoteStore {
         RemoteStore {
             src: GpuId::new(0),
             dst: GpuId::new(1),
             addr,
-            data,
+            len,
+            value_seed,
         }
     }
 
@@ -184,8 +186,8 @@ mod tests {
     fn fragmented_entry_splits_into_subpackets() {
         let cfg = FinePackConfig::paper(4);
         let mut rwq = RemoteWriteQueue::new(GpuId::new(0), cfg);
-        rwq.insert(&store(0x1000, vec![1; 4])).unwrap();
-        rwq.insert(&store(0x1010, vec![2; 4])).unwrap(); // gap within line
+        rwq.insert(&store(0x1000, 4, 1)).unwrap();
+        rwq.insert(&store(0x1010, 4, 2)).unwrap(); // gap within line
         let batches = rwq.flush_all(FlushReason::Release);
         let pkts = packetize(&batches[0], &cfg, GpuId::new(0));
         assert_eq!(pkts.len(), 1);
@@ -201,8 +203,7 @@ mod tests {
         let mut rwq = RemoteWriteQueue::new(GpuId::new(0), cfg);
         // Insert full 128B lines so the budget math is simple.
         for i in 0..2u64 {
-            rwq.insert(&store(0x1000 + i * 128, vec![i as u8; 128]))
-                .unwrap();
+            rwq.insert(&store(0x1000 + i * 128, 128, i)).unwrap();
         }
         let mut batches = rwq.flush_all(FlushReason::Release);
         // Force a third entry into the same batch artificially to make the
@@ -237,9 +238,7 @@ mod tests {
     fn roundtrip_preserves_store_data() {
         let cfg = FinePackConfig::paper(4);
         let mut rwq = RemoteWriteQueue::new(GpuId::new(0), cfg);
-        let stores: Vec<RemoteStore> = (0..20)
-            .map(|i| store(0x2_0000 + i * 96, vec![(i % 251) as u8; 12]))
-            .collect();
+        let stores: Vec<RemoteStore> = (0..20).map(|i| store(0x2_0000 + i * 96, 12, i)).collect();
         for s in &stores {
             rwq.insert(s).unwrap();
         }
@@ -258,7 +257,10 @@ mod tests {
         assert_eq!(unpacked.len(), stores.len());
         let mut got: Vec<(u64, Vec<u8>)> = unpacked.into_iter().map(|s| (s.addr, s.data)).collect();
         got.sort_by_key(|(a, _)| *a);
-        let mut want: Vec<(u64, Vec<u8>)> = stores.into_iter().map(|s| (s.addr, s.data)).collect();
+        let mut want: Vec<(u64, Vec<u8>)> = stores
+            .into_iter()
+            .map(|s| (s.addr, s.bytes().collect()))
+            .collect();
         want.sort_by_key(|(a, _)| *a);
         assert_eq!(got, want);
     }

@@ -311,7 +311,8 @@ impl RwqStats {
 ///     src: GpuId::new(0),
 ///     dst: GpuId::new(1),
 ///     addr: 1 << 34, // inside GPU1's window in a 16GB/GPU map
-///     data: vec![7; 8],
+///     len: 8,
+///     value_seed: 7,
 /// };
 /// assert!(rwq.insert(&store)?.is_none()); // buffered, no flush yet
 /// let batches = rwq.flush_all(finepack::FlushReason::Release);
@@ -360,7 +361,7 @@ impl RemoteWriteQueue {
     ///
     /// Timing-only runs never read the data back — masks alone determine
     /// every packet boundary and byte count — so skipping the per-entry
-    /// line allocation and the per-store copy removes the queue's only
+    /// line allocation and the per-store byte writes removes the queue's only
     /// payload-proportional work. Flushed entries then carry empty
     /// `data`; callers must not materialize [`FlushedEntry::runs`]-based
     /// payloads in this mode. Switch only while the queue is empty.
@@ -410,9 +411,9 @@ impl RemoteWriteQueue {
     /// buffered as the first store of a fresh window, exactly as §IV-B
     /// specifies.
     ///
-    /// Takes the store by reference: the queue copies the payload bytes
-    /// it buffers into its own entry slots, so callers replaying a
-    /// recorded trace never clone a `RemoteStore` per insert.
+    /// With payload buffering on, the queue writes the store's bytes
+    /// from its seed straight into the entry slot; with it off, it
+    /// writes none.
     ///
     /// # Errors
     ///
@@ -574,8 +575,10 @@ impl RemoteWriteQueue {
                         w.available_payload = charge_payload(w.available_payload, fresh);
                         slot.mask |= incoming;
                         if buffer_payloads {
-                            slot.data[line_off as usize..(line_off + len) as usize]
-                                .copy_from_slice(&store.data);
+                            copy_payload(
+                                store,
+                                &mut slot.data[line_off as usize..(line_off + len) as usize],
+                            );
                         }
                         self.stats.entry_hits += 1;
                     }
@@ -585,7 +588,7 @@ impl RemoteWriteQueue {
                             i,
                             (
                                 line_addr,
-                                new_slot(entry_bytes, line_off, &store.data, buffer_payloads),
+                                new_slot(entry_bytes, line_off, store, buffer_payloads),
                             ),
                         );
                         self.stats.entry_misses += 1;
@@ -598,7 +601,7 @@ impl RemoteWriteQueue {
                     base: wanted_base,
                     entries: vec![(
                         line_addr,
-                        new_slot(entry_bytes, line_off, &store.data, buffer_payloads),
+                        new_slot(entry_bytes, line_off, store, buffer_payloads),
                     )],
                     available_payload: max_payload.saturating_sub(len + sub_bytes),
                     stores_merged: 1,
@@ -702,8 +705,13 @@ impl RemoteWriteQueue {
     }
 }
 
-fn new_slot(entry_bytes: u32, line_off: u32, data: &[u8], buffer_payloads: bool) -> EntrySlot {
-    let mask = span_mask(line_off, data.len() as u32);
+fn new_slot(
+    entry_bytes: u32,
+    line_off: u32,
+    store: &RemoteStore,
+    buffer_payloads: bool,
+) -> EntrySlot {
+    let mask = span_mask(line_off, store.len());
     if !buffer_payloads {
         return EntrySlot {
             mask,
@@ -714,20 +722,44 @@ fn new_slot(entry_bytes: u32, line_off: u32, data: &[u8], buffer_payloads: bool)
         mask,
         data: vec![0u8; entry_bytes as usize],
     };
-    slot.data[line_off as usize..line_off as usize + data.len()].copy_from_slice(data);
+    let off = line_off as usize;
+    copy_payload(store, &mut slot.data[off..off + store.len() as usize]);
     slot
+}
+
+/// Writes `store`'s payload bytes into `out`, which spans exactly them:
+/// the bytes come from the store's seed, with no buffer in between.
+pub(crate) fn copy_payload(store: &RemoteStore, out: &mut [u8]) {
+    debug_assert_eq!(out.len(), store.len() as usize);
+    out.iter_mut().zip(store.bytes()).for_each(|(d, b)| *d = b);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn store(dst: u8, addr: u64, data: Vec<u8>) -> RemoteStore {
+    fn store(dst: u8, addr: u64, len: u32, value_seed: u64) -> RemoteStore {
         RemoteStore {
             src: GpuId::new(0),
             dst: GpuId::new(dst),
             addr,
-            data,
+            len,
+            value_seed,
+        }
+    }
+
+    fn bytes(store: &RemoteStore) -> Vec<u8> {
+        store.bytes().collect()
+    }
+
+    /// Asserts that `older` and `newer` differ at every byte they both
+    /// write, so a last-writer check cannot pass with the wrong winner.
+    fn assert_overlap_differs(older: &RemoteStore, newer: &RemoteStore) {
+        let (lo, hi) = (older.addr.max(newer.addr), older.end().min(newer.end()));
+        assert!(lo < hi, "the stores overlap");
+        for a in lo..hi {
+            let (o, n) = ((a - older.addr) as usize, (a - newer.addr) as usize);
+            assert_ne!(bytes(older)[o], bytes(newer)[n], "byte {a:#x}");
         }
     }
 
@@ -738,7 +770,7 @@ mod tests {
     #[test]
     fn self_routed_store_is_rejected() {
         let mut q = rwq();
-        let err = q.insert(&store(0, 0x1000, vec![1; 4])).unwrap_err();
+        let err = q.insert(&store(0, 0x1000, 4, 1)).unwrap_err();
         assert!(matches!(
             err,
             FinePackError::SelfRoute {
@@ -760,7 +792,8 @@ mod tests {
                 src: GpuId::new(u8::MAX),
                 dst: GpuId::new(u8::MAX),
                 addr: 0x1000,
-                data: vec![1; 4],
+                len: 4,
+                value_seed: 1,
             })
             .unwrap_err();
         assert!(matches!(
@@ -808,10 +841,7 @@ mod tests {
     #[test]
     fn first_store_sets_window() {
         let mut q = rwq();
-        assert!(q
-            .insert(&store(1, 0x1234_5678, vec![1; 4]))
-            .unwrap()
-            .is_none());
+        assert!(q.insert(&store(1, 0x1234_5678, 4, 1)).unwrap().is_none());
         assert_eq!(q.buffered_entries(), 1);
         assert_eq!(q.stats().entry_misses, 1);
     }
@@ -822,14 +852,14 @@ mod tests {
         let sub = cfg.subheader.bytes();
         let max = cfg.max_payload;
         let mut q = RemoteWriteQueue::new(GpuId::new(0), cfg);
-        q.insert(&store(1, 0x1000, vec![1; 8])).unwrap();
+        q.insert(&store(1, 0x1000, 8, 1)).unwrap();
         // New entry: charged len + subheader.
         assert_eq!(q.window_budgets(GpuId::new(1)), vec![(0, max - 8 - sub)]);
         // Partial overlap: only the 4 fresh bytes are charged.
-        q.insert(&store(1, 0x1004, vec![2; 8])).unwrap();
+        q.insert(&store(1, 0x1004, 8, 2)).unwrap();
         assert_eq!(q.window_budgets(GpuId::new(1)), vec![(0, max - 12 - sub)]);
         // Full overwrite: nothing fresh, nothing charged.
-        q.insert(&store(1, 0x1000, vec![3; 12])).unwrap();
+        q.insert(&store(1, 0x1000, 12, 3)).unwrap();
         assert_eq!(q.window_budgets(GpuId::new(1)), vec![(0, max - 12 - sub)]);
         // Other partitions are untouched.
         assert!(q.window_budgets(GpuId::new(2)).is_empty());
@@ -838,8 +868,8 @@ mod tests {
     #[test]
     fn same_line_stores_merge() {
         let mut q = rwq();
-        q.insert(&store(1, 0x1000, vec![1; 8])).unwrap();
-        q.insert(&store(1, 0x1008, vec![2; 8])).unwrap();
+        q.insert(&store(1, 0x1000, 8, 1)).unwrap();
+        q.insert(&store(1, 0x1008, 8, 2)).unwrap();
         assert_eq!(q.buffered_entries(), 1);
         assert_eq!(q.stats().entry_hits, 1);
         let b = q.flush_all(FlushReason::Release);
@@ -851,13 +881,15 @@ mod tests {
     #[test]
     fn same_address_overwrite_is_elided() {
         let mut q = rwq();
-        q.insert(&store(1, 0x1000, vec![1; 8])).unwrap();
-        q.insert(&store(1, 0x1000, vec![2; 8])).unwrap();
+        let (old, new) = (store(1, 0x1000, 8, 1), store(1, 0x1000, 8, 2));
+        assert_overlap_differs(&old, &new);
+        q.insert(&old).unwrap();
+        q.insert(&new).unwrap();
         let b = q.flush_all(FlushReason::Release);
         // Only 8 valid bytes on the wire, holding the *final* value.
         assert_eq!(b[0].valid_bytes(), 8);
         assert_eq!(b[0].overwritten_bytes, 8);
-        assert_eq!(&b[0].entries[0].data[0..8], &[2u8; 8]);
+        assert_eq!(&b[0].entries[0].data[0..8], &bytes(&new)[..]);
         assert_eq!(q.stats().overwritten_bytes, 8);
     }
 
@@ -865,10 +897,8 @@ mod tests {
     fn window_miss_flushes_and_rebuffers() {
         let mut q = rwq();
         // Paper config: 1GB window.
-        q.insert(&store(1, 0x1000, vec![1; 4])).unwrap();
-        let flushed = q
-            .insert(&store(1, (2u64 << 30) + 0x1000, vec![2; 4]))
-            .unwrap();
+        q.insert(&store(1, 0x1000, 4, 1)).unwrap();
+        let flushed = q.insert(&store(1, (2u64 << 30) + 0x1000, 4, 2)).unwrap();
         let batch = flushed.expect("window miss must flush");
         assert_eq!(batch.reason, FlushReason::WindowMiss);
         assert_eq!(batch.valid_bytes(), 4);
@@ -882,9 +912,9 @@ mod tests {
         let mut cfg = FinePackConfig::paper(4);
         cfg.entries_per_partition = 2;
         let mut q = RemoteWriteQueue::new(GpuId::new(0), cfg);
-        q.insert(&store(1, 0, vec![1; 4])).unwrap();
-        q.insert(&store(1, 128, vec![1; 4])).unwrap();
-        let f = q.insert(&store(1, 256, vec![1; 4])).unwrap();
+        q.insert(&store(1, 0, 4, 1)).unwrap();
+        q.insert(&store(1, 128, 4, 1)).unwrap();
+        let f = q.insert(&store(1, 256, 4, 1)).unwrap();
         assert_eq!(f.unwrap().reason, FlushReason::EntriesFull);
         assert_eq!(q.buffered_entries(), 1);
     }
@@ -895,17 +925,17 @@ mod tests {
         cfg.max_payload = 128; // fits one 123B store + 5B subheader
         cfg.entry_bytes = 128;
         let mut q = RemoteWriteQueue::new(GpuId::new(0), cfg);
-        q.insert(&store(1, 0, vec![1; 123])).unwrap();
-        let f = q.insert(&store(1, 256, vec![1; 8])).unwrap();
+        q.insert(&store(1, 0, 123, 1)).unwrap();
+        let f = q.insert(&store(1, 256, 8, 1)).unwrap();
         assert_eq!(f.unwrap().reason, FlushReason::PayloadFull);
     }
 
     #[test]
     fn partitions_are_independent() {
         let mut q = rwq();
-        q.insert(&store(1, 0x1000, vec![1; 4])).unwrap();
-        q.insert(&store(2, 0x2000, vec![2; 4])).unwrap();
-        q.insert(&store(3, 0x3000, vec![3; 4])).unwrap();
+        q.insert(&store(1, 0x1000, 4, 1)).unwrap();
+        q.insert(&store(2, 0x2000, 4, 2)).unwrap();
+        q.insert(&store(3, 0x3000, 4, 3)).unwrap();
         assert_eq!(q.buffered_entries(), 3);
         let b = q.flush_all(FlushReason::Release);
         assert_eq!(b.len(), 3);
@@ -916,8 +946,8 @@ mod tests {
     #[test]
     fn flush_dst_only_touches_one_partition() {
         let mut q = rwq();
-        q.insert(&store(1, 0x1000, vec![1; 4])).unwrap();
-        q.insert(&store(2, 0x2000, vec![2; 4])).unwrap();
+        q.insert(&store(1, 0x1000, 4, 1)).unwrap();
+        q.insert(&store(2, 0x2000, 4, 2)).unwrap();
         let b = q.flush_dst(GpuId::new(1), FlushReason::LoadHit).unwrap();
         assert_eq!(b.dst, GpuId::new(1));
         assert_eq!(q.buffered_entries(), 1);
@@ -927,7 +957,7 @@ mod tests {
     #[test]
     fn load_probe_flushes_only_on_overlap() {
         let mut q = rwq();
-        q.insert(&store(1, 0x1000, vec![1; 8])).unwrap();
+        q.insert(&store(1, 0x1000, 8, 1)).unwrap();
         assert!(q.load_probe(GpuId::new(1), 0x2000, 8).is_none());
         assert!(q.load_probe(GpuId::new(1), 0x1004, 2).is_some());
         assert_eq!(q.buffered_entries(), 0);
@@ -936,7 +966,7 @@ mod tests {
     #[test]
     fn load_probe_ignores_unmasked_bytes_of_same_line() {
         let mut q = rwq();
-        q.insert(&store(1, 0x1000, vec![1; 8])).unwrap();
+        q.insert(&store(1, 0x1000, 8, 1)).unwrap();
         // Same 128B line, but bytes 0x40.. are not buffered.
         assert!(q.load_probe(GpuId::new(1), 0x1040, 8).is_none());
     }
@@ -944,7 +974,7 @@ mod tests {
     #[test]
     fn atomic_probe_flushes_with_atomic_reason() {
         let mut q = rwq();
-        q.insert(&store(1, 0x1000, vec![1; 8])).unwrap();
+        q.insert(&store(1, 0x1000, 8, 1)).unwrap();
         let b = q.atomic_probe(GpuId::new(1), 0x1004, 4).unwrap();
         assert_eq!(b.reason, FlushReason::AtomicHit);
         assert_eq!(q.stats().flushes_for(FlushReason::AtomicHit), 1);
@@ -955,8 +985,8 @@ mod tests {
     fn non_empty_dsts_tracks_partitions() {
         let mut q = rwq();
         assert!(q.non_empty_dsts().is_empty());
-        q.insert(&store(1, 0x1000, vec![1; 8])).unwrap();
-        q.insert(&store(3, 0x1000, vec![1; 8])).unwrap();
+        q.insert(&store(1, 0x1000, 8, 1)).unwrap();
+        q.insert(&store(3, 0x1000, 8, 1)).unwrap();
         let dsts = q.non_empty_dsts();
         assert_eq!(dsts, vec![GpuId::new(1), GpuId::new(3)]);
         q.flush_dst(GpuId::new(1), FlushReason::Timeout);
@@ -966,23 +996,23 @@ mod tests {
     #[test]
     fn oversized_store_rejected() {
         let mut q = rwq();
-        let err = q.insert(&store(1, 0, vec![0; 129])).unwrap_err();
+        let err = q.insert(&store(1, 0, 129, 0)).unwrap_err();
         assert!(matches!(err, FinePackError::StoreTooLarge { .. }));
     }
 
     #[test]
     fn block_crossing_store_rejected() {
         let mut q = rwq();
-        let err = q.insert(&store(1, 120, vec![0; 16])).unwrap_err();
+        let err = q.insert(&store(1, 120, 16, 0)).unwrap_err();
         assert!(matches!(err, FinePackError::StoreCrossesBlock { .. }));
     }
 
     #[test]
     fn batch_entries_ascend_by_address() {
         let mut q = rwq();
-        q.insert(&store(1, 0x3000, vec![1; 4])).unwrap();
-        q.insert(&store(1, 0x1000, vec![1; 4])).unwrap();
-        q.insert(&store(1, 0x2000, vec![1; 4])).unwrap();
+        q.insert(&store(1, 0x3000, 4, 1)).unwrap();
+        q.insert(&store(1, 0x1000, 4, 1)).unwrap();
+        q.insert(&store(1, 0x2000, 4, 1)).unwrap();
         let b = q.flush_all(FlushReason::Release);
         let addrs: Vec<u64> = b[0].entries.iter().map(|e| e.line_addr).collect();
         assert_eq!(addrs, vec![0x1000, 0x2000, 0x3000]);
@@ -1004,7 +1034,7 @@ mod tests {
             for i in 0..64u64 {
                 let side = i % 2; // alternate across the boundary
                 let addr = boundary - (4 << 20) + side * (8 << 20) + (i / 2) * 256;
-                if q.insert(&store(1, addr, vec![1; 8])).unwrap().is_some() {
+                if q.insert(&store(1, addr, 8, 1)).unwrap().is_some() {
                     flushes += 1;
                 }
             }
@@ -1024,10 +1054,10 @@ mod tests {
         let w = 4u64 << 20;
         // Open windows A, B, then touch A again; a third region must
         // evict B (least recently used).
-        q.insert(&store(1, 0, vec![1; 8])).unwrap(); // A (window base 0)
-        q.insert(&store(1, 10 * w, vec![2; 8])).unwrap(); // B
-        q.insert(&store(1, 256, vec![3; 8])).unwrap(); // A again
-        let flushed = q.insert(&store(1, 20 * w, vec![4; 8])).unwrap().unwrap();
+        q.insert(&store(1, 0, 8, 1)).unwrap(); // A (window base 0)
+        q.insert(&store(1, 10 * w, 8, 2)).unwrap(); // B
+        q.insert(&store(1, 256, 8, 3)).unwrap(); // A again
+        let flushed = q.insert(&store(1, 20 * w, 8, 4)).unwrap().unwrap();
         assert_eq!(flushed.window_base, 10 * w, "B evicted, not A");
         assert_eq!(flushed.reason, FlushReason::WindowMiss);
     }
@@ -1043,7 +1073,7 @@ mod tests {
             // 150 distinct lines to one destination: beyond the 64-entry
             // static share, within the 192-entry pool.
             for i in 0..150u64 {
-                if q.insert(&store(1, i * 128, vec![1; 8])).unwrap().is_some() {
+                if q.insert(&store(1, i * 128, 8, 1)).unwrap().is_some() {
                     flushes += 1;
                 }
             }
@@ -1059,13 +1089,13 @@ mod tests {
         let mut q = RemoteWriteQueue::new(GpuId::new(0), cfg);
         // Fill the pool: 191 lines to dst 1, then 1 to dst 2 (the newest).
         for i in 0..191u64 {
-            assert!(q.insert(&store(1, i * 128, vec![1; 8])).unwrap().is_none());
+            assert!(q.insert(&store(1, i * 128, 8, 1)).unwrap().is_none());
         }
-        assert!(q.insert(&store(2, 0x5000, vec![2; 8])).unwrap().is_none());
+        assert!(q.insert(&store(2, 0x5000, 8, 2)).unwrap().is_none());
         assert_eq!(q.buffered_entries(), 192);
         // Pool full; touching dst 3 must evict dst 1's window (global
         // LRU), not dst 2's.
-        let flushed = q.insert(&store(3, 0x9000, vec![3; 8])).unwrap().unwrap();
+        let flushed = q.insert(&store(3, 0x9000, 8, 3)).unwrap().unwrap();
         assert_eq!(flushed.dst, GpuId::new(1));
         assert_eq!(flushed.reason, FlushReason::EntriesFull);
     }
@@ -1074,11 +1104,13 @@ mod tests {
     fn dynamic_allocation_preserves_final_values() {
         let cfg = FinePackConfig::paper(4).with_allocation(crate::AllocationPolicy::DynamicShared);
         let mut q = RemoteWriteQueue::new(GpuId::new(0), cfg);
-        q.insert(&store(1, 0x1000, vec![1; 8])).unwrap();
-        q.insert(&store(1, 0x1000, vec![9; 8])).unwrap();
+        let (old, new) = (store(1, 0x1000, 8, 1), store(1, 0x1000, 8, 9));
+        assert_overlap_differs(&old, &new);
+        q.insert(&old).unwrap();
+        q.insert(&new).unwrap();
         let b = q.flush_all(FlushReason::Release);
         assert_eq!(b[0].valid_bytes(), 8);
-        assert_eq!(&b[0].entries[0].data[0..8], &[9u8; 8]);
+        assert_eq!(&b[0].entries[0].data[0..8], &bytes(&new)[..]);
     }
 
     #[test]
@@ -1098,8 +1130,8 @@ mod tests {
     #[test]
     fn noncontiguous_runs_reported() {
         let mut q = rwq();
-        q.insert(&store(1, 0x1000, vec![1; 4])).unwrap();
-        q.insert(&store(1, 0x1010, vec![2; 4])).unwrap();
+        q.insert(&store(1, 0x1000, 4, 1)).unwrap();
+        q.insert(&store(1, 0x1010, 4, 2)).unwrap();
         let b = q.flush_all(FlushReason::Release);
         assert_eq!(b[0].entries[0].runs(), vec![(0, 4), (16, 4)]);
     }

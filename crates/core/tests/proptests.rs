@@ -8,38 +8,76 @@ use finepack::{
 use gpu_model::{GpuId, RemoteStore};
 use sim_engine::DetRng;
 
-/// (dst, line index, offset, len, value) with the no-block-crossing
+/// (dst, line index, offset, len, value seed) with the no-block-crossing
 /// invariant the L1 coalescer guarantees.
-fn store_params(rng: &mut DetRng) -> (u8, u64, u32, u32, u8) {
+fn store_params(rng: &mut DetRng) -> (u8, u64, u32, u32, u64) {
     let d = rng.next_in_range(1, 4) as u8;
     let l = rng.next_u64_below(1024);
     let o = (rng.next_u64_below(128) as u32).min(127);
     let n = (rng.next_in_range(1, 65) as u32).min(128 - o);
-    let v = rng.next_u64() as u8;
+    let v = rng.next_u64();
     (d, l, o, n, v)
 }
 
-fn build(d: u8, l: u64, o: u32, n: u32, v: u8) -> RemoteStore {
+fn build(d: u8, l: u64, o: u32, n: u32, v: u64) -> RemoteStore {
     RemoteStore {
         src: GpuId::new(0),
         dst: GpuId::new(d),
         addr: 0x1_0000_0000 + l * 128 + u64::from(o),
-        data: (0..n)
-            .map(|i| v.wrapping_mul(31).wrapping_add(i as u8))
-            .collect(),
+        len: n,
+        value_seed: v,
+    }
+}
+
+/// Values written so far per (destination, byte address).
+type Written = HashMap<(u8, u64), Vec<u8>>;
+
+/// True if `store` writes, at every byte, a value no earlier store wrote
+/// there.
+fn differs(written: &Written, store: &RemoteStore) -> bool {
+    let d = store.dst.index() as u8;
+    (store.addr..)
+        .zip(store.bytes())
+        .all(|(a, b)| written.get(&(d, a)).is_none_or(|v| !v.contains(&b)))
+}
+
+fn record(written: &mut Written, store: &RemoteStore) {
+    let d = store.dst.index() as u8;
+    for (a, b) in (store.addr..).zip(store.bytes()) {
+        written.entry((d, a)).or_default().push(b);
     }
 }
 
 /// Last-writer-wins: flushing the queue yields, for every byte, the
 /// value of the most recent store to that byte — and only bytes that
-/// were actually written.
+/// were actually written. A store whose seed repeats an earlier value
+/// at some byte it overlaps is redrawn, so the check cannot pass with
+/// the wrong winner.
 #[test]
 fn rwq_flush_is_last_writer_wins() {
     let mut rng = DetRng::new(0xC0_0001, "rwq-lww");
     for _ in 0..64 {
-        let raw: Vec<_> = (0..rng.next_in_range(1, 250))
-            .map(|_| store_params(&mut rng))
+        let mut drawn = Written::new();
+        let stores: Vec<RemoteStore> = (0..rng.next_in_range(1, 250))
+            .map(|_| {
+                let (d, l, o, n, _) = store_params(&mut rng);
+                loop {
+                    let s = build(d, l, o, n, rng.next_u64());
+                    if differs(&drawn, &s) {
+                        record(&mut drawn, &s);
+                        break s;
+                    }
+                }
+            })
             .collect();
+        let mut written = Written::new();
+        for s in &stores {
+            assert!(
+                differs(&written, s),
+                "overlapping stores share a byte value"
+            );
+            record(&mut written, s);
+        }
         // Keyed by (destination, address): in a real system the address
         // determines the destination, but the generator draws them
         // independently, so the oracle must distinguish partitions.
@@ -61,12 +99,12 @@ fn rwq_flush_is_last_writer_wins() {
                 }
             }
         };
-        for (d, l, o, n, v) in raw {
-            let s = build(d, l, o, n, v);
-            for (i, byte) in s.data.iter().enumerate() {
-                expected.insert((d, s.addr + i as u64), *byte);
+        for s in &stores {
+            let d = s.dst.index() as u8;
+            for (a, byte) in (s.addr..).zip(s.bytes()) {
+                expected.insert((d, a), byte);
             }
-            let flushed = rwq.insert(&s).expect("valid store");
+            let flushed = rwq.insert(s).expect("valid store");
             absorb(flushed.into_iter().collect(), &mut emitted);
         }
         absorb(rwq.flush_all(FlushReason::Release), &mut emitted);

@@ -14,30 +14,39 @@
 
 use crate::addr::{AddressMap, GpuId};
 use crate::config::GpuConfig;
-use crate::trace::{store_byte, AccessPattern, RemoteStore};
+use crate::trace::{payload, AccessPattern, RemoteStore};
 
 /// Most cache lines one warp store can touch: 32 lanes of at most 8
 /// bytes, over lines of at least 8 bytes, touch at most two lines each.
 const MAX_LINES: usize = 64;
 
-/// One post-coalescing store transaction (local or remote).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One post-coalescing store transaction (local or remote): plain
+/// data, like the [`RemoteStore`] it becomes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoreTxn {
     /// First byte address (node-global physical).
     pub addr: u64,
-    /// Payload bytes.
-    pub data: Vec<u8>,
+    /// Payload length in bytes.
+    pub len: u32,
+    /// Seed of the payload bytes (see [`crate::store_byte`]).
+    pub value_seed: u64,
 }
 
 impl StoreTxn {
     /// Payload length in bytes.
     pub fn len(&self) -> u32 {
-        self.data.len() as u32
+        self.len
     }
 
     /// True if empty (never produced by [`coalesce_warp_store`]).
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.len == 0
+    }
+
+    /// The payload bytes in address order: byte `i` is
+    /// [`crate::store_byte`]`(addr + i, value_seed)`.
+    pub fn bytes(&self) -> impl ExactSizeIterator<Item = u8> {
+        payload(self.addr, self.len, self.value_seed)
     }
 }
 
@@ -46,7 +55,8 @@ impl StoreTxn {
 /// Lanes are grouped by cache block; within a block, contiguous runs of
 /// written bytes become one transaction each, in ascending address
 /// order. Lanes writing the same byte merge: every payload byte is
-/// [`store_byte`] of its address, so the winning lane does not matter.
+/// [`crate::store_byte`] of its address, so the winning lane does not
+/// matter.
 ///
 /// # Panics
 ///
@@ -91,8 +101,9 @@ pub fn coalesce_warp_store(
 }
 
 /// The coalescing kernel behind [`coalesce_warp_store`]: hands each
-/// transaction to `sink` in ascending address order. Only the payloads
-/// are allocated; the line masks live on the stack.
+/// transaction to `sink` in ascending address order. It allocates
+/// nothing: the line masks live on the stack and a transaction is plain
+/// data.
 pub(crate) fn for_each_txn(
     cfg: &GpuConfig,
     pattern: &AccessPattern,
@@ -156,11 +167,11 @@ pub(crate) fn for_each_txn(
             let start = mask.trailing_zeros();
             let len = (!(mask >> start)).trailing_zeros();
             mask &= u128::MAX.checked_shl(start + len).unwrap_or(0);
-            let addr = base + u64::from(start);
-            let data = (0..u64::from(len))
-                .map(|b| store_byte(addr + b, value_seed))
-                .collect();
-            sink(StoreTxn { addr, data });
+            sink(StoreTxn {
+                addr: base + u64::from(start),
+                len,
+                value_seed,
+            });
         }
     }
 }
@@ -176,7 +187,8 @@ pub fn route_txn(map: &AddressMap, src: GpuId, txn: StoreTxn) -> Result<RemoteSt
             src,
             dst,
             addr: txn.addr,
-            data: txn.data,
+            len: txn.len,
+            value_seed: txn.value_seed,
         })
     }
 }
@@ -283,8 +295,8 @@ mod tests {
             99,
         );
         assert_eq!(txns.len(), 1);
-        for (i, b) in txns[0].data.iter().enumerate() {
-            assert_eq!(*b, store_byte(0x80 + i as u64, 99));
+        for (i, b) in txns[0].bytes().enumerate() {
+            assert_eq!(b, crate::store_byte(0x80 + i as u64, 99));
         }
     }
 
@@ -293,11 +305,12 @@ mod tests {
         let map = AddressMap::new(2, 1 << 20);
         let local = StoreTxn {
             addr: 0x100,
-            data: vec![0; 4],
+            len: 4,
+            value_seed: 0,
         };
         let remote = StoreTxn {
             addr: (1 << 20) + 0x100,
-            data: vec![0; 4],
+            ..local
         };
         assert!(route_txn(&map, GpuId::new(0), local).is_err());
         let r = route_txn(&map, GpuId::new(0), remote).unwrap();

@@ -12,8 +12,10 @@ use crate::coalescer::{for_each_txn, route_txn};
 use crate::config::GpuConfig;
 use crate::trace::{KernelTrace, RemoteStore, TraceOp};
 
-/// A remote store stamped with its L1-egress time.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A remote store stamped with its L1-egress time: plain data, 32
+/// bytes, so a kernel run's streams are flat arrays with no per-store
+/// heap block.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimedStore {
     /// Simulated time the store left L1 toward the egress port.
     pub time: SimTime,
@@ -278,16 +280,14 @@ impl Gpu {
                     }
                     sm_clock[next_store_sm] += u64::from(self.config.store_issue_cycles);
                     stats.remote_atomics += 1;
-                    let data: Vec<u8> = (0..*bytes)
-                        .map(|i| crate::trace::store_byte(addr + u64::from(i), *value_seed))
-                        .collect();
                     atomics.push(TimedStore {
                         time: self.config.clock.cycles_to_time(sm_clock[next_store_sm]),
                         store: RemoteStore {
                             src: self.id,
                             dst,
                             addr: *addr,
-                            data,
+                            len: *bytes,
+                            value_seed: *value_seed,
                         },
                     });
                     next_store_sm = (next_store_sm + 1) % num_sms;
@@ -443,6 +443,85 @@ mod tests {
         assert_eq!(run.atomics.len(), 1);
         assert_eq!(run.stats.remote_atomics, 1);
         assert_eq!(run.atomics[0].store.len(), 8);
+    }
+
+    #[test]
+    fn timed_store_is_plain_data() {
+        fn copy<T: Copy>() {}
+        copy::<TimedStore>();
+        assert!(std::mem::size_of::<TimedStore>() <= 32);
+    }
+
+    /// Every egress store and atomic carries the bytes of the op that
+    /// issued it: `store_byte(addr + i, value_seed)` over a range that op
+    /// wrote. Each op has its own seed, so a store names its op.
+    #[test]
+    fn egress_bytes_come_from_the_issuing_op() {
+        use crate::trace::store_byte;
+        let gpu = small_gpu();
+        let remote = 1u64 << 30;
+        let mut t = KernelTrace::new("bytes");
+        // op seed -> bytes the op writes.
+        let mut written = std::collections::HashMap::new();
+        for i in 0..24u64 {
+            let seed = 0x5EED_0000 + i;
+            let op = match i % 3 {
+                0 => TraceOp::WarpStore {
+                    pattern: AccessPattern::Contiguous {
+                        base: remote + i * 200,
+                    },
+                    bytes_per_lane: 4,
+                    active_mask: 0x0F0F_00FF,
+                    value_seed: seed,
+                },
+                1 => TraceOp::WarpStore {
+                    pattern: AccessPattern::Scattered {
+                        addrs: (0..32).map(|l| remote + (i * 7 + l) * 1000).collect(),
+                    },
+                    bytes_per_lane: 8,
+                    active_mask: u32::MAX,
+                    value_seed: seed,
+                },
+                // An atomic wider than a line.
+                _ => TraceOp::RemoteAtomic {
+                    addr: remote + 0x10_0000 + i * 512 + 3,
+                    bytes: 200,
+                    value_seed: seed,
+                },
+            };
+            let range: Vec<u64> = match &op {
+                TraceOp::WarpStore {
+                    pattern,
+                    bytes_per_lane,
+                    active_mask,
+                    ..
+                } => (0..32)
+                    .filter(|l| active_mask >> l & 1 == 1)
+                    .flat_map(|l| {
+                        let a = pattern.lane_addr(l, *bytes_per_lane);
+                        a..a + u64::from(*bytes_per_lane)
+                    })
+                    .collect(),
+                TraceOp::RemoteAtomic { addr, bytes, .. } => {
+                    (*addr..*addr + u64::from(*bytes)).collect()
+                }
+                _ => unreachable!(),
+            };
+            written.insert(seed, range);
+            t.push(op);
+        }
+        let run = gpu.execute_kernel(&t);
+        assert_eq!(run.atomics.len(), 8);
+        assert!(run.egress.len() > 16);
+        for ts in run.egress.iter().chain(&run.atomics) {
+            let s = ts.store;
+            let op_bytes = written.get(&s.value_seed).expect("a store names its op");
+            assert_eq!(s.bytes().len(), s.len() as usize);
+            for (a, b) in (s.addr..s.end()).zip(s.bytes()) {
+                assert!(op_bytes.contains(&a), "{a:#x} outside its op");
+                assert_eq!(b, store_byte(a, s.value_seed), "byte {a:#x}");
+            }
+        }
     }
 
     #[test]

@@ -7,6 +7,8 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
+use crate::trace::RemoteStore;
+
 /// Line size of the sparse image: the L1 line and RWQ entry size the
 /// remote stores were already coalesced to (an implementation detail,
 /// not a configuration).
@@ -84,20 +86,37 @@ impl MemoryImage {
 
     /// Writes `data` starting at `addr`.
     pub fn write(&mut self, addr: u64, data: &[u8]) {
-        let mut cur = addr;
-        let mut remaining = data;
-        while !remaining.is_empty() {
+        self.write_with(addr, data.len(), |done, piece| {
+            piece.copy_from_slice(&data[done..done + piece.len()]);
+        });
+    }
+
+    /// Writes `store`'s payload bytes at its address, computing them
+    /// from its seed straight into the image's lines.
+    pub fn write_store(&mut self, store: &RemoteStore) {
+        let mut bytes = store.bytes();
+        self.write_with(store.addr, store.len() as usize, |_, piece| {
+            piece.iter_mut().zip(&mut bytes).for_each(|(d, b)| *d = b);
+        });
+    }
+
+    /// Writes `len` bytes starting at `addr`, one line piece at a time:
+    /// `fill(done, piece)` fills `piece` with bytes `done..` of the
+    /// payload.
+    fn write_with(&mut self, addr: u64, len: usize, mut fill: impl FnMut(usize, &mut [u8])) {
+        let mut done = 0;
+        while done < len {
+            let cur = addr + done as u64;
             let off = (cur % LINE_BYTES as u64) as usize;
-            let n = remaining.len().min(LINE_BYTES - off);
+            let n = (len - done).min(LINE_BYTES - off);
             let line = self
                 .lines
                 .entry(cur - off as u64)
                 .or_insert_with(|| Box::new([0u8; LINE_BYTES]));
-            line[off..off + n].copy_from_slice(&remaining[..n]);
-            cur += n as u64;
-            remaining = &remaining[n..];
+            fill(done, &mut line[off..off + n]);
+            done += n;
         }
-        self.bytes_written += data.len() as u64;
+        self.bytes_written += len as u64;
     }
 
     /// Reads `len` bytes starting at `addr`; untouched bytes read as zero.
@@ -181,6 +200,27 @@ mod tests {
         m.write(0x2000 - 8, &data);
         assert_eq!(m.read(0x2000 - 8, 16), data);
         assert_eq!(m.touched_lines(), 3, "a line-crossing store touches two");
+    }
+
+    #[test]
+    fn write_store_matches_writing_its_bytes() {
+        // 255 bytes from mid-line: three line pieces, as a recorded
+        // trace's widest atomic can produce.
+        let store = RemoteStore {
+            src: crate::GpuId::new(0),
+            dst: crate::GpuId::new(1),
+            addr: 0x1000 + 100,
+            len: 255,
+            value_seed: 42,
+        };
+        let bytes: Vec<u8> = store.bytes().collect();
+        let (mut a, mut b) = (MemoryImage::new(), MemoryImage::new());
+        a.write_store(&store);
+        b.write(store.addr, &bytes);
+        assert_eq!(a.read(store.addr, 255), bytes);
+        assert!(a.same_contents(&b));
+        assert_eq!(a.bytes_written(), 255);
+        assert_eq!(a.touched_lines(), 3);
     }
 
     #[test]

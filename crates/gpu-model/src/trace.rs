@@ -234,9 +234,13 @@ pub fn store_byte(addr: u64, seed: u64) -> u8 {
 
 /// A store transaction as it exits the L1 cache toward a peer GPU.
 ///
-/// This is the unit the remote write queue ingests: post-coalescing,
-/// sub-cache-line, carrying its payload bytes.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// This is the unit the remote write queue ingests: post-coalescing and
+/// sub-cache-line. It is plain data: its payload is
+/// [`store_byte`]`(addr + i, value_seed)` for each byte `i`, so a
+/// replayed trace carries no payload buffers, and a consumer that needs
+/// the bytes writes them from [`RemoteStore::bytes`] straight into its
+/// own storage.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RemoteStore {
     /// Issuing GPU.
     pub src: GpuId,
@@ -244,25 +248,38 @@ pub struct RemoteStore {
     pub dst: GpuId,
     /// Node-global physical address of the first byte.
     pub addr: u64,
-    /// Payload bytes.
-    pub data: Vec<u8>,
+    /// Payload length in bytes.
+    pub len: u32,
+    /// Seed of the payload bytes (see [`store_byte`]).
+    pub value_seed: u64,
 }
 
 impl RemoteStore {
     /// Payload length in bytes.
     pub fn len(&self) -> u32 {
-        self.data.len() as u32
+        self.len
     }
 
     /// True if the payload is empty (never produced by the coalescer).
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.len == 0
     }
 
     /// The exclusive end address.
     pub fn end(&self) -> u64 {
-        self.addr + u64::from(self.len())
+        self.addr + u64::from(self.len)
     }
+
+    /// The payload bytes in address order: byte `i` is
+    /// [`store_byte`]`(addr + i, value_seed)`.
+    pub fn bytes(&self) -> impl ExactSizeIterator<Item = u8> {
+        payload(self.addr, self.len, self.value_seed)
+    }
+}
+
+/// The `len` payload bytes a store at `addr` writes under `seed`.
+pub(crate) fn payload(addr: u64, len: u32, seed: u64) -> impl ExactSizeIterator<Item = u8> {
+    (0..len).map(move |i| store_byte(addr + u64::from(i), seed))
 }
 
 #[cfg(test)]
@@ -362,10 +379,13 @@ mod tests {
             src: GpuId::new(0),
             dst: GpuId::new(1),
             addr: 0x100,
-            data: vec![1, 2, 3, 4],
+            len: 4,
+            value_seed: 9,
         };
         assert_eq!(s.len(), 4);
         assert_eq!(s.end(), 0x104);
         assert!(!s.is_empty());
+        let want: Vec<u8> = (0x100..0x104).map(|a| store_byte(a, 9)).collect();
+        assert_eq!(s.bytes().collect::<Vec<u8>>(), want);
     }
 }

@@ -11,17 +11,21 @@ use gpu_model::{
 };
 use sim_engine::DetRng;
 
+/// A transaction as its address and every payload byte.
+type TxnBytes = (u64, Vec<u8>);
+
 /// The reference coalescer the line-mask kernel replaced: one map insert
-/// per written byte, grouped by cache block, ascending by address.
-/// Slow but plainly correct; the differential test below holds the
-/// kernel to it transaction for transaction.
+/// per written byte, grouped by cache block, ascending by address, with
+/// each payload byte computed here by [`store_byte`]. Slow but plainly
+/// correct; the differential test below holds the kernel to it
+/// transaction for transaction and byte for byte.
 fn oracle_coalesce(
     cfg: &GpuConfig,
     pattern: &AccessPattern,
     bytes_per_lane: u32,
     active_mask: u32,
     value_seed: u64,
-) -> Vec<StoreTxn> {
+) -> Vec<TxnBytes> {
     let block = u64::from(cfg.cache_block_bytes);
     // block base -> (byte offset -> writing lane), BTreeMap for
     // deterministic ascending-address output.
@@ -51,10 +55,7 @@ fn oracle_coalesce(
                     prev = byte_addr;
                 }
                 Some(start) => {
-                    txns.push(StoreTxn {
-                        addr: start,
-                        data: std::mem::take(&mut data),
-                    });
+                    txns.push((start, std::mem::take(&mut data)));
                     run_start = Some(byte_addr);
                     prev = byte_addr;
                     data.push(store_byte(byte_addr, value_seed));
@@ -67,10 +68,22 @@ fn oracle_coalesce(
             }
         }
         if let Some(start) = run_start {
-            txns.push(StoreTxn { addr: start, data });
+            txns.push((start, data));
         }
     }
     txns
+}
+
+/// The kernel's transactions as addresses and payloads, read through
+/// [`StoreTxn::bytes`]; each must carry the warp's seed.
+fn txn_bytes(txns: &[StoreTxn], value_seed: u64) -> Vec<TxnBytes> {
+    txns.iter()
+        .map(|t| {
+            assert_eq!(t.value_seed, value_seed);
+            assert_eq!(t.bytes().len(), t.len() as usize);
+            (t.addr, t.bytes().collect())
+        })
+        .collect()
 }
 
 /// A lane-0 address a few bytes either side of a line boundary, so that
@@ -127,7 +140,10 @@ fn coalescer_equals_the_per_byte_oracle() {
             random_warp(&mut rng, u64::from(cfg.cache_block_bytes));
         let seed = rng.next_u64();
         assert_eq!(
-            coalesce_warp_store(&cfg, &pattern, bytes_per_lane, mask, seed),
+            txn_bytes(
+                &coalesce_warp_store(&cfg, &pattern, bytes_per_lane, mask, seed),
+                seed
+            ),
             oracle_coalesce(&cfg, &pattern, bytes_per_lane, mask, seed),
             "{pattern:?}, {bytes_per_lane}B/lane, mask {mask:#x}, {}B lines, {} lanes",
             cfg.cache_block_bytes,
@@ -185,7 +201,8 @@ fn coalescer_covers_exactly_the_written_bytes() {
                 let dup = covered.insert(t.addr + i, ());
                 assert!(dup.is_none(), "byte {:#x} covered twice", t.addr + i);
                 // Every data byte is the deterministic store pattern.
-                assert_eq!(t.data[i as usize], store_byte(t.addr + i, seed));
+                let byte = t.bytes().nth(i as usize);
+                assert_eq!(byte, Some(store_byte(t.addr + i, seed)));
             }
         }
         assert_eq!(covered.len(), expected.len());
@@ -207,12 +224,14 @@ fn routing_partitions_by_ownership() {
         let addr = line * 128;
         let txn = gpu_model::StoreTxn {
             addr,
-            data: vec![7; 8],
+            len: 8,
+            value_seed: 7,
         };
         match route_txn(&map, GpuId::new(src), txn) {
             Ok(remote) => {
                 assert_ne!(remote.dst, GpuId::new(src));
                 assert_eq!(remote.dst, map.owner(addr));
+                assert!(remote.bytes().eq(txn.bytes()), "routing keeps the payload");
             }
             Err(_) => assert_eq!(map.owner(addr), GpuId::new(src)),
         }

@@ -152,7 +152,7 @@ fn write_through_images(prep: &PreparedWorkload, num_gpus: u8) -> Vec<MemoryImag
     for iter_runs in prep.runs() {
         for run in iter_runs {
             for t in run.egress.iter().chain(run.atomics.iter()) {
-                images[t.store.dst.index()].write(t.store.addr, &t.store.data);
+                images[t.store.dst.index()].write_store(&t.store);
             }
         }
     }

@@ -70,16 +70,20 @@ impl PreparedWorkload {
             })
             .collect();
         let merged = merge_stats(&runs);
+        // One tracker for every iteration: a barrier clears its lines
+        // but keeps their table, so later iterations do not regrow it.
+        let mut tracker = crate::report::UniqueTracker::new();
         let unique_per_iter = runs
             .iter()
             .map(|iter_runs| {
-                let mut tracker = crate::report::UniqueTracker::new();
+                let before = tracker.unique_bytes();
                 for run in iter_runs {
                     for t in run.egress.iter().chain(run.atomics.iter()) {
                         tracker.add(t.store.addr, t.store.len());
                     }
                 }
-                tracker.unique_bytes()
+                tracker.barrier();
+                tracker.unique_bytes() - before
             })
             .collect();
         PreparedWorkload {

@@ -51,7 +51,8 @@ impl UniqueTracker {
         self.unique_total += bytes;
     }
 
-    /// Unique bytes recorded since the last [`UniqueTracker::barrier`].
+    /// Unique bytes recorded in total: each iteration's count is the
+    /// change across its [`UniqueTracker::barrier`].
     pub fn unique_bytes(&self) -> u64 {
         self.unique_total
     }

@@ -850,7 +850,7 @@ impl<'t> Runner<'t> {
                     // byte's final value.
                     for run in runs {
                         for t in run.egress.iter().chain(run.atomics.iter()) {
-                            images[t.store.dst.index()].write(t.store.addr, &t.store.data);
+                            images[t.store.dst.index()].write_store(&t.store);
                         }
                     }
                 }
@@ -1107,7 +1107,7 @@ mod tests {
 
     /// A kernel run of random, time-sorted streams: times fall in a
     /// span of a few picoseconds, so they tie within a stream, across
-    /// one GPU's streams and across GPUs. Payloads are empty: only times
+    /// one GPU's streams and across GPUs. Stores are empty: only times
     /// matter to the merge.
     fn random_run(rng: &mut DetRng, template: &KernelRun, span: u64) -> KernelRun {
         let times = |rng: &mut DetRng, max: u64| {
@@ -1128,7 +1128,8 @@ mod tests {
                 src: GpuId::new(0),
                 dst: GpuId::new(1),
                 addr: 0,
-                data: Vec::new(),
+                len: 0,
+                value_seed: 0,
             },
         };
         let probe = |time| TimedProbe {

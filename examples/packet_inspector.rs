@@ -21,25 +21,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = FinePackConfig::paper(4);
     let mut rwq = RemoteWriteQueue::new(GpuId::new(0), cfg);
 
-    // A handful of small stores with spatial locality inside one window.
+    // A handful of small stores with spatial locality inside one window;
+    // each store's bytes come from its address and value seed.
     let stores = [
-        (0x4000_1000u64, vec![0xAA; 8]),
-        (0x4000_1010, vec![0xBB; 4]),
-        (0x4000_2000, vec![0xCC; 16]),
-        (0x4000_1000, vec![0xAD; 8]), // overwrites the first store
-        (0x4000_3080, vec![0xEE; 2]),
+        (0x4000_1000u64, 8, 0xAA),
+        (0x4000_1010, 4, 0xBB),
+        (0x4000_2000, 16, 0xCC),
+        (0x4000_1000, 8, 0xAD), // overwrites the first store
+        (0x4000_3080, 2, 0xEE),
     ];
     println!(
         "inserting {} stores into the remote write queue:",
         stores.len()
     );
-    for (addr, data) in &stores {
-        println!("  store {:>2}B @ {addr:#x}", data.len());
+    for (addr, len, value_seed) in stores {
+        println!("  store {len:>2}B @ {addr:#x}");
         rwq.insert(&RemoteStore {
             src: GpuId::new(0),
             dst: GpuId::new(1),
-            addr: *addr,
-            data: data.clone(),
+            addr,
+            len,
+            value_seed,
         })?;
     }
 

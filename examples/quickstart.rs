@@ -34,7 +34,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             src: GpuId::new(0),
             dst: GpuId::new(1),
             addr: 0x4000_0000 + (i % 50) * 184, // each address written 4x
-            data: vec![(i & 0xFF) as u8; 8],
+            len: 8,
+            value_seed: i,
         })
         .collect();
 

@@ -21,13 +21,14 @@ fn main() {
 
     let spec = RunSpec::paper(4);
     let base = SystemConfig::paper(4);
+    // The sub-header shapes only the egress path: the traces replay once.
     let t1 = single_gpu_time(app.as_ref(), &base, &spec);
+    let prep = PreparedWorkload::new(app.as_ref(), &base, &spec);
     println!("{}: FinePack sensitivity to sub-header size\n", app.name());
     println!("subheader  window   speedup  stores/packet  wire bytes");
     for bytes in 2..=6u32 {
         let sub = SubheaderFormat::new(bytes).expect("2..=6 valid");
         let cfg = base.with_finepack(FinePackConfig::paper(4).with_subheader(sub));
-        let prep = PreparedWorkload::new(app.as_ref(), &cfg, &spec);
         let report = prep.run(&cfg, Paradigm::FinePack);
         let speedup = t1.as_secs_f64() / report.total_time.as_secs_f64();
         let range = sub.addressable_range();

@@ -4,17 +4,21 @@
 //! writes ordered per stream, preserving same-address ordering. These
 //! tests check the observable consequences.
 
+mod common;
+
+use common::{assert_overlaps_differ, Written};
 use finepack::{EgressPath, FinePackConfig, FinePackEgress, WirePacket};
 use gpu_model::{GpuId, MemoryImage, RemoteStore};
 use protocol::FramingModel;
 use sim_engine::{DetRng, SimTime};
 
-fn store(dst: u8, line: u64, off: u32, len: u32, v: u8) -> RemoteStore {
+fn store(dst: u8, line: u64, off: u32, len: u32) -> RemoteStore {
     RemoteStore {
         src: GpuId::new(0),
         dst: GpuId::new(dst),
         addr: 0x1_0000_0000 + line * 128 + u64::from(off),
-        data: (0..len).map(|i| v.wrapping_add(i as u8)).collect(),
+        len,
+        value_seed: 0,
     }
 }
 
@@ -74,16 +78,17 @@ fn cross_destination_reordering_is_unobservable() {
     let mut rng = DetRng::new(0x0D_0001, "reorder");
     for _ in 0..48 {
         let n = rng.next_in_range(1, 200);
+        let mut written = Written::default();
         let stores: Vec<RemoteStore> = (0..n)
             .map(|_| {
                 let d = rng.next_in_range(1, 4) as u8;
                 let l = rng.next_u64_below(64);
                 let o = (rng.next_u64_below(120) as u32).min(127);
                 let len = (rng.next_in_range(1, 9) as u32).min(128 - o);
-                let v = rng.next_u64() as u8;
-                store(d, l, o, len, v)
+                written.fresh(&mut rng, store(d, l, o, len))
             })
             .collect();
+        assert_overlaps_differ(&stores);
         let seed_a = rng.next_u64();
         let seed_b = rng.next_u64();
         let packets = emit_all(&stores);
@@ -103,9 +108,19 @@ fn load_probe_observes_latest_value() {
     let mut rng = DetRng::new(0x0D_0002, "probe");
     for _ in 0..48 {
         let n = rng.next_in_range(1, 64) as usize;
-        let writes: Vec<(u32, u8)> = (0..n)
-            .map(|_| (rng.next_u64_below(16) as u32, rng.next_u64() as u8))
+        let base = 0x1_0000_0000u64;
+        let mut written = Written::default();
+        let writes: Vec<RemoteStore> = (0..n)
+            .map(|_| {
+                let slot = rng.next_u64_below(16);
+                let s = RemoteStore {
+                    addr: base + slot * 8,
+                    ..store(1, 0, 0, 8)
+                };
+                written.fresh(&mut rng, s)
+            })
             .collect();
+        assert_overlaps_differ(&writes);
         let probe_after = rng.next_u64_below(64) as usize;
         let mut fp = FinePackEgress::new(
             GpuId::new(0),
@@ -125,18 +140,11 @@ fn load_probe_observes_latest_value() {
                 }
             }
         };
-        let base = 0x1_0000_0000u64;
-        let mut latest = [None::<u8>; 16];
+        let mut latest = [None::<RemoteStore>; 16];
         let probe_at = probe_after.min(writes.len() - 1);
-        for (i, (slot, v)) in writes.iter().enumerate() {
-            let s = RemoteStore {
-                src: GpuId::new(0),
-                dst: GpuId::new(1),
-                addr: base + u64::from(*slot) * 8,
-                data: vec![*v; 8],
-            };
-            latest[*slot as usize] = Some(*v);
-            let pkts = fp.push(&s, SimTime::ZERO).expect("valid");
+        for (i, s) in writes.iter().enumerate() {
+            latest[((s.addr - base) / 8) as usize] = Some(*s);
+            let pkts = fp.push(s, SimTime::ZERO).expect("valid");
             apply_pkts(pkts, &mut image);
             if i == probe_at {
                 // The consumer loads every slot written so far; FinePack
@@ -146,9 +154,9 @@ fn load_probe_observes_latest_value() {
                     apply_pkts(pkts, &mut image);
                 }
                 for (slot, expected) in latest.iter().enumerate() {
-                    if let Some(v) = expected {
-                        let got = image.read(base + slot as u64 * 8, 1)[0];
-                        assert_eq!(got, *v, "slot {} stale at probe", slot);
+                    if let Some(s) = expected {
+                        let got = image.read(s.addr, 8);
+                        assert_eq!(got, s.bytes().collect::<Vec<u8>>(), "slot {slot} stale");
                     }
                 }
             }

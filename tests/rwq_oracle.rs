@@ -5,8 +5,11 @@
 //! oracle must agree on (a) the sequence of flush reasons, (b) each
 //! flush's byte content, and (c) the final buffered content.
 
+mod common;
+
 use std::collections::BTreeMap;
 
+use common::{assert_overlaps_differ, Written};
 use finepack::{AllocationPolicy, FinePackConfig, FlushReason, RemoteWriteQueue};
 use gpu_model::{GpuId, RemoteStore};
 use sim_engine::DetRng;
@@ -83,8 +86,8 @@ impl Oracle {
             store.len() + cfg.subheader.bytes()
         };
         w.lines.insert(line);
-        for (i, b) in store.data.iter().enumerate() {
-            w.bytes.insert(store.addr + i as u64, *b);
+        for (a, b) in (store.addr..).zip(store.bytes()) {
+            w.bytes.insert(a, b);
         }
         flush
     }
@@ -113,19 +116,29 @@ fn batch_bytes(batch: &finepack::FlushedBatch) -> BTreeMap<u64, u8> {
     out
 }
 
-fn random_store(rng: &mut DetRng) -> RemoteStore {
-    let dst = rng.next_in_range(1, 4) as u8;
-    let line = rng.next_u64_below(512);
-    let off = (rng.next_u64_below(128) as u32).min(127);
-    let len = (rng.next_in_range(1, 33) as u32).min(128 - off);
-    let v = rng.next_u64() as u8;
-    RemoteStore {
-        src: GpuId::new(0),
-        dst: GpuId::new(dst),
-        // Two 1GB-window-crossing regions to exercise window misses.
-        addr: (u64::from(dst % 2) << 31) + line * 128 + u64::from(off),
-        data: vec![v; len as usize],
-    }
+/// Random stores whose seeds differ at every byte they overlap, so a
+/// flush holding an older store's bytes differs from the oracle's.
+fn random_stream(rng: &mut DetRng) -> Vec<RemoteStore> {
+    let mut written = Written::default();
+    let stores: Vec<RemoteStore> = (0..rng.next_in_range(1, 300))
+        .map(|_| {
+            let dst = rng.next_in_range(1, 4) as u8;
+            let line = rng.next_u64_below(512);
+            let off = (rng.next_u64_below(128) as u32).min(127);
+            let len = (rng.next_in_range(1, 33) as u32).min(128 - off);
+            let store = RemoteStore {
+                src: GpuId::new(0),
+                dst: GpuId::new(dst),
+                // Two 1GB-window-crossing regions to exercise window misses.
+                addr: (u64::from(dst % 2) << 31) + line * 128 + u64::from(off),
+                len,
+                value_seed: 0,
+            };
+            written.fresh(rng, store)
+        })
+        .collect();
+    assert_overlaps_differ(&stores);
+    stores
 }
 
 /// Byte conservation at the queue boundary: every masked byte a store
@@ -141,9 +154,7 @@ fn masked_bytes_are_conserved_through_the_queue() {
         AllocationPolicy::DynamicShared,
     ] {
         for _ in 0..32 {
-            let stores: Vec<RemoteStore> = (0..rng.next_in_range(1, 300))
-                .map(|_| random_store(&mut rng))
-                .collect();
+            let stores = random_stream(&mut rng);
             let cfg = FinePackConfig::paper(4).with_allocation(alloc);
             let mut rwq = RemoteWriteQueue::new(GpuId::new(0), cfg);
             let mut issued = 0u64;
@@ -176,9 +187,7 @@ fn masked_bytes_are_conserved_through_the_queue() {
 fn window_budgets_match_the_oracle_payload_accounting() {
     let mut rng = DetRng::new(0x09_0003, "rwq-budget");
     for _ in 0..32 {
-        let stores: Vec<RemoteStore> = (0..rng.next_in_range(1, 300))
-            .map(|_| random_store(&mut rng))
-            .collect();
+        let stores = random_stream(&mut rng);
         let cfg = FinePackConfig::paper(4);
         let mut rwq = RemoteWriteQueue::new(GpuId::new(0), cfg);
         let mut oracle = Oracle::default();
@@ -204,9 +213,7 @@ fn window_budgets_match_the_oracle_payload_accounting() {
 fn queue_matches_the_executable_spec() {
     let mut rng = DetRng::new(0x09_0001, "rwq-oracle");
     for _ in 0..64 {
-        let stores: Vec<RemoteStore> = (0..rng.next_in_range(1, 300))
-            .map(|_| random_store(&mut rng))
-            .collect();
+        let stores = random_stream(&mut rng);
         let cfg = FinePackConfig::paper(4);
         let mut rwq = RemoteWriteQueue::new(GpuId::new(0), cfg);
         let mut oracle = Oracle::default();

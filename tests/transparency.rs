@@ -5,6 +5,9 @@
 //! memory image as issuing the raw stores in program order — as does
 //! write combining.
 
+mod common;
+
+use common::{assert_overlaps_differ, Written};
 use finepack::{
     Depacketizer, EgressPath, FinePackConfig, FinePackEgress, FinePackPacket, FlushReason,
     RawP2pEgress, RemoteWriteQueue, SubheaderFormat, WriteCombiningEgress,
@@ -13,27 +16,33 @@ use gpu_model::{GpuId, MemoryImage, RemoteStore};
 use protocol::FramingModel;
 use sim_engine::{DetRng, SimTime};
 
+/// Random stores whose seeds differ at every byte they overlap, so an
+/// image that kept an older store's bytes differs from the reference.
 fn random_stores(rng: &mut DetRng, max: u64) -> Vec<RemoteStore> {
-    (0..rng.next_in_range(1, max))
+    let mut written = Written::default();
+    let stores: Vec<RemoteStore> = (0..rng.next_in_range(1, max))
         .map(|_| {
             let line = rng.next_u64_below(256);
             let off = (rng.next_u64_below(128) as u32).min(127);
             let len = (rng.next_in_range(1, 17) as u32).min(128 - off);
-            let v = rng.next_u64() as u8;
-            RemoteStore {
+            let store = RemoteStore {
                 src: GpuId::new(0),
                 dst: GpuId::new(1),
                 addr: 0x4000_0000 + line * 128 + u64::from(off),
-                data: (0..len).map(|i| v.wrapping_add(i as u8)).collect(),
-            }
+                len,
+                value_seed: 0,
+            };
+            written.fresh(rng, store)
         })
-        .collect()
+        .collect();
+    assert_overlaps_differ(&stores);
+    stores
 }
 
 fn image_of_program_order(stores: &[RemoteStore]) -> MemoryImage {
     let mut image = MemoryImage::new();
     for s in stores {
-        image.write(s.addr, &s.data);
+        image.write_store(s);
     }
     image
 }

@@ -17,12 +17,12 @@ fn random_stores(rng: &mut DetRng, max: u64) -> Vec<RemoteStore> {
             let line = rng.next_u64_below(512);
             let off = (rng.next_u64_below(128) as u32).min(127);
             let len = (rng.next_in_range(1, 33) as u32).min(128 - off);
-            let v = rng.next_u64() as u8;
             RemoteStore {
                 src: GpuId::new(0),
                 dst: GpuId::new(dst),
                 addr: 0x1000_0000 + line * 128 + u64::from(off),
-                data: vec![v; len as usize],
+                len,
+                value_seed: rng.next_u64(),
             }
         })
         .collect()
@@ -153,7 +153,8 @@ fn gps_filtering_reduces_wire_monotonically() {
             src: GpuId::new(0),
             dst: GpuId::new(1),
             addr: 0x2000_0000 + i * 192,
-            data: vec![1; 8],
+            len: 8,
+            value_seed: 1,
         })
         .collect();
     let mut last = u64::MAX;

@@ -19,9 +19,10 @@ use protocol::FramingModel;
 use sim_engine::{DetRng, SimTime};
 
 use crate::config::FinePackError;
-use crate::egress::{store_share, EgressMetrics, EgressPath, PayloadMode, WirePacket};
-use crate::packet::DeliveredStore;
-use crate::rwq::{copy_payload, span_mask, FlushedEntry};
+use crate::egress::{
+    store_share, EgressMetrics, EgressPath, PackedStores, PayloadMode, WirePacket,
+};
+use crate::rwq::{copy_payload, span_mask, FlushedEntry, LinePool};
 
 /// Per-destination cacheline combining buffer with FIFO eviction: a
 /// ring of lines in insertion order, indexed by line address.
@@ -40,16 +41,16 @@ struct LineBuffer {
 impl LineBuffer {
     /// Inserts a store; returns an evicted line and its merged-store
     /// count if capacity was exceeded. A hit merges in place, so a line
-    /// leaves in the order it arrived. With `buffer_payloads` off
-    /// (timing-only runs) lines hold masks only and flushed entries
-    /// carry empty `data`; with it on, the store's bytes are written
-    /// from its seed into the line.
+    /// leaves in the order it arrived. Without a `pool` (timing-only
+    /// runs) lines hold masks only and flushed entries carry empty
+    /// `data`; with one, a new line takes its buffer from the pool and
+    /// the store's bytes are written from its seed into the line.
     fn insert(
         &mut self,
         store: &RemoteStore,
         capacity: usize,
         overwritten: &mut u64,
-        buffer_payloads: bool,
+        pool: Option<&mut LinePool>,
     ) -> Option<(FlushedEntry, u64)> {
         let line_addr = store.addr & !127;
         let off = (store.addr - line_addr) as usize;
@@ -59,7 +60,7 @@ impl LineBuffer {
             let (line, merged) = &mut self.ring[(seq - self.head) as usize];
             *overwritten += u64::from((incoming & line.mask).count_ones());
             line.mask |= incoming;
-            if buffer_payloads {
+            if pool.is_some() {
                 copy_payload(store, &mut line.data[off..end]);
             }
             *merged += 1;
@@ -76,8 +77,8 @@ impl LineBuffer {
             mask: incoming,
             data: Vec::new(),
         };
-        if buffer_payloads {
-            line.data = vec![0u8; 128];
+        if let Some(pool) = pool {
+            line.data = pool.take();
             copy_payload(store, &mut line.data[off..end]);
         }
         let seq = self.head + self.ring.len() as u64;
@@ -129,6 +130,8 @@ pub struct WriteCombiningEgress {
     capacity: usize,
     /// Line buffers indexed by destination [`GpuId::index`].
     buffers: Vec<LineBuffer>,
+    /// Payload buffers of emitted lines, for the next new lines.
+    pool: LinePool,
     metrics: EgressMetrics,
     payload_mode: PayloadMode,
     /// GPS's subscription filter; `None` for plain write combining.
@@ -146,6 +149,7 @@ impl WriteCombiningEgress {
             framing,
             capacity,
             buffers: Vec::new(),
+            pool: LinePool::new(128),
             metrics: EgressMetrics::default(),
             payload_mode: PayloadMode::Full,
             subscription: None,
@@ -186,6 +190,8 @@ impl WriteCombiningEgress {
         self.subscription.as_ref().map_or(0, |s| s.filtered)
     }
 
+    /// Emits `entry`'s packets, then takes its payload buffer back into
+    /// the pool.
     fn emit_entry(
         &mut self,
         dst: GpuId,
@@ -198,13 +204,10 @@ impl WriteCombiningEgress {
         let n = (entry.mask & !(entry.mask << 1)).count_ones() as usize;
         for (i, (off, len)) in entry.runs_iter().enumerate() {
             let addr = entry.line_addr + u64::from(off);
-            let stores = match self.payload_mode {
-                PayloadMode::Extents => Vec::new(),
-                PayloadMode::Full => vec![DeliveredStore {
-                    addr,
-                    data: entry.data[off as usize..(off + len) as usize].to_vec(),
-                }],
-            };
+            let mut stores = PackedStores::default();
+            if self.payload_mode == PayloadMode::Full {
+                stores.push(addr, &entry.data[off as usize..(off + len) as usize]);
+            }
             let packet = WirePacket {
                 dst,
                 wire_bytes: self.framing.wire_bytes(len),
@@ -216,6 +219,7 @@ impl WriteCombiningEgress {
             };
             out.push(self.metrics.emit(packet, store_share(merged, n, i)));
         }
+        self.pool.put(entry.data);
     }
 }
 
@@ -235,13 +239,12 @@ impl EgressPath for WriteCombiningEgress {
             }
         }
         let mut overwritten = 0u64;
-        let buffer_payloads = matches!(self.payload_mode, PayloadMode::Full);
+        let pool = (self.payload_mode == PayloadMode::Full).then_some(&mut self.pool);
         let slot = store.dst.index();
         if slot >= self.buffers.len() {
             self.buffers.resize_with(slot + 1, LineBuffer::default);
         }
-        let evicted =
-            self.buffers[slot].insert(store, self.capacity, &mut overwritten, buffer_payloads);
+        let evicted = self.buffers[slot].insert(store, self.capacity, &mut overwritten, pool);
         self.metrics.overwritten_bytes += overwritten;
         let mut out = Vec::new();
         if let Some((entry, merged)) = evicted {
@@ -365,6 +368,10 @@ mod tests {
             for buffer_payloads in [false, true] {
                 let (mut ring, mut oracle) = (LineBuffer::default(), OracleLineBuffer::default());
                 let (mut ring_over, mut oracle_over) = (0u64, 0u64);
+                // Every line the ring gives up returns its buffer here,
+                // so new lines reuse buffers that held other bytes; the
+                // oracle's lines are always fresh.
+                let mut buffers = LinePool::new(128);
                 // A pool a few times the capacity: hits, evictions and
                 // re-inserts of evicted lines all occur.
                 let pool = capacity as u64 * rng.next_in_range(2, 5);
@@ -372,7 +379,11 @@ mod tests {
                 let mut evicted = std::collections::HashSet::new();
                 for step in 0..40 * capacity + 200 {
                     if rng.chance(0.01) {
-                        assert_eq!(ring.drain(), oracle.drain(), "drain at step {step}");
+                        let drained = ring.drain();
+                        assert_eq!(drained, oracle.drain(), "drain at step {step}");
+                        drained
+                            .into_iter()
+                            .for_each(|(line, _)| buffers.put(line.data));
                         continue;
                     }
                     let off = rng.next_u64_below(128);
@@ -383,13 +394,19 @@ mod tests {
                     hits += usize::from(hit);
                     reinserts += usize::from(!hit && evicted.contains(&(addr & !127)));
                     let want = oracle.insert(&s, capacity, &mut oracle_over, buffer_payloads);
-                    let got = ring.insert(&s, capacity, &mut ring_over, buffer_payloads);
+                    let got = ring.insert(
+                        &s,
+                        capacity,
+                        &mut ring_over,
+                        buffer_payloads.then_some(&mut buffers),
+                    );
                     if let Some((entry, _)) = &want {
                         evictions += 1;
                         evicted.insert(entry.line_addr);
                     }
                     assert_eq!(got, want, "capacity {capacity}, step {step}");
                     assert_eq!(ring_over, oracle_over);
+                    got.into_iter().for_each(|(line, _)| buffers.put(line.data));
                 }
                 assert_eq!(ring.drain(), oracle.drain());
                 assert!(
@@ -437,7 +454,11 @@ mod tests {
         wc.push(&store(1, 128, 4, 2), SimTime::ZERO).unwrap();
         let evicted = wc.push(&store(1, 2 * 128, 4, 3), SimTime::ZERO).unwrap();
         assert_eq!(evicted.len(), 1);
-        assert_eq!(evicted[0].stores[0].addr, 0); // oldest line left first
+        // The oldest line left first.
+        assert_eq!(
+            evicted[0].stores.iter().next().map(|(addr, _)| addr),
+            Some(0)
+        );
     }
 
     #[test]
@@ -451,7 +472,8 @@ mod tests {
         wc.push(&new, SimTime::ZERO).unwrap();
         let pkts = wc.release();
         assert_eq!(pkts[0].data_bytes, 8);
-        assert_eq!(pkts[0].stores[0].data, new_bytes);
+        let (_, data) = pkts[0].stores.iter().next().expect("one store");
+        assert_eq!(data, new_bytes);
         assert_eq!(wc.metrics().overwritten_bytes, 8);
     }
 

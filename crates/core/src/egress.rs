@@ -17,7 +17,6 @@ use protocol::FramingModel;
 use sim_engine::{Histogram, SimTime};
 
 use crate::config::{FinePackConfig, FinePackError};
-use crate::packet::DeliveredStore;
 use crate::packetizer::packetize_layout;
 use crate::rwq::{FlushReason, RemoteWriteQueue};
 
@@ -32,6 +31,110 @@ pub enum PayloadMode {
     Extents,
     /// Carry the full store payloads.
     Full,
+}
+
+/// The stores a packet delivers under [`PayloadMode::Full`]: their bytes
+/// back to back in one buffer, and each store's address and length, in
+/// delivery order.
+///
+/// What crosses the wire is merged from several issued stores (a queue
+/// entry's last writers, a combined line's runs), so its bytes are not
+/// a function of one seed as a [`RemoteStore`]'s are: the packet owns
+/// them, in one allocation for all its stores.
+///
+/// # Examples
+///
+/// ```
+/// use finepack::{EgressPath, RawP2pEgress};
+/// use gpu_model::{GpuId, RemoteStore};
+/// use protocol::FramingModel;
+/// use sim_engine::SimTime;
+///
+/// let mut p2p = RawP2pEgress::new(FramingModel::pcie_gen4());
+/// let store = RemoteStore {
+///     src: GpuId::new(0),
+///     dst: GpuId::new(1),
+///     addr: 0x1000,
+///     len: 4,
+///     value_seed: 7,
+/// };
+/// let packets = p2p.push(&store, SimTime::ZERO)?;
+/// // Paths carry full payloads unless set to extents.
+/// let (addr, data) = packets[0].stores.iter().next().expect("one store");
+/// assert_eq!(addr, 0x1000);
+/// assert!(data.iter().copied().eq(store.bytes()));
+/// # Ok::<(), finepack::FinePackError>(())
+/// ```
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct PackedStores {
+    bytes: Vec<u8>,
+    /// `(address, length)` per store; the lengths sum to `bytes.len()`.
+    extents: Vec<(u64, u32)>,
+}
+
+impl PackedStores {
+    /// Room for `stores` stores of `bytes` bytes in all.
+    pub(crate) fn with_capacity(stores: usize, bytes: usize) -> Self {
+        PackedStores {
+            bytes: Vec::with_capacity(bytes),
+            extents: Vec::with_capacity(stores),
+        }
+    }
+
+    /// Appends a store of `data` at `addr`.
+    pub(crate) fn push(&mut self, addr: u64, data: &[u8]) {
+        self.bytes.extend_from_slice(data);
+        self.extents.push((addr, data.len() as u32));
+    }
+
+    /// Number of stores.
+    pub fn len(&self) -> usize {
+        self.extents.len()
+    }
+
+    /// True if the packet delivers no stores.
+    pub fn is_empty(&self) -> bool {
+        self.extents.is_empty()
+    }
+
+    /// The stores in delivery order, as `(address, bytes)`.
+    pub fn iter(&self) -> StoreSlices<'_> {
+        StoreSlices {
+            extents: self.extents.iter(),
+            rest: &self.bytes,
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a PackedStores {
+    type Item = (u64, &'a [u8]);
+    type IntoIter = StoreSlices<'a>;
+
+    fn into_iter(self) -> StoreSlices<'a> {
+        self.iter()
+    }
+}
+
+/// Iterator over a [`PackedStores`]' stores as `(address, bytes)`.
+#[derive(Debug, Clone)]
+pub struct StoreSlices<'a> {
+    extents: std::slice::Iter<'a, (u64, u32)>,
+    rest: &'a [u8],
+}
+
+impl<'a> Iterator for StoreSlices<'a> {
+    type Item = (u64, &'a [u8]);
+
+    fn next(&mut self) -> Option<(u64, &'a [u8])> {
+        let &(addr, len) = self.extents.next()?;
+        let (data, rest) = self.rest.split_at(len as usize);
+        self.rest = rest;
+        Some((addr, data))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.extents.size_hint()
+    }
 }
 
 /// A packet handed to the interconnect: sizes for timing/accounting plus
@@ -56,7 +159,7 @@ pub struct WirePacket {
     pub store_count: u32,
     /// The stores this packet delivers, in order, under
     /// [`PayloadMode::Full`]; empty under [`PayloadMode::Extents`].
-    pub stores: Vec<DeliveredStore>,
+    pub stores: PackedStores,
 }
 
 impl WirePacket {
@@ -69,7 +172,7 @@ impl WirePacket {
 /// One store travelling alone as a memory-write TLP of `payload` bytes
 /// (raw P2P stores and atomics). Only under [`PayloadMode::Full`] does
 /// the packet carry the store, its bytes written from the seed into the
-/// delivered record: extents-mode packets allocate nothing.
+/// packet's buffer: extents-mode packets allocate nothing.
 fn single_store_packet(
     framing: &FramingModel,
     store: &RemoteStore,
@@ -84,11 +187,11 @@ fn single_store_packet(
         reason: None,
         store_count: 1,
         stores: match mode {
-            PayloadMode::Full => vec![DeliveredStore {
-                addr: store.addr,
-                data: store.bytes().collect(),
-            }],
-            PayloadMode::Extents => Vec::new(),
+            PayloadMode::Full => PackedStores {
+                bytes: store.bytes().collect(),
+                extents: vec![(store.addr, store.len())],
+            },
+            PayloadMode::Extents => PackedStores::default(),
         },
     }
 }
@@ -309,9 +412,9 @@ impl FinePackEgress {
     }
 
     fn emit_batch(&mut self, batch: crate::rwq::FlushedBatch) -> Vec<WirePacket> {
-        // Layout pass only: payload bytes are copied at most once (Full
-        // mode) and never under Extents — timing-only runs pay zero
-        // payload allocation per TLP.
+        // Layout pass only: payload bytes are copied at most once, into
+        // one buffer per packet (Full mode), and never under Extents —
+        // timing-only runs pay zero payload allocation per TLP.
         let layouts = packetize_layout(&batch, &self.config);
         let n = layouts.len();
         self.metrics.overwritten_bytes += batch.overwritten_bytes;
@@ -321,17 +424,21 @@ impl FinePackEgress {
         for (i, layout) in layouts.into_iter().enumerate() {
             let payload_bytes = layout.payload_bytes(subheader);
             let stores = match self.payload_mode {
-                PayloadMode::Full => layout
-                    .chunks
-                    .iter()
-                    .map(|c| DeliveredStore {
-                        addr: layout.base_addr + c.offset,
-                        data: batch.entries[c.entry_idx].data
-                            [c.data_off..c.data_off + c.len as usize]
-                            .to_vec(),
-                    })
-                    .collect(),
-                PayloadMode::Extents => Vec::new(),
+                PayloadMode::Full => {
+                    let mut stores = PackedStores::with_capacity(
+                        layout.chunks.len(),
+                        layout.data_bytes() as usize,
+                    );
+                    for c in &layout.chunks {
+                        let data = &batch.entries[c.entry_idx].data;
+                        stores.push(
+                            layout.base_addr + c.offset,
+                            &data[c.data_off..c.data_off + c.len as usize],
+                        );
+                    }
+                    stores
+                }
+                PayloadMode::Extents => PackedStores::default(),
             };
             let packet = WirePacket {
                 dst: batch.dst,
@@ -347,6 +454,7 @@ impl FinePackEgress {
             let share = store_share(batch.stores_merged, n, i);
             out.push(self.metrics.emit(packet, share));
         }
+        self.rwq.recycle(batch);
         out
     }
 }
@@ -667,8 +775,8 @@ mod tests {
         // The second and third stores land in the first one's line.
         assert_eq!(fp.metrics().rwq_merges, 2);
         for p in &emitted {
-            for s in &p.stores {
-                via_finepack.write(s.addr, &s.data);
+            for (addr, data) in &p.stores {
+                via_finepack.write(addr, data);
             }
         }
         assert!(program_order.same_contents(&via_finepack));

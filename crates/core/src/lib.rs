@@ -86,7 +86,8 @@ pub use config::{
 };
 pub use depacketizer::Depacketizer;
 pub use egress::{
-    EgressMetrics, EgressPath, FinePackEgress, PayloadMode, RawP2pEgress, WirePacket,
+    EgressMetrics, EgressPath, FinePackEgress, PackedStores, PayloadMode, RawP2pEgress,
+    StoreSlices, WirePacket,
 };
 pub use packet::{DeliveredStore, FinePackPacket, SubPacket};
 pub use packetizer::{packetize, packetize_layout, LayoutChunk, PacketLayout};

@@ -8,12 +8,14 @@ use protocol::{FramingModel, ProtocolError, TlpHeader, TlpType};
 
 use crate::config::{FinePackError, SubheaderFormat, LENGTH_FIELD_BITS};
 
-/// A store as the wire delivers it: an address and its bytes.
+/// A store as the de-packetizer delivers it from a decoded
+/// [`FinePackPacket`]: an address and its bytes.
 ///
-/// What crosses the wire is merged from several issued stores (a queue
-/// entry's last writers, a combined line's runs), so its bytes are not
-/// a function of one seed as a [`gpu_model::RemoteStore`]'s are: the
-/// record owns them.
+/// Its bytes are merged from several issued stores (a queue entry's
+/// last writers), so they are not a function of one seed as a
+/// [`gpu_model::RemoteStore`]'s are: the record owns them. Egress paths
+/// hand their packets' stores over in one buffer per packet instead
+/// ([`crate::PackedStores`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeliveredStore {
     /// Node-global physical address of the first byte.

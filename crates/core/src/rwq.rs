@@ -197,6 +197,46 @@ struct EntrySlot {
     data: Vec<u8>,
 }
 
+/// Free line buffers of one length, for queue entries and combining
+/// lines under full payloads: a flushed entry's buffer comes back once
+/// its packets are built, so a run allocates buffers only while more
+/// lines are live than ever before.
+#[derive(Debug, Clone)]
+pub(crate) struct LinePool {
+    len: usize,
+    free: Vec<Vec<u8>>,
+}
+
+impl LinePool {
+    /// An empty pool of `len`-byte buffers.
+    pub(crate) fn new(len: usize) -> Self {
+        LinePool {
+            len,
+            free: Vec::new(),
+        }
+    }
+
+    /// A zeroed buffer, as a fresh one reads: a returned one when the
+    /// pool holds one.
+    pub(crate) fn take(&mut self) -> Vec<u8> {
+        match self.free.pop() {
+            Some(mut buf) => {
+                buf.fill(0);
+                buf
+            }
+            None => vec![0; self.len],
+        }
+    }
+
+    /// Takes `buf` back. One of another length, such as the empty
+    /// `data` of a timing-only entry, is dropped.
+    pub(crate) fn put(&mut self, buf: Vec<u8>) {
+        if buf.len() == self.len {
+            self.free.push(buf);
+        }
+    }
+}
+
 /// One open outer transaction: an aligned address window accumulating
 /// entries until its payload budget, entry allocation, or window range is
 /// exhausted.
@@ -329,9 +369,11 @@ pub struct RemoteWriteQueue {
     /// Global monotonic use stamp, for LRU decisions across windows
     /// (and across partitions under [`AllocationPolicy::DynamicShared`]).
     use_seq: u64,
-    /// When false (timing-only runs), entry slots hold masks but no
-    /// payload bytes: flushed entries carry empty `data`.
-    buffer_payloads: bool,
+    /// The entry slots' payload buffers, with those given back by
+    /// [`RemoteWriteQueue::recycle`]. `None` in timing-only runs: entry
+    /// slots hold masks but no payload bytes, and flushed entries carry
+    /// empty `data`.
+    pool: Option<LinePool>,
 }
 
 impl RemoteWriteQueue {
@@ -353,7 +395,7 @@ impl RemoteWriteQueue {
             partitions: BTreeMap::new(),
             stats: RwqStats::default(),
             use_seq: 0,
-            buffer_payloads: true,
+            pool: Some(LinePool::new(config.entry_bytes as usize)),
         }
     }
 
@@ -370,7 +412,7 @@ impl RemoteWriteQueue {
             self.buffered_entries() == 0,
             "payload buffering toggled with entries in flight"
         );
-        self.buffer_payloads = on;
+        self.pool = on.then(|| LinePool::new(self.config.entry_bytes as usize));
     }
 
     /// The configuration in force.
@@ -455,7 +497,6 @@ impl RemoteWriteQueue {
         let max_windows = self.config.windows_per_partition as usize;
 
         self.stats.stores_received += 1;
-        let buffer_payloads = self.buffer_payloads;
         let line_addr = store.addr - u64::from(line_off);
         let wanted_base = subheader.window_base(store.addr);
         self.use_seq += 1;
@@ -574,7 +615,7 @@ impl RemoteWriteQueue {
                         self.stats.overwritten_bytes += u64::from(overlap);
                         w.available_payload = charge_payload(w.available_payload, fresh);
                         slot.mask |= incoming;
-                        if buffer_payloads {
+                        if self.pool.is_some() {
                             copy_payload(
                                 store,
                                 &mut slot.data[line_off as usize..(line_off + len) as usize],
@@ -584,25 +625,18 @@ impl RemoteWriteQueue {
                     }
                     Err(i) => {
                         w.available_payload = charge_payload(w.available_payload, len + sub_bytes);
-                        w.entries.insert(
-                            i,
-                            (
-                                line_addr,
-                                new_slot(entry_bytes, line_off, store, buffer_payloads),
-                            ),
-                        );
+                        let slot = new_slot(line_off, store, self.pool.as_mut());
+                        w.entries.insert(i, (line_addr, slot));
                         self.stats.entry_misses += 1;
                     }
                 }
             }
             None => {
                 // Open a fresh window with this store as its first.
+                let slot = new_slot(line_off, store, self.pool.as_mut());
                 partition.windows.push(Window {
                     base: wanted_base,
-                    entries: vec![(
-                        line_addr,
-                        new_slot(entry_bytes, line_off, store, buffer_payloads),
-                    )],
+                    entries: vec![(line_addr, slot)],
                     available_payload: max_payload.saturating_sub(len + sub_bytes),
                     stores_merged: 1,
                     overwritten_bytes: 0,
@@ -612,6 +646,17 @@ impl RemoteWriteQueue {
             }
         }
         Ok(flushed)
+    }
+
+    /// Takes back the entry buffers of `batch`, a batch this queue
+    /// flushed, once its packets are built: later entries reuse them
+    /// instead of allocating. Timing-only batches carry no buffers.
+    pub(crate) fn recycle(&mut self, batch: FlushedBatch) {
+        if let Some(pool) = &mut self.pool {
+            for entry in batch.entries {
+                pool.put(entry.data);
+            }
+        }
     }
 
     /// Flushes one destination's windows (e.g. on a load hit).
@@ -705,22 +750,17 @@ impl RemoteWriteQueue {
     }
 }
 
-fn new_slot(
-    entry_bytes: u32,
-    line_off: u32,
-    store: &RemoteStore,
-    buffer_payloads: bool,
-) -> EntrySlot {
+fn new_slot(line_off: u32, store: &RemoteStore, pool: Option<&mut LinePool>) -> EntrySlot {
     let mask = span_mask(line_off, store.len());
-    if !buffer_payloads {
+    let Some(pool) = pool else {
         return EntrySlot {
             mask,
             data: Vec::new(),
         };
-    }
+    };
     let mut slot = EntrySlot {
         mask,
-        data: vec![0u8; entry_bytes as usize],
+        data: pool.take(),
     };
     let off = line_off as usize;
     copy_payload(store, &mut slot.data[off..off + store.len() as usize]);
@@ -1125,6 +1165,46 @@ mod tests {
         assert_eq!(span_mask(0, 128), u128::MAX);
         assert_eq!(span_mask(0, 1), 1);
         assert_eq!(span_mask(127, 1), 1u128 << 127);
+    }
+
+    #[test]
+    fn recycled_buffers_start_zeroed() {
+        // Many times the queue's entries pass through it, and every
+        // flushed batch comes back: each new entry after the first
+        // flushes reuses a buffer that held other stores' bytes, and
+        // must read as a fresh one does outside its mask.
+        let mut q = rwq();
+        let mut rng = sim_engine::DetRng::new(0x2EC7, "rwq-recycle");
+        let (mut batches, mut entries) = (0, 0);
+        let mut check = |b: FlushedBatch, q: &mut RemoteWriteQueue| {
+            for e in &b.entries {
+                assert_eq!(e.data.len(), 128);
+                for (i, byte) in e.data.iter().enumerate() {
+                    if e.mask & (1 << i) == 0 {
+                        assert_eq!(*byte, 0, "line {:#x} byte {i}", e.line_addr);
+                    }
+                }
+            }
+            batches += 1;
+            entries += b.entries.len();
+            q.recycle(b);
+        };
+        for _ in 0..5000 {
+            let off = rng.next_u64_below(128);
+            let len = rng.next_in_range(1, 129 - off) as u32;
+            let addr = rng.next_u64_below(1024) * 128 + off;
+            let s = store(rng.next_in_range(1, 4) as u8, addr, len, rng.next_u64());
+            if let Some(b) = q.insert(&s).unwrap() {
+                check(b, &mut q);
+            }
+        }
+        for b in q.flush_all(FlushReason::Release) {
+            check(b, &mut q);
+        }
+        assert!(
+            batches > 50 && entries > 20 * 192,
+            "{batches} batches, {entries} entries"
+        );
     }
 
     #[test]

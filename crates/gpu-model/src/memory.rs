@@ -14,6 +14,11 @@ use crate::trace::RemoteStore;
 /// not a configuration).
 const LINE_BYTES: usize = 128;
 
+/// Lines per slab chunk of a [`MemoryImage`]: 32 KiB of line data.
+const CHUNK_LINES: usize = 256;
+
+type Line = [u8; LINE_BYTES];
+
 /// A multiply-xor hasher for line addresses (splitmix64 finalizer).
 ///
 /// [`MemoryImage`] and `system`'s unique-byte tracker hash one `u64` per
@@ -58,7 +63,7 @@ pub struct ImageDiff {
 }
 
 /// A sparse byte-addressable memory image, stored as the 128B lines its
-/// writes touch.
+/// writes touch, in 32 KiB slab chunks.
 ///
 /// # Examples
 ///
@@ -72,9 +77,16 @@ pub struct ImageDiff {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct MemoryImage {
-    /// Line base address -> line contents. Boxed: an inline 128B value
-    /// would make every slot the map reserves on growth that large.
-    lines: LineMap<Box<[u8; LINE_BYTES]>>,
+    /// Line base address -> the line's number, in order of first write.
+    /// A 4-byte number keeps the map's slots small, where an inline
+    /// 128B value would make every slot it reserves on growth that
+    /// large.
+    index: LineMap<u32>,
+    /// Line contents: line `n` is `chunks[n / CHUNK_LINES][n %
+    /// CHUNK_LINES]`. Chunks are allocated zeroed, the next one when
+    /// every line of the last is taken, so a new line costs no
+    /// allocation of its own.
+    chunks: Vec<Box<[Line]>>,
     bytes_written: u64,
 }
 
@@ -109,14 +121,35 @@ impl MemoryImage {
             let cur = addr + done as u64;
             let off = (cur % LINE_BYTES as u64) as usize;
             let n = (len - done).min(LINE_BYTES - off);
-            let line = self
-                .lines
-                .entry(cur - off as u64)
-                .or_insert_with(|| Box::new([0u8; LINE_BYTES]));
+            let line = self.line_mut(cur - off as u64);
             fill(done, &mut line[off..off + n]);
             done += n;
         }
         self.bytes_written += len as u64;
+    }
+
+    /// The line at `base`, taking the next slab line when it is new.
+    fn line_mut(&mut self, base: u64) -> &mut Line {
+        let next = self.index.len();
+        let chunks = &mut self.chunks;
+        let n = *self.index.entry(base).or_insert_with(|| {
+            if next.is_multiple_of(CHUNK_LINES) {
+                chunks.push(vec![[0; LINE_BYTES]; CHUNK_LINES].into_boxed_slice());
+            }
+            u32::try_from(next).expect("an image holds fewer than 2^32 lines")
+        }) as usize;
+        &mut self.chunks[n / CHUNK_LINES][n % CHUNK_LINES]
+    }
+
+    /// Line number `n`.
+    fn slab(&self, n: u32) -> &Line {
+        let n = n as usize;
+        &self.chunks[n / CHUNK_LINES][n % CHUNK_LINES]
+    }
+
+    /// The line at `base`, or `None` if no write touched it.
+    fn line(&self, base: u64) -> Option<&Line> {
+        self.index.get(&base).map(|&n| self.slab(n))
     }
 
     /// Reads `len` bytes starting at `addr`; untouched bytes read as zero.
@@ -126,7 +159,7 @@ impl MemoryImage {
         while out.len() < len {
             let off = (cur % LINE_BYTES as u64) as usize;
             let n = (len - out.len()).min(LINE_BYTES - off);
-            match self.lines.get(&(cur - off as u64)) {
+            match self.line(cur - off as u64) {
                 Some(line) => out.extend_from_slice(&line[off..off + n]),
                 None => out.extend(std::iter::repeat_n(0, n)),
             }
@@ -142,15 +175,15 @@ impl MemoryImage {
 
     /// Number of touched 128B lines.
     pub fn touched_lines(&self) -> usize {
-        self.lines.len()
+        self.index.len()
     }
 
     /// Compares the two images byte by byte. Untouched bytes read as
     /// zero, so a zero-written byte matches an absent one.
     pub fn diff(&self, other: &MemoryImage) -> ImageDiff {
-        const ZERO: [u8; LINE_BYTES] = [0; LINE_BYTES];
+        const ZERO: Line = [0; LINE_BYTES];
         let mut diff = ImageDiff::default();
-        let mut compare = |base: u64, a: &[u8; LINE_BYTES], b: &[u8; LINE_BYTES]| {
+        let mut compare = |base: u64, a: &Line, b: &Line| {
             if a == b {
                 return;
             }
@@ -161,12 +194,12 @@ impl MemoryImage {
                 diff.first = Some(diff.first.map_or(addr, |f| f.min(addr)));
             }
         };
-        for (&base, line) in &self.lines {
-            compare(base, line, other.lines.get(&base).map_or(&ZERO, |l| &**l));
+        for (&base, &n) in &self.index {
+            compare(base, self.slab(n), other.line(base).unwrap_or(&ZERO));
         }
-        for (&base, line) in &other.lines {
-            if !self.lines.contains_key(&base) {
-                compare(base, &ZERO, line);
+        for (&base, &n) in &other.index {
+            if !self.index.contains_key(&base) {
+                compare(base, &ZERO, other.slab(n));
             }
         }
         diff
@@ -242,6 +275,88 @@ mod tests {
         assert!(!a.same_contents(&b));
         a.write(5000, &[1]);
         assert!(a.same_contents(&b));
+    }
+
+    #[test]
+    fn image_matches_a_per_byte_oracle() {
+        use sim_engine::DetRng;
+        use std::collections::{BTreeMap, BTreeSet};
+
+        /// What `a.diff(b)` must return, from the per-byte oracles.
+        fn oracle_diff(a: &BTreeMap<u64, u8>, b: &BTreeMap<u64, u8>) -> ImageDiff {
+            let at = |m: &BTreeMap<u64, u8>, x: &u64| m.get(x).copied().unwrap_or(0);
+            let addrs: BTreeSet<u64> = a.keys().chain(b.keys()).copied().collect();
+            let mut differing = addrs.into_iter().filter(|x| at(a, x) != at(b, x));
+            let first = differing.next();
+            ImageDiff {
+                bytes: u64::from(first.is_some()) + differing.count() as u64,
+                first,
+            }
+        }
+
+        let mut rng = DetRng::new(0x1A6E, "image-oracle");
+        for round in 0..3 {
+            // Two images that mostly see the same writes: 700 lines, so
+            // each fills a second and a third 256-line slab chunk.
+            let (mut a, mut b) = (MemoryImage::new(), MemoryImage::new());
+            let (mut oa, mut ob) = (BTreeMap::new(), BTreeMap::new());
+            let mut written = [0u64; 2];
+            let base = 0x7000_0000 + round * 0x10_0000;
+            for _ in 0..1200 {
+                let len = rng.next_in_range(1, 256) as usize;
+                let addr = base + rng.next_u64_below(700 * 128);
+                // Zero runs too: a zero-written byte matches an absent one.
+                let data: Vec<u8> = if rng.chance(0.05) {
+                    vec![0; len]
+                } else {
+                    (0..len).map(|_| rng.next_u64() as u8).collect()
+                };
+                let to = rng.next_u64_below(20);
+                for (side, (img, oracle)) in [(&mut a, &mut oa), (&mut b, &mut ob)]
+                    .into_iter()
+                    .enumerate()
+                {
+                    // 0: only `a`; 1: only `b`; otherwise both.
+                    if to >= 2 || to == side as u64 {
+                        img.write(addr, &data);
+                        written[side] += len as u64;
+                        for (x, v) in (addr..).zip(&data) {
+                            oracle.insert(x, *v);
+                        }
+                    }
+                }
+            }
+            for (img, oracle, bytes) in [(&a, &oa, written[0]), (&b, &ob, written[1])] {
+                let lines: BTreeSet<u64> = oracle.keys().map(|x| x & !127).collect();
+                assert_eq!(img.touched_lines(), lines.len());
+                assert!(img.touched_lines() > 2 * CHUNK_LINES);
+                assert_eq!(img.bytes_written(), bytes);
+                for _ in 0..200 {
+                    // Reads from a little below the written range to a
+                    // little above it, so untouched lines are read too.
+                    let addr = base - 512 + rng.next_u64_below(700 * 128 + 1024);
+                    let len = rng.next_in_range(0, 300) as usize;
+                    let want: Vec<u8> = (addr..addr + len as u64)
+                        .map(|x| oracle.get(&x).copied().unwrap_or(0))
+                        .collect();
+                    assert_eq!(img.read(addr, len), want, "round {round}, {addr:#x}+{len}");
+                }
+            }
+            let want = oracle_diff(&oa, &ob);
+            assert!(want.bytes > 0, "round {round}");
+            assert_eq!(a.diff(&b), want, "round {round}");
+            assert_eq!(b.diff(&a), want, "round {round}");
+            assert!(!a.same_contents(&b));
+            // The same contents written in another order number the
+            // lines differently and still compare equal.
+            let mut c = MemoryImage::new();
+            for (&x, &v) in oa.iter().rev() {
+                c.write(x, &[v]);
+            }
+            assert_eq!(a.diff(&c), ImageDiff::default());
+            assert_eq!(c.diff(&a), ImageDiff::default());
+            assert!(a.same_contents(&c) && c.same_contents(&a));
+        }
     }
 
     #[test]

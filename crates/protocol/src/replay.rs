@@ -48,6 +48,12 @@ use crate::dllp::DLLP_WIRE_BYTES;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BitErrorModel {
     ber: f64,
+    /// `ln(1 - ber)`: every draw scales it by its bit count, so a TLP
+    /// attempt makes one libm call, not two.
+    ln_survival: f64,
+    /// The probability that a DLLP (an Ack or a Nak) is corrupted. Its
+    /// size never changes, so it is computed once.
+    dllp_error: f64,
 }
 
 impl BitErrorModel {
@@ -61,7 +67,13 @@ impl BitErrorModel {
             (0.0..=1.0).contains(&ber),
             "bit error rate out of range: {ber}"
         );
-        BitErrorModel { ber }
+        let mut model = BitErrorModel {
+            ber,
+            ln_survival: f64::ln_1p(-ber),
+            dllp_error: 0.0,
+        };
+        model.dllp_error = model.tlp_error_probability(u64::from(DLLP_WIRE_BYTES));
+        model
     }
 
     /// The configured errors-per-bit rate.
@@ -80,12 +92,19 @@ impl BitErrorModel {
         }
         // 1 - (1-ber)^bits, computed in log space for small rates.
         let bits = (bytes * 8) as f64;
-        -f64::exp_m1(bits * f64::ln_1p(-self.ber))
+        -f64::exp_m1(bits * self.ln_survival)
     }
 
     /// Draws whether a transfer of `bytes` bytes is corrupted.
     pub fn corrupts(&self, bytes: u64, rng: &mut DetRng) -> bool {
         rng.chance(self.tlp_error_probability(bytes))
+    }
+
+    /// Draws whether a DLLP is corrupted: [`BitErrorModel::corrupts`]
+    /// for its wire size, at the probability [`BitErrorModel::new`]
+    /// computed.
+    fn corrupts_dllp(&self, rng: &mut DetRng) -> bool {
+        rng.chance(self.dllp_error)
     }
 }
 
@@ -315,7 +334,7 @@ impl DataLinkEndpoint {
                     self.stats.rx_duplicates += 1;
                 }
                 self.stats.dllp_bytes += u64::from(DLLP_WIRE_BYTES);
-                if self.ber.corrupts(u64::from(DLLP_WIRE_BYTES), &mut self.rng) {
+                if self.ber.corrupts_dllp(&mut self.rng) {
                     self.stats.dllps_lost += 1;
                 } else {
                     dllp = Some(acked);
@@ -565,6 +584,30 @@ mod tests {
         assert!(p4k < 1.0);
         assert!((0.0..1.0).contains(&p64));
         assert_eq!(BitErrorModel::new(1.0).tlp_error_probability(1), 1.0);
+    }
+
+    #[test]
+    fn stored_log_matches_the_per_attempt_formula() {
+        // The probability as each attempt computed it before the model
+        // stored `ln_1p(-ber)` and the DLLP probability.
+        let formula = |ber: f64, bytes: u64| {
+            if ber <= 0.0 {
+                return 0.0;
+            }
+            if ber >= 1.0 {
+                return 1.0;
+            }
+            -f64::exp_m1((bytes * 8) as f64 * f64::ln_1p(-ber))
+        };
+        for ber in [0.0, 1e-12, 1e-6, 1e-5, 1.0] {
+            let m = BitErrorModel::new(ber);
+            for bytes in 0..=4200u64 {
+                let (got, want) = (m.tlp_error_probability(bytes), formula(ber, bytes));
+                assert_eq!(got.to_bits(), want.to_bits(), "ber {ber}, {bytes} B");
+            }
+            let dllp = formula(ber, u64::from(DLLP_WIRE_BYTES));
+            assert_eq!(m.dllp_error.to_bits(), dllp.to_bits(), "ber {ber}");
+        }
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub use chart::BarChart;
 pub use event::{Event, EventQueue};
 pub use par::{par_map_deterministic, WorkerPool};
 pub use report::{geomean, Table};
-pub use rng::DetRng;
+pub use rng::{DetRng, Zipf};
 pub use stats::Histogram;
 pub use supervise::{run_isolated, TaskFailure};
 pub use time::{Frequency, SimTime};

@@ -140,37 +140,65 @@ impl DetRng {
         weights.len() - 1
     }
 
-    /// Draws from a Zipf-like distribution over `[0, n)` with exponent `s`.
-    ///
-    /// Uses inverse-CDF on the continuous approximation, which is accurate
-    /// enough for synthesizing skewed access patterns.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0` or `s <= 0`.
-    pub fn zipf(&mut self, n: u64, s: f64) -> u64 {
-        assert!(n > 0 && s > 0.0, "invalid zipf parameters n={n} s={s}");
-        if n == 1 {
-            return 0;
-        }
-        // Inverse transform of the truncated Pareto CDF.
-        let u = self.next_f64().max(1e-12);
-        let exp = 1.0 - s;
-        let idx = if (exp.abs()) < 1e-9 {
-            (n as f64).powf(u) - 1.0
-        } else {
-            let max = (n as f64).powf(exp);
-            ((u * (max - 1.0) + 1.0).powf(1.0 / exp)) - 1.0
-        };
-        (idx.floor() as u64).min(n - 1)
-    }
-
     /// Fisher–Yates shuffle.
     pub fn shuffle<T>(&mut self, items: &mut [T]) {
         for i in (1..items.len()).rev() {
             let j = self.next_u64_below(i as u64 + 1) as usize;
             items.swap(i, j);
         }
+    }
+}
+
+/// A Zipf-like sampler over `[0, n)` with exponent `s`.
+///
+/// Uses inverse-CDF on the continuous approximation, which is accurate
+/// enough for synthesizing skewed access patterns. The powers of one
+/// `(n, s)` pair are computed once, so a draw makes one `powf` call.
+///
+/// # Examples
+///
+/// ```
+/// use sim_engine::{DetRng, Zipf};
+///
+/// let zipf = Zipf::new(1000, 1.2);
+/// let mut rng = DetRng::new(1, "zipf");
+/// assert!(zipf.sample(&mut rng) < 1000);
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct Zipf {
+    n: u64,
+    /// `(n^(1-s), 1/(1-s))`, or `None` when `s` is within 1e-9 of 1,
+    /// where the CDF is logarithmic.
+    powers: Option<(f64, f64)>,
+}
+
+impl Zipf {
+    /// A sampler over `[0, n)` with exponent `s`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0` or `s <= 0`.
+    pub fn new(n: u64, s: f64) -> Self {
+        assert!(n > 0 && s > 0.0, "invalid zipf parameters n={n} s={s}");
+        let exp = 1.0 - s;
+        Zipf {
+            n,
+            powers: (exp.abs() >= 1e-9).then(|| ((n as f64).powf(exp), 1.0 / exp)),
+        }
+    }
+
+    /// Draws an index from `rng`. A one-element domain draws nothing.
+    pub fn sample(&self, rng: &mut DetRng) -> u64 {
+        if self.n == 1 {
+            return 0;
+        }
+        // Inverse transform of the truncated Pareto CDF.
+        let u = rng.next_f64().max(1e-12);
+        let idx = match self.powers {
+            None => (self.n as f64).powf(u) - 1.0,
+            Some((max, inv_exp)) => ((u * (max - 1.0) + 1.0).powf(inv_exp)) - 1.0,
+        };
+        (idx.floor() as u64).min(self.n - 1)
     }
 }
 
@@ -224,9 +252,10 @@ mod tests {
     fn zipf_is_skewed_and_bounded() {
         let mut r = DetRng::new(1, "z");
         let n = 1000;
+        let zipf = Zipf::new(n, 1.2);
         let mut low = 0u64;
         for _ in 0..10_000 {
-            let v = r.zipf(n, 1.2);
+            let v = zipf.sample(&mut r);
             assert!(v < n);
             if v < 10 {
                 low += 1;
@@ -235,6 +264,38 @@ mod tests {
         // A zipf(1.2) draw should land in the first 1% of the range far
         // more often than uniformly (which would be ~100/10000).
         assert!(low > 1_000, "zipf not skewed: {low}");
+    }
+
+    #[test]
+    fn zipf_matches_the_per_draw_formula() {
+        // The draw as it computed both powers on every call.
+        fn per_draw(rng: &mut DetRng, n: u64, s: f64) -> u64 {
+            if n == 1 {
+                return 0;
+            }
+            let u = rng.next_f64().max(1e-12);
+            let exp = 1.0 - s;
+            let idx = if (exp.abs()) < 1e-9 {
+                (n as f64).powf(u) - 1.0
+            } else {
+                let max = (n as f64).powf(exp);
+                ((u * (max - 1.0) + 1.0).powf(1.0 / exp)) - 1.0
+            };
+            (idx.floor() as u64).min(n - 1)
+        }
+        for n in [1, 2, 3, 100, 4096, 1 << 20, u64::MAX] {
+            for s in [0.1, 0.5, 0.9, 1.0 - 1e-10, 1.0, 1.0 + 1e-10, 1.05, 1.2, 2.5] {
+                let zipf = Zipf::new(n, s);
+                let mut a = DetRng::new(n ^ s.to_bits(), "z");
+                let mut b = a.clone();
+                for draw in 0..500 {
+                    let want = per_draw(&mut b, n, s);
+                    assert_eq!(zipf.sample(&mut a), want, "n {n}, s {s}, draw {draw}");
+                }
+                // Both consumed the same number of raw draws.
+                assert_eq!(a.next_u64(), b.next_u64(), "n {n}, s {s}");
+            }
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! driven by the engine's own deterministic RNG so the suite needs no
 //! external property-testing crate and every failure replays exactly.
 
-use sim_engine::{geomean, Bandwidth, DetRng, EventQueue, Histogram, SimTime};
+use sim_engine::{geomean, Bandwidth, DetRng, EventQueue, Histogram, SimTime, Zipf};
 
 /// Events pop in non-decreasing time order regardless of insertion
 /// order, and ties preserve insertion order.
@@ -125,8 +125,9 @@ fn zipf_in_domain() {
         let n = meta.next_in_range(1, 100_000);
         let s = 0.1 + meta.next_f64() * 2.4;
         let mut rng = DetRng::new(seed, "zipf");
+        let zipf = Zipf::new(n, s);
         for _ in 0..32 {
-            assert!(rng.zipf(n, s) < n);
+            assert!(zipf.sample(&mut rng) < n);
         }
     }
 }

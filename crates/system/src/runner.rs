@@ -547,8 +547,8 @@ impl<'t> Runner<'t> {
                 p.store_count as usize,
                 "track_memory runs carry payloads"
             );
-            for s in &p.stores {
-                images[p.dst.index()].write(s.addr, &s.data);
+            for (addr, data) in &p.stores {
+                images[p.dst.index()].write(addr, data);
             }
         }
         Ok(drained)

@@ -2,7 +2,7 @@
 //! compute/store interleaving and warp-store stream builders.
 
 use gpu_model::{AccessPattern, KernelTrace, TraceOp};
-use sim_engine::DetRng;
+use sim_engine::{DetRng, Zipf};
 
 /// Target number of compute chunks per kernel, chosen large relative to
 /// the SM count so round-robin replay stays load-balanced.
@@ -86,13 +86,19 @@ pub(crate) fn scatter_ops(
     assert!(elem_bytes > 0 && elem_bytes <= 8);
     let group_bytes = u64::from(group_lanes * elem_bytes);
     let n_slots = (region_bytes / group_bytes).max(1);
+    // Built only when a draw happens, so parameters the sampler rejects
+    // still panic only where a draw would.
+    let zipf = match dist {
+        SlotDist::Zipf(s) if n_ops > 0 => Some(Zipf::new(n_slots, s)),
+        _ => None,
+    };
     (0..n_ops)
         .map(|_| {
             let mut addrs = Vec::with_capacity(32);
             for _group in 0..(32 / group_lanes) {
-                let slot = match dist {
-                    SlotDist::Uniform => rng.next_u64_below(n_slots),
-                    SlotDist::Zipf(s) => rng.zipf(n_slots, s),
+                let slot = match &zipf {
+                    Some(zipf) => zipf.sample(rng),
+                    None => rng.next_u64_below(n_slots),
                 };
                 let base = region_base + slot * group_bytes;
                 for lane_in_group in 0..group_lanes {

@@ -11,6 +11,7 @@ use crate::assembler::{interleave, scatter_ops, SlotDist};
 use crate::common::{bytes_per_target, per_gpu_compute_cycles, slot_base, stream_rng};
 use crate::spec::{CommPattern, RunSpec, Workload};
 use gpu_model::TraceOp;
+use sim_engine::Zipf;
 
 /// The SSSP workload.
 #[derive(Debug, Clone, Copy)]
@@ -82,13 +83,18 @@ impl Workload for Sssp {
             // remote atomics, never coalesced by FinePack (§IV-C).
             // One warp store op carries 32 scalar updates, so each
             // converted op becomes 32 scalar atomics.
-            for _ in 0..atomic_ops * 32 {
-                let slot = rng.zipf(region / 8, self.zipf_exponent);
-                stores.push(TraceOp::RemoteAtomic {
-                    addr: base + slot * 8,
-                    bytes: 8,
-                    value_seed: rng.next_u64_below(u64::MAX),
-                });
+            // Built only when a draw happens, so a region too small for
+            // one 8-byte slot still panics only where a draw would.
+            if atomic_ops > 0 {
+                let zipf = Zipf::new(region / 8, self.zipf_exponent);
+                for _ in 0..atomic_ops * 32 {
+                    let slot = zipf.sample(&mut rng);
+                    stores.push(TraceOp::RemoteAtomic {
+                        addr: base + slot * 8,
+                        bytes: 8,
+                        value_seed: rng.next_u64_below(u64::MAX),
+                    });
+                }
             }
         }
         let compute = per_gpu_compute_cycles(self.compute_wall_us, spec);

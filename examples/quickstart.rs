@@ -44,8 +44,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let deliver = |packets: Vec<finepack::WirePacket>, image: &mut MemoryImage| {
         for p in packets {
             // Paths carry full payloads by default.
-            for s in &p.stores {
-                image.write(s.addr, &s.data);
+            for (addr, data) in &p.stores {
+                image.write(addr, data);
             }
         }
     };

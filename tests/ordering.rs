@@ -44,8 +44,8 @@ fn apply(packets: &[&WirePacket]) -> Vec<MemoryImage> {
             p.store_count as usize,
             "paths default to full payloads"
         );
-        for s in &p.stores {
-            images[p.dst.index()].write(s.addr, &s.data);
+        for (addr, data) in &p.stores {
+            images[p.dst.index()].write(addr, data);
         }
     }
     images
@@ -135,8 +135,8 @@ fn load_probe_observes_latest_value() {
                     p.store_count as usize,
                     "paths default to full payloads"
                 );
-                for s in &p.stores {
-                    image.write(s.addr, &s.data);
+                for (addr, data) in &p.stores {
+                    image.write(addr, data);
                 }
             }
         };

@@ -56,8 +56,8 @@ fn image_via_path(path: &mut dyn EgressPath, stores: &[RemoteStore]) -> MemoryIm
                 p.store_count as usize,
                 "paths default to full payloads"
             );
-            for s in &p.stores {
-                image.write(s.addr, &s.data);
+            for (addr, data) in &p.stores {
+                image.write(addr, data);
             }
         }
     };
@@ -141,5 +141,73 @@ fn wire_roundtrip_is_transparent() {
             }
         }
         assert!(reference.same_contents(&image));
+    }
+}
+
+/// Under full payloads the queue's entries and the combining lines take
+/// their buffers from those of lines already sent. Many times each
+/// path's capacity passes through it, to three destinations, so every
+/// buffer is reused many times, and each packet must carry, for every
+/// byte, the last value program order wrote there before it left.
+#[test]
+fn full_payloads_survive_buffer_reuse() {
+    let mut rng = DetRng::new(0x7A_0005, "buffer-reuse");
+    let framing = FramingModel::pcie_gen4();
+    // 64 entries per destination in each path: 3 x 64 = 192 lines.
+    let paths: [Box<dyn EgressPath>; 2] = [
+        Box::new(FinePackEgress::new(
+            GpuId::new(0),
+            FinePackConfig::paper(4),
+            framing,
+        )),
+        Box::new(WriteCombiningEgress::new(GpuId::new(0), framing, 64)),
+    ];
+    for mut path in paths {
+        let name = path.name();
+        let mut written = Written::default();
+        let mut reference: Vec<MemoryImage> = (0..4).map(|_| MemoryImage::new()).collect();
+        let mut via_path: Vec<MemoryImage> = (0..4).map(|_| MemoryImage::new()).collect();
+        // Lines sent: each left in a buffer that the next lines reuse.
+        let mut lines_sent = 0usize;
+        let mut deliver = |packets: Vec<finepack::WirePacket>, reference: &[MemoryImage]| {
+            for p in packets {
+                assert_eq!(p.stores.len(), p.store_count as usize);
+                let mut data_bytes = 0;
+                let mut lines = std::collections::BTreeSet::new();
+                for (addr, data) in &p.stores {
+                    let want = reference[p.dst.index()].read(addr, data.len());
+                    assert_eq!(data, want, "{name} store at {addr:#x}");
+                    via_path[p.dst.index()].write(addr, data);
+                    data_bytes += data.len() as u64;
+                    lines.insert(addr & !127);
+                }
+                assert_eq!(data_bytes, p.data_bytes);
+                lines_sent += lines.len();
+            }
+        };
+        for _ in 0..6000 {
+            let dst = rng.next_in_range(1, 4) as u8;
+            let line = rng.next_u64_below(1024);
+            let off = (rng.next_u64_below(128) as u32).min(127);
+            let len = (rng.next_in_range(1, 33) as u32).min(128 - off);
+            let store = RemoteStore {
+                src: GpuId::new(0),
+                dst: GpuId::new(dst),
+                addr: 0x4000_0000 * u64::from(dst) + line * 128 + u64::from(off),
+                len,
+                value_seed: 0,
+            };
+            let store = written.fresh(&mut rng, store);
+            deliver(
+                path.push(&store, SimTime::ZERO).expect("valid store"),
+                &reference,
+            );
+            reference[usize::from(dst)].write_store(&store);
+        }
+        deliver(path.release(), &reference);
+        assert!(lines_sent > 20 * 192, "{name}: {lines_sent} lines sent");
+        for (want, got) in reference.iter().zip(&via_path) {
+            assert!(want.same_contents(got), "{name}");
+        }
     }
 }
